@@ -482,6 +482,43 @@ module Micro = struct
     Test.make ~name:"pages: touch_range 64 pages"
       (Staged.stage (fun () -> Page_set.touch_range ps Layout.page_size span))
 
+  (* Scheduler steps.  A scheduler cannot outlive one [Sched.run], so each
+     run of these micros is a whole run of [sched_batch] steps of a single
+     process; [run] divides their estimates down to ns per step.  The
+     set-up is a few hundred ns, under 1 ns per step. *)
+  let sched_batch = 1024
+
+  let sched_micro ~name body =
+    Test.make ~name
+      (Staged.stage (fun () ->
+           let s = Sched.create ~policy:Sched.round_robin () in
+           ignore (Sched.spawn s ~name:"p" body);
+           Sched.run s))
+
+  (* suspend and resume the process at every step *)
+  let test_sched_yield =
+    sched_micro ~name:"sched: yield round trip" (fun () ->
+        for _ = 2 to sched_batch do
+          Sched.yield ()
+        done)
+
+  (* one suspension, then steps that only decrement the nap counter *)
+  let test_sched_nap =
+    sched_micro ~name:"sched: nap step" (fun () -> Sched.yield_n (sched_batch - 1))
+
+  (* one suspension, then steps that only call the parked predicate *)
+  let test_sched_parked =
+    sched_micro ~name:"sched: parked poll (false predicate)" (fun () ->
+        let polls = ref 0 in
+        Sched.wait_until (fun () ->
+            incr polls;
+            !polls >= sched_batch))
+
+  let per_step =
+    List.map
+      (fun t -> "otfgc " ^ Test.name t)
+      [ test_sched_yield; test_sched_nap; test_sched_parked ]
+
   let tests =
     Test.make_grouped ~name:"otfgc" ~fmt:"%s %s"
       [
@@ -505,6 +542,9 @@ module Micro = struct
         test_iter_dirty;
         test_dirty_count;
         test_touch_range;
+        test_sched_yield;
+        test_sched_nap;
+        test_sched_parked;
       ]
 
   let run ?(quick = false) () =
@@ -523,6 +563,9 @@ module Micro = struct
     Hashtbl.iter
       (fun name ols_result ->
         match Analyze.OLS.estimates ols_result with
+        | Some [ est ] when List.mem name per_step ->
+            Printf.printf "  %-45s %12.1f ns/step\n" name
+              (est /. float_of_int sched_batch)
         | Some [ est ] -> Printf.printf "  %-45s %12.1f ns\n" name est
         | _ -> Printf.printf "  %-45s (no estimate)\n" name)
       results;

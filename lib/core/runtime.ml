@@ -492,6 +492,4 @@ let work t m n =
   (* Scheduled time must track charged work on both sides (the collector
      yields once per ~8 units), so a long computation burns proportionally
      many scheduling quanta — during which the collector runs. *)
-  for _ = 1 to Stdlib.max 1 (units / 8) do
-    Substrate.yield ()
-  done
+  Substrate.yield_n (Stdlib.max 1 (units / 8))

@@ -128,7 +128,8 @@ val store : t -> Mutator.t -> x:int -> i:int -> y:int -> unit
 (** [heap\[x,i\] <- y] through the write barrier ([Update]). *)
 
 val work : t -> Mutator.t -> int -> unit
-(** Pure application work: charges cost, polls the handshake. *)
+(** Pure application work: polls the handshake, charges cost, then gives
+    up one scheduling step per ~8 charged units ({!Otfgc_sched.Substrate.yield_n}). *)
 
 val load_data : t -> Mutator.t -> x:int -> i:int -> int
 (** Read scalar word [i] of object [x] — no barrier, like any non-pointer

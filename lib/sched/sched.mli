@@ -27,12 +27,14 @@ type policy
 (** Strategy for choosing the next runnable process. *)
 
 val round_robin : policy
-(** Cycle through runnable processes in spawn order.  Fastest and fully
-    deterministic; the default for benchmark runs. *)
+(** Cycle through runnable processes in spawn order.  The default of
+    {!create}; unit tests use it where they need a fixed interleaving. *)
 
 val random_policy : Otfgc_support.Rng.t -> policy
-(** Pick uniformly among runnable processes using the given generator.
-    Used by property tests to explore interleavings. *)
+(** Pick uniformly among runnable processes using the given generator
+    (one [Rng.int] draw per step).  Every simulated run uses it — the
+    workload driver, the benchmarks and the property tests — so a run's
+    interleaving is a function of its seed. *)
 
 exception Stalled of string
 (** Raised by {!run} when [max_steps] is exceeded — in this simulator that
@@ -54,9 +56,26 @@ val yield : unit -> unit
     called from inside a spawned process; calling it elsewhere raises
     [Failure]. *)
 
+val yield_n : int -> unit
+(** [yield_n n] behaves exactly like [n] consecutive {!yield}s (none when
+    [n <= 0]): the same picks, the same {!steps} and the same
+    {!set_on_switch} calls.  Only the first one suspends the process; the
+    scheduler then spends the next [n - 1] picks of it by decrementing a
+    counter, without resuming it. *)
+
 val wait_until : (unit -> bool) -> unit
-(** [wait_until p] yields repeatedly until [p ()] holds.  [p] is checked
-    before the first yield. *)
+(** [wait_until p] behaves exactly like [while not (p ()) do yield () done]:
+    [p] is checked once before suspending, and then once at every pick of
+    the process.  After the first check, the scheduler evaluates [p]
+    itself.  It resumes the process only when [p ()] holds, so waiting
+    costs a predicate call per step, not a context switch.  Like the loop,
+    it returns at once outside a process when [p ()] already holds.
+
+    [p] must not yield.  It runs outside the process, and a {!yield},
+    {!yield_n} or nested [wait_until] inside [p] raises [Invalid_argument].
+    A wait that must do scheduling work on every iteration (for instance
+    answering handshakes with a fine-grained runtime) is written as an
+    explicit loop: [while not (work (); cond ()) do yield () done]. *)
 
 val self_name : unit -> string
 (** Name of the currently running process (for trace messages). *)
@@ -67,10 +86,13 @@ val run : ?max_steps:int -> t -> unit
     [max_steps] scheduling steps (default [max_int]). *)
 
 val steps : t -> int
-(** Number of scheduling steps performed so far. *)
+(** Number of scheduling steps (policy picks) performed so far.  Picks
+    that a napping or parked process spends without resuming count too. *)
 
 val finished : t -> pid -> bool
 (** Whether the given process has run to completion. *)
 
 val set_on_switch : t -> (string -> unit) option -> unit
-(** Debug hook invoked with the process name at every context switch. *)
+(** Hook invoked with the process name each time a process is given the
+    CPU, including the turns a napping or parked process spends without
+    being resumed. *)

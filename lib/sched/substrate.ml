@@ -38,6 +38,14 @@ let maybe_jitter () =
 let yield () =
   match current () with Sim -> Sched.yield () | Domains -> maybe_jitter ()
 
+let yield_n n =
+  match current () with
+  | Sim -> Sched.yield_n n
+  | Domains ->
+      for _ = 1 to n do
+        maybe_jitter ()
+      done
+
 (* Spin briefly, then back off to short sleeps.  The spin budget is small
    on purpose: CI runners and the dev container have few cores, so a
    waiting domain that hogs its core starves the very domain it is

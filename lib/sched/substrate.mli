@@ -28,11 +28,20 @@ val yield : unit -> unit
     unless jitter is armed (see {!set_jitter}), in which case it may burn
     a short random spin to widen race windows for stress tests. *)
 
+val yield_n : int -> unit
+(** [n] consecutive {!yield}s.  [Sim]: {!Sched.yield_n}, which suspends
+    once and sleeps through the rest.  [Domains]: [n] jitter points. *)
+
 val wait_until : (unit -> bool) -> unit
 (** Block until the predicate holds.  [Sim]: {!Sched.wait_until}.
     [Domains]: poll with {!Domain.cpu_relax} for a bounded spin, then
     back off to short sleeps — the predicate must become true through
-    another domain's writes to atomics. *)
+    another domain's writes to atomics.
+
+    Under [Sim] the predicate must not yield: the scheduler evaluates it
+    outside the process, and a yield there raises [Invalid_argument].  A
+    simulated wait that must cooperate with a fine-grained runtime loops
+    on {!yield} instead. *)
 
 val set_jitter : seed:int -> prob:float -> max_spin:int -> unit
 (** Arm random spin delays at [Domains] yield points for the calling

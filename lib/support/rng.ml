@@ -1,27 +1,36 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable int64]
+   record field would box a fresh Int64 on every draw, and the scheduler
+   draws once per simulated step. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let make seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let make seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 output function: mix the advanced state through two
    xor-shift-multiply rounds. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
 let split t =
   (* A distinct mixing constant decorrelates the child stream from the
      parent's continuation. *)
   let s = bits64 t in
-  { state = Int64.mul s 0xDA942042E4DD58B5L }
+  of_state (Int64.mul s 0xDA942042E4DD58B5L)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

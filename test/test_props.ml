@@ -125,13 +125,19 @@ let run_random_program ~mode ~seed ~n_mutators ~ops_per_mutator =
                   others are gone and the world is quiescent, two full
                   collections must leave exactly the reachable objects *)
                (* keep cooperating while waiting: a handshake may need this
-                  mutator while another one blocks on an exhausted heap *)
-               Sched.wait_until (fun () ->
-                   Runtime.cooperate rt m;
-                   List.for_all
-                     (fun m' ->
-                       Mutator.id m' = Mutator.id last || not (Mutator.active m'))
-                     mutators);
+                  mutator while another one blocks on an exhausted heap
+                  (an explicit loop: cooperate yields in fine-grained mode,
+                  which a wait_until predicate must not) *)
+               while
+                 not
+                   (Runtime.cooperate rt m;
+                    List.for_all
+                      (fun m' ->
+                        Mutator.id m' = Mutator.id last || not (Mutator.active m'))
+                      mutators)
+               do
+                 Sched.yield ()
+               done;
                ignore (Runtime.collect_and_wait rt m ~full:true);
                ignore (Runtime.collect_and_wait rt m ~full:true);
                let live = Oracle.live_count (Runtime.state rt) in

@@ -62,13 +62,18 @@ let test_new_mutator_waits_for_idle_collector () =
                 second_registered := true;
                 ignore (Runtime.alloc rt m2 ~size:32 ~n_slots:0);
                 Runtime.retire_mutator rt m2));
-         (* keep cooperating until the cycle completes *)
+         (* keep cooperating until the cycle completes (an explicit loop:
+            cooperate yields in fine-grained mode) *)
          let st = Runtime.state rt in
-         Sched.wait_until (fun () ->
-             Runtime.cooperate rt m;
-             (not (Atomic.get st.State.collecting))
-             && Atomic.get st.State.gc_request = State.No_request
-             && !second_registered);
+         while
+           not
+             (Runtime.cooperate rt m;
+              (not (Atomic.get st.State.collecting))
+              && Atomic.get st.State.gc_request = State.No_request
+              && !second_registered)
+         do
+           Sched.yield ()
+         done;
          Runtime.retire_mutator rt m));
   Sched.run ~max_steps:20_000_000 sched;
   check "second mutator ran" true !second_registered

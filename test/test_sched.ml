@@ -108,6 +108,15 @@ let test_yield_outside_process () =
     | () -> false
     | exception Failure _ -> true)
 
+(* A wait that already holds needs no process: runtime code shared with
+   the domains substrate waits this way on the spawning domain. *)
+let test_wait_until_outside_process () =
+  Sched.wait_until (fun () -> true);
+  check "unmet wait outside run fails" true
+    (match Sched.wait_until (fun () -> false) with
+    | () -> false
+    | exception Failure _ -> true)
+
 let test_spawn_during_run () =
   let s = Sched.create () in
   let child_ran = ref false in
@@ -181,6 +190,279 @@ let prop_random_schedules_complete =
       Sched.run s;
       !done_count = n)
 
+let test_yielding_predicate_rejected () =
+  let raises body =
+    let s = Sched.create () in
+    ignore (Sched.spawn s ~name:"waiter" body);
+    match Sched.run ~max_steps:100 s with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  (* yielding in the first check, made inside the process *)
+  check "first check" true
+    (raises (fun () ->
+         Sched.wait_until (fun () ->
+             Sched.yield ();
+             true)));
+  (* yielding in a later check, made by the scheduler *)
+  let calls = ref 0 in
+  check "scheduler check" true
+    (raises (fun () ->
+         Sched.wait_until (fun () ->
+             incr calls;
+             if !calls > 1 then Sched.yield_n 2;
+             !calls > 2)));
+  check "nested wait_until" true
+    (raises (fun () ->
+         Sched.wait_until (fun () ->
+             Sched.wait_until (fun () -> true);
+             true)))
+
+(* ------------------------------------------------------------------ *)
+(* Equivalence with the scheduler that resumed every process at every  *)
+(* step                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The scheduler as it was before parking and napping: [wait_until] is a
+   yield loop inside the process, [yield_n] is [n] plain yields, and a
+   [Random] pick builds the candidate list and array. *)
+module Reference = struct
+  open Effect
+  open Effect.Deep
+
+  type _ Effect.t += Yield : unit Effect.t
+
+  type state =
+    | Not_started of (unit -> unit)
+    | Suspended of (unit, unit) continuation
+    | Running
+    | Finished
+
+  type proc = { name : string; daemon : bool; mutable state : state }
+
+  type t = {
+    random : Rng.t option;
+    quantum : int;
+    mutable procs : proc array;
+    mutable rr_cursor : int;
+    mutable step_count : int;
+    on_switch : string -> unit;
+  }
+
+  let create ~random ~quantum ~on_switch =
+    { random; quantum; procs = [||]; rr_cursor = 0; step_count = 0; on_switch }
+
+  let spawn t ~daemon ~name fn =
+    t.procs <- Array.append t.procs [| { name; daemon; state = Not_started fn } |]
+
+  let yield () = perform Yield
+
+  let yield_n n =
+    for _ = 1 to n do
+      yield ()
+    done
+
+  let wait_until p =
+    while not (p ()) do
+      yield ()
+    done
+
+  let runnable p = match p.state with Not_started _ | Suspended _ -> true | _ -> false
+
+  let pending t =
+    Array.fold_left
+      (fun n p -> if (not p.daemon) && p.state <> Finished then n + 1 else n)
+      0 t.procs
+
+  let pick t =
+    let n = Array.length t.procs in
+    match t.random with
+    | None ->
+        let found = ref None in
+        let i = ref 0 in
+        while !found = None && !i < n do
+          let idx = (t.rr_cursor + !i) mod n in
+          if runnable t.procs.(idx) then begin
+            found := Some t.procs.(idx);
+            t.rr_cursor <- (idx + 1) mod n
+          end;
+          incr i
+        done;
+        !found
+    | Some rng -> (
+        let candidates = ref [] in
+        for i = n - 1 downto 0 do
+          if runnable t.procs.(i) then candidates := t.procs.(i) :: !candidates
+        done;
+        match !candidates with
+        | [] -> None
+        | l -> Some (Rng.pick rng (Array.of_list l)))
+
+  let resume t p =
+    t.on_switch p.name;
+    match p.state with
+    | Not_started fn ->
+        p.state <- Running;
+        match_with
+          (fun () ->
+            fn ();
+            p.state <- Finished)
+          ()
+          {
+            retc = (fun () -> ());
+            exnc = raise;
+            effc =
+              (fun (type a) (eff : a Effect.t) ->
+                match eff with
+                | Yield ->
+                    Some (fun (k : (a, _) continuation) -> p.state <- Suspended k)
+                | _ -> None);
+          }
+    | Suspended k ->
+        p.state <- Running;
+        continue k ()
+    | Running | Finished -> assert false
+
+  let run ~max_steps t =
+    while pending t > 0 do
+      if t.step_count >= max_steps then raise (Sched.Stalled "reference");
+      match pick t with
+      | None -> assert false
+      | Some p ->
+          t.step_count <- t.step_count + 1;
+          let q = ref t.quantum in
+          while !q > 0 && runnable p do
+            resume t p;
+            decr q
+          done
+    done
+end
+
+type op = Yield | Yield_n of int | Wait of int
+
+(* One process of a random program: its ops in order; a daemon repeats
+   them, with a yield after each round, forever. *)
+type program_proc = { daemon : bool; ops : op list }
+
+type prims = {
+  yield : unit -> unit;
+  yield_n : int -> unit;
+  wait_until : (unit -> bool) -> unit;
+}
+
+(* [Wait k] waits for [k] ops to have completed across all processes, a
+   pure predicate over shared state that other processes advance. *)
+let exec prims progress log name { daemon; ops } () =
+  let round () =
+    List.iter
+      (fun op ->
+        (match op with
+        | Yield -> prims.yield ()
+        | Yield_n k -> prims.yield_n k
+        | Wait k -> prims.wait_until (fun () -> !progress >= k));
+        incr progress;
+        log := name :: !log)
+      ops
+  in
+  if daemon then
+    while true do
+      round ();
+      prims.yield ()
+    done
+  else round ()
+
+(* Switch names, steps, whether the run stalled, and the op completion
+   order of one run of [program]. *)
+let run_program ~spawn ~run prims program =
+  let progress = ref 0 in
+  let log = ref [] in
+  List.iteri
+    (fun i pp ->
+      let name = Printf.sprintf "p%d" i in
+      spawn ~daemon:pp.daemon ~name (exec prims progress log name pp))
+    program;
+  let stalled = match run () with () -> false | exception Sched.Stalled _ -> true in
+  (stalled, List.rev !log)
+
+let max_steps = 2_000
+
+let run_new ~seed ~quantum program =
+  let policy =
+    match seed with
+    | None -> Sched.round_robin
+    | Some s -> Sched.random_policy (Rng.make s)
+  in
+  let s = Sched.create ~policy ~quantum () in
+  let switches = ref [] in
+  Sched.set_on_switch s (Some (fun n -> switches := n :: !switches));
+  let stalled, log =
+    run_program
+      ~spawn:(fun ~daemon ~name fn -> ignore (Sched.spawn s ~daemon ~name fn))
+      ~run:(fun () -> Sched.run ~max_steps s)
+      { yield = Sched.yield; yield_n = Sched.yield_n; wait_until = Sched.wait_until }
+      program
+  in
+  (List.rev !switches, Sched.steps s, stalled, log)
+
+let run_reference ~seed ~quantum program =
+  let switches = ref [] in
+  let r =
+    Reference.create ~random:(Option.map Rng.make seed) ~quantum
+      ~on_switch:(fun n -> switches := n :: !switches)
+  in
+  let stalled, log =
+    run_program
+      ~spawn:(Reference.spawn r)
+      ~run:(fun () -> Reference.run ~max_steps r)
+      {
+        yield = Reference.yield;
+        yield_n = Reference.yield_n;
+        wait_until = Reference.wait_until;
+      }
+      program
+  in
+  (List.rev !switches, r.Reference.step_count, stalled, log)
+
+let gen_program =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, return Yield);
+        (3, map (fun k -> Yield_n k) (int_bound 6));
+        (2, map (fun k -> Wait k) (int_bound 30));
+      ]
+  in
+  let proc daemon = map (fun ops -> { daemon; ops }) (list_size (int_range 0 10) op) in
+  let* workers = list_size (int_range 1 4) (proc false) in
+  let* daemon = opt (map (fun ops -> { daemon = true; ops }) (list_size (int_range 1 4) op)) in
+  let* seed = opt small_nat in
+  let* quantum = int_range 1 3 in
+  return (seed, quantum, workers @ Option.to_list daemon)
+
+let print_program (seed, quantum, program) =
+  let op = function
+    | Yield -> "y"
+    | Yield_n k -> Printf.sprintf "y%d" k
+    | Wait k -> Printf.sprintf "w%d" k
+  in
+  Printf.sprintf "%s q=%d %s"
+    (match seed with None -> "round-robin" | Some s -> Printf.sprintf "random %d" s)
+    quantum
+    (String.concat " | "
+       (List.map
+          (fun p ->
+            (if p.daemon then "daemon: " else "")
+            ^ String.concat " " (List.map op p.ops))
+          program))
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"parked/napped schedule equals the reference scheduler"
+    ~count:500
+    (QCheck.make ~print:print_program gen_program)
+    (fun (seed, quantum, program) ->
+      run_new ~seed ~quantum program = run_reference ~seed ~quantum program)
+
 let suites =
   [
     ( "sched",
@@ -194,11 +476,16 @@ let suites =
         Alcotest.test_case "stall detection" `Quick test_stall_detection;
         Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
         Alcotest.test_case "yield outside" `Quick test_yield_outside_process;
+        Alcotest.test_case "wait_until outside" `Quick
+          test_wait_until_outside_process;
         Alcotest.test_case "spawn during run" `Quick test_spawn_during_run;
         Alcotest.test_case "self name" `Quick test_self_name;
         Alcotest.test_case "quantum" `Quick test_quantum_batches;
         Alcotest.test_case "on_switch hook" `Quick test_on_switch_hook;
         Alcotest.test_case "steps counted" `Quick test_steps_counted;
         QCheck_alcotest.to_alcotest prop_random_schedules_complete;
+        Alcotest.test_case "yielding predicate rejected" `Quick
+          test_yielding_predicate_rejected;
+        QCheck_alcotest.to_alcotest prop_matches_reference;
       ] );
   ]

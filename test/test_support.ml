@@ -146,6 +146,77 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "still a permutation" (Array.init 20 Fun.id) sorted
 
+(* The generator as a boxed [mutable int64] record, the representation
+   [Rng] had before its state moved into a byte buffer.  Every simulated
+   schedule and workload draw comes from [Rng], so the streams must not
+   change by a single bit. *)
+module Reference_rng = struct
+  type t = { mutable state : int64 }
+
+  let make seed = { state = Int64.of_int seed }
+  let copy t = { state = t.state }
+
+  let mix64 z =
+    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    Int64.(logxor z (shift_right_logical z 31))
+
+  let bits64 t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    mix64 t.state
+
+  let split t = { state = Int64.mul (bits64 t) 0xDA942042E4DD58B5L }
+  let int t bound = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) mod bound
+  let bool t = Int64.logand (bits64 t) 1L = 1L
+
+  let float t bound =
+    Int64.to_float (Int64.shift_right_logical (bits64 t) 11)
+    /. 9007199254740992.0 *. bound
+
+  let pick t a = a.(int t (Array.length a))
+end
+
+type rng_draw = Int of int | Float of float | Bool | Pick of int
+
+type rng_route = Made | Split | Copied
+
+(* Derive a generator by [route], then record every draw, then four raw
+   words from the generator it was derived from. *)
+let rng_stream ~make ~split ~copy ~bits64 ~int ~float ~bool ~pick (seed, route, draws) =
+  let root = make seed in
+  let g = match route with Made -> root | Split -> split root | Copied -> copy root in
+  let values =
+    List.map
+      (function
+        | Int b -> `I (int g b)
+        | Float b -> `F (Int64.bits_of_float (float g b))
+        | Bool -> `B (bool g)
+        | Pick n -> `I (pick g (Array.init n (fun i -> 100 + i))))
+      draws
+  in
+  values @ List.init 4 (fun _ -> `W (bits64 root))
+
+let prop_rng_matches_reference =
+  let draw =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun b -> Int b) (oneof [ int_range 1 100; int_range 1 max_int ]));
+          (2, map (fun b -> Float b) (float_range 0.001 1e6));
+          (2, return Bool);
+          (2, map (fun n -> Pick n) (int_range 1 8));
+        ])
+  in
+  let route = QCheck.Gen.oneofl [ Made; Split; Copied ] in
+  QCheck.Test.make ~name:"unboxed Rng matches the record SplitMix64" ~count:500
+    (QCheck.make
+       QCheck.Gen.(triple int route (list_size (int_range 0 40) draw)))
+    (fun case ->
+      rng_stream ~make:Rng.make ~split:Rng.split ~copy:Rng.copy ~bits64:Rng.bits64
+        ~int:Rng.int ~float:Rng.float ~bool:Rng.bool ~pick:Rng.pick case
+      = Reference_rng.(
+          rng_stream ~make ~split ~copy ~bits64 ~int ~float ~bool ~pick case))
+
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -453,6 +524,7 @@ let suites =
         Alcotest.test_case "pick weighted" `Quick test_rng_pick_weighted;
         Alcotest.test_case "pick weighted zero" `Quick test_rng_pick_weighted_zero;
         Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+        QCheck_alcotest.to_alcotest prop_rng_matches_reference;
       ] );
     ( "support.bitset",
       [
