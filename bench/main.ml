@@ -482,6 +482,40 @@ module Micro = struct
     Test.make ~name:"pages: touch_range 64 pages"
       (Staged.stage (fun () -> Page_set.touch_range ps Layout.page_size span))
 
+  (* The per-cycle floating-garbage census (mark from the roots, then
+     stream the unmarked objects) over a fixed 1 MB heap of 32 B objects
+     with two slots: every fourth one is garbage, the others form a
+     binary tree under one register.  [run] divides by the live
+     objects. *)
+  let census_live, test_census =
+    let heap =
+      Heap.create
+        { Heap.initial_bytes = 1024 * kb; max_bytes = 1024 * kb; card_size = 16 }
+    in
+    let st = State.create heap (Gc_config.generational ()) in
+    let m = Otfgc.Mutator.create ~id:0 ~name:"bench" ~n_regs:1 in
+    State.register_mutator st m;
+    let live = Array.make (1024 * kb / 32) Heap.nil in
+    let n_live = ref 0 and n_alloc = ref 0 in
+    (try
+       while true do
+         match Heap.alloc heap ~size:32 ~n_slots:2 ~color:Color.C0 with
+         | None -> raise Exit
+         | Some a ->
+             if !n_alloc mod 4 <> 3 then begin
+               let k = !n_live in
+               if k = 0 then Otfgc.Mutator.set_reg m 0 a
+               else Heap.set_slot heap live.((k - 1) / 2) ((k - 1) mod 2) a;
+               live.(k) <- a;
+               incr n_live
+             end;
+             incr n_alloc
+       done
+     with Exit -> ());
+    ( Oracle.live_count st,
+      Test.make ~name:"oracle: census"
+        (Staged.stage (fun () -> Oracle.iter_garbage st ignore)) )
+
   (* Scheduler steps.  A scheduler cannot outlive one [Sched.run], so each
      run of these micros is a whole run of [sched_batch] steps of a single
      process; [run] divides their estimates down to ns per step.  The
@@ -542,6 +576,7 @@ module Micro = struct
         test_iter_dirty;
         test_dirty_count;
         test_touch_range;
+        test_census;
         test_sched_yield;
         test_sched_nap;
         test_sched_parked;
@@ -566,6 +601,9 @@ module Micro = struct
         | Some [ est ] when List.mem name per_step ->
             Printf.printf "  %-45s %12.1f ns/step\n" name
               (est /. float_of_int sched_batch)
+        | Some [ est ] when name = "otfgc " ^ Test.name test_census ->
+            Printf.printf "  %-45s %12.1f ns/live object\n" name
+              (est /. float_of_int census_live)
         | Some [ est ] -> Printf.printf "  %-45s %12.1f ns\n" name est
         | _ -> Printf.printf "  %-45s (no estimate)\n" name)
       results;

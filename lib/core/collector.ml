@@ -1309,12 +1309,10 @@ let run_cycle st ~full =
      there is no consistent snapshot to take — the cross-check instead
      runs the oracle at quiescence (see Driver). *)
   if not st.parallel then
-    List.iter
-      (fun x ->
+    Oracle.iter_garbage st (fun x ->
         cycle.Gc_stats.floating_objects <- cycle.Gc_stats.floating_objects + 1;
         cycle.Gc_stats.floating_bytes <-
-          cycle.Gc_stats.floating_bytes + Heap.size st.heap x)
-      (Oracle.garbage st);
+          cycle.Gc_stats.floating_bytes + Heap.size st.heap x);
   (* Pause-free progress: mutator work performed while this cycle ran. *)
   Telemetry.record_progress st.telemetry
     (Cost.mutator_work st.cost - mutator_work0);

@@ -82,11 +82,9 @@ let sample st ~now =
      consistent reachability snapshot mid-run (the driver runs the
      oracle at quiescence instead) *)
   if s.Sampler.oracle && not st.parallel then
-    List.iter
-      (fun x ->
+    Oracle.iter_garbage st (fun x ->
         incr floating_n;
-        floating_b := !floating_b + Heap.size heap x)
-      (Oracle.garbage st);
+        floating_b := !floating_b + Heap.size heap x);
   let fl = Heap.freelist heap in
   Timeseries.set ts Sampler.i_at now;
   Timeseries.set ts Sampler.i_phase

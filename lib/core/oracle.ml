@@ -1,52 +1,73 @@
 module Heap = Otfgc_heap.Heap
+module Layout = Otfgc_heap.Layout
+module Bitset = Otfgc_support.Bitset
 open State
 
-let roots st =
-  let acc = ref [] in
-  List.iter
-    (fun m -> Mutator.iter_roots m (fun r -> acc := r :: !acc))
-    (State.active_mutators st);
-  List.iter (fun g -> acc := g :: !acc) st.globals;
-  !acc
+(* The outcome of one marking pass: a mark bit per heap granule (set at
+   the start granule of every reachable object), the number of marked
+   objects, and the first non-nil root or slot value found that is not
+   an allocated object ([Heap.nil] when there is none). *)
+type marks = { bits : Bitset.t; live : int; dangling : int }
 
-let reachable st =
-  let seen = Hashtbl.create 1024 in
-  let stack = ref (roots st) in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | x :: rest ->
-        stack := rest;
-        if x <> Heap.nil && not (Hashtbl.mem seen x) then begin
-          Hashtbl.add seen x ();
-          if Heap.is_object st.heap x then
-            Heap.iter_slots st.heap x (fun y -> stack := y :: !stack)
+(* Depth-first marking from every active mutator's roots and the globals.
+   A value is marked when it is pushed, so each object enters the
+   explicit stack at most once.  [Heap.is_object] is checked before the
+   bitmap is touched: an out-of-range or unaligned value is recorded as
+   dangling and never reaches [Bitset], which would raise. *)
+let mark st =
+  let heap = st.heap in
+  let bits =
+    Bitset.create (Layout.granules_of_bytes (Heap.max_capacity heap))
+  in
+  let stack = ref (Array.make 256 0) in
+  let sp = ref 0 in
+  let live = ref 0 in
+  let dangling = ref Heap.nil in
+  let visit x =
+    if x <> Heap.nil then
+      if Heap.is_object heap x then begin
+        let i = Layout.granule_index x in
+        if not (Bitset.mem bits i) then begin
+          Bitset.add bits i;
+          incr live;
+          if !sp = Array.length !stack then begin
+            let bigger = Array.make (2 * !sp) 0 in
+            Array.blit !stack 0 bigger 0 !sp;
+            stack := bigger
+          end;
+          Array.unsafe_set !stack !sp x;
+          incr sp
         end
+      end
+      else if !dangling = Heap.nil then dangling := x
+  in
+  List.iter (fun m -> Mutator.iter_roots m visit) (State.active_mutators st);
+  List.iter visit st.globals;
+  while !sp > 0 do
+    decr sp;
+    Heap.iter_slots heap (Array.unsafe_get !stack !sp) visit
   done;
-  seen
+  { bits; live = !live; dangling = !dangling }
 
 let check_safety st =
-  let seen = reachable st in
-  let bad = ref None in
-  Hashtbl.iter
-    (fun x () ->
-      if !bad = None && not (Heap.is_object st.heap x) then
-        bad := Some x)
-    seen;
-  match !bad with
-  | None -> Ok ()
-  | Some x ->
-      Error
-        (Printf.sprintf "reachable address %d is not an allocated object" x)
+  let m = mark st in
+  if m.dangling = Heap.nil then Ok ()
+  else
+    Error
+      (Printf.sprintf "reachable address %d is not an allocated object"
+         m.dangling)
+
+let iter_garbage st f =
+  let m = mark st in
+  Heap.iter_objects st.heap (fun x ->
+      if not (Bitset.mem m.bits (Layout.granule_index x)) then f x)
 
 let garbage st =
-  let seen = reachable st in
   let acc = ref [] in
-  Heap.iter_objects st.heap (fun x ->
-      if not (Hashtbl.mem seen x) then acc := x :: !acc);
+  iter_garbage st (fun x -> acc := x :: !acc);
   List.rev !acc
 
-let live_count st = Hashtbl.length (reachable st)
+let live_count st = (mark st).live
 
 let check_intergen_invariant st =
   let module Color = Otfgc_heap.Color in

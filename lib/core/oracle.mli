@@ -7,19 +7,31 @@
     - {b safety}: no reachable object is ever blue/freed — checked at any
       instant, including mid-cycle under adversarial schedules;
     - {b completeness}: after quiescence and two full collections, no
-      garbage remains (one cycle may leave floating garbage by design). *)
+      garbage remains (one cycle may leave floating garbage by design).
 
-val reachable : State.t -> (int, unit) Hashtbl.t
-(** Transitive closure from all active mutator roots and globals. *)
+    The simulated collector also runs it at the end of every cycle to
+    measure floating garbage ({!iter_garbage}), so it is a hot path.
+    Each pass marks into a fresh mark bitmap, one bit per heap granule,
+    from an explicit [int array] stack: time linear in the reachable
+    objects plus one walk over the blocks for the garbage. *)
 
 val check_safety : State.t -> (unit, string) result
-(** [Error] describes the first reachable-but-not-allocated object found
-    (a root or slot pointing at freed or never-allocated memory). *)
+(** [Error] names the first non-nil root or slot value met during marking
+    that is not an allocated object (it points at freed, never-allocated,
+    out-of-range or unaligned memory).  Never raises on such a value. *)
+
+val iter_garbage : State.t -> (int -> unit) -> unit
+(** [iter_garbage st f] marks the reachable objects, then calls [f] on
+    every allocated object left unmarked, in address order, without
+    building a list.  [f] must not change the heap's block structure. *)
 
 val garbage : State.t -> int list
-(** Allocated objects not reachable from any root, in address order. *)
+(** Allocated objects not reachable from any root, in address order
+    ({!iter_garbage} collected into a list). *)
 
 val live_count : State.t -> int
+(** Number of reachable allocated {e objects}.  A dangling root or slot
+    value is not counted; reporting it is {!check_safety}'s job. *)
 
 val check_intergen_invariant : State.t -> (unit, string) result
 (** The generational collectors' load-bearing invariant: every pointer

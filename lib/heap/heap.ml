@@ -60,12 +60,7 @@ let gi = Layout.granule_index
 let color t addr = Color.of_byte (Bytes.get t.colors (gi addr))
 let set_color t addr c = Bytes.set t.colors (gi addr) (Color.to_byte c)
 
-let is_object t addr =
-  addr >= 0
-  && addr < Space.capacity t.space
-  && addr land (Layout.granule - 1) = 0
-  && Space.is_block_start t.space addr
-  && Space.kind_of t.space addr = Space.Allocated
+let is_object t addr = Space.is_allocated_start t.space addr
 
 let size t addr = Space.block_size t.space addr
 let n_slots t addr = Array.length t.slots.(gi addr)
@@ -244,10 +239,7 @@ let reset_allocation_stats t =
   t.total_alloc_bytes <- 0;
   t.total_alloc_objects <- 0
 
-let object_count t =
-  let n = ref 0 in
-  iter_objects t (fun _ -> incr n);
-  !n
+let object_count t = Space.allocated_blocks t.space
 
 let check ?(check_slots = true) t =
   match Space.check t.space with

@@ -178,7 +178,8 @@ val reset_allocation_stats : t -> unit
 (** Zero the cumulative allocation counters (end-of-warmup reset). *)
 
 val object_count : t -> int
-(** Currently live (allocated) object count; O(heap). *)
+(** Number of allocated blocks (objects, plus blocks reserved by a
+    domains-substrate allocation cache); O(1), read from {!Space}. *)
 
 val check : ?check_slots:bool -> t -> (unit, string) result
 (** Structural invariants: space consistency, free blocks are blue,

@@ -9,6 +9,7 @@ type t = {
      the last granule (footer tag) of every block. *)
   sizes : int array;
   mutable allocated_g : int;
+  mutable allocated_blocks : int;
   (* Object-start crossing map: [card_first.(c)] is the granule index of
      the first block start on card [c], or -1 when no block starts there.
      Cards here are [card_size]-byte windows matching the heap's card
@@ -55,6 +56,7 @@ let create ?(card_size = Layout.granule) ~initial_bytes ~max_bytes () =
       kinds = Bytes.make max_granules interior;
       sizes = Array.make max_granules 0;
       allocated_g = 0;
+      allocated_blocks = 0;
       card_shift;
       card_first = Array.make n_cards (-1);
     }
@@ -66,6 +68,7 @@ let create ?(card_size = Layout.granule) ~initial_bytes ~max_bytes () =
 let capacity t = Layout.bytes_of_granules t.cur_granules
 let max_capacity t = Layout.bytes_of_granules t.max_granules
 let allocated_bytes t = Layout.bytes_of_granules t.allocated_g
+let allocated_blocks t = t.allocated_blocks
 let free_bytes t = capacity t - allocated_bytes t
 
 let gi addr =
@@ -76,6 +79,12 @@ let gi addr =
 let is_block_start t addr =
   let i = gi addr in
   i < t.cur_granules && Bytes.get t.kinds i <> interior
+
+let is_allocated_start t addr =
+  addr >= 0
+  && addr land (g - 1) = 0
+  && addr lsr g_shift < t.cur_granules
+  && Bytes.unsafe_get t.kinds (addr lsr g_shift) = alloc_start
 
 let kind_of t addr =
   let i = gi addr in
@@ -113,8 +122,12 @@ let set_kind t addr kind =
   let i = gi addr in
   let size_g = t.sizes.(i) in
   (match (Bytes.get t.kinds i, kind) with
-  | c, Allocated when c = free_start -> t.allocated_g <- t.allocated_g + size_g
-  | c, Free when c = alloc_start -> t.allocated_g <- t.allocated_g - size_g
+  | c, Allocated when c = free_start ->
+      t.allocated_g <- t.allocated_g + size_g;
+      t.allocated_blocks <- t.allocated_blocks + 1
+  | c, Free when c = alloc_start ->
+      t.allocated_g <- t.allocated_g - size_g;
+      t.allocated_blocks <- t.allocated_blocks - 1
   | c, _ when c = interior ->
       invalid_arg (Printf.sprintf "Space.set_kind: %d is not a block start" addr)
   | _ -> ());
@@ -224,10 +237,13 @@ let iter_block_starts_on_card t card f =
 let check t =
   let ( let* ) r f = Result.bind r f in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let rec walk i acc_alloc =
+  let rec walk i acc_alloc acc_blocks =
     if i = t.cur_granules then
       if acc_alloc <> t.allocated_g then
         err "allocated accounting: counted %d, recorded %d" acc_alloc t.allocated_g
+      else if acc_blocks <> t.allocated_blocks then
+        err "allocated block count: counted %d, recorded %d" acc_blocks
+          t.allocated_blocks
       else Ok ()
     else if i > t.cur_granules then err "block overruns capacity at granule %d" i
     else
@@ -249,9 +265,12 @@ let check t =
           done;
           !ok
         in
-        walk (i + size_g) (acc_alloc + if k = alloc_start then size_g else 0)
+        let alloc = k = alloc_start in
+        walk (i + size_g)
+          (acc_alloc + if alloc then size_g else 0)
+          (acc_blocks + if alloc then 1 else 0)
   in
-  let* () = walk 0 0 in
+  let* () = walk 0 0 0 in
   (* The crossing map must agree with a from-scratch recomputation. *)
   let expect = Array.make (Array.length t.card_first) (-1) in
   let i = ref 0 in

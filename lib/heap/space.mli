@@ -42,6 +42,11 @@ val grow : t -> want_bytes:int -> (int * int) option
     [None] if the space is already at maximum capacity. *)
 
 val is_block_start : t -> int -> bool
+val is_allocated_start : t -> int -> bool
+(** [is_allocated_start t a] holds iff [a] starts an allocated block.
+    Total: a negative, unaligned, interior or out-of-range [a] gives
+    [false]. *)
+
 val kind_of : t -> int -> kind
 (** Kind of the block starting at the given address.  Raises
     [Invalid_argument] if the address is not a block start. *)
@@ -99,6 +104,9 @@ val iter_block_starts_on_card : t -> int -> (int -> kind -> int -> unit) -> unit
 
 val allocated_bytes : t -> int
 (** Total bytes currently in allocated blocks. *)
+
+val allocated_blocks : t -> int
+(** Number of allocated blocks, kept by {!set_kind}; O(1). *)
 
 val free_bytes : t -> int
 (** Total bytes currently in free blocks (= capacity - allocated). *)

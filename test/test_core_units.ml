@@ -225,6 +225,214 @@ let test_oracle_reachability () =
   st.State.globals <- [ orphan ];
   check "global rescues orphan" true (Oracle.garbage st = [])
 
+(* The differential reference for the bitmap [Oracle]: a cons-list stack
+   and a [Hashtbl] seen set, with its own block-table [is_object].  A
+   dangling value joins the seen set (so it counts towards [live_count])
+   but has no slots to follow. *)
+module Reference_oracle = struct
+  module Space = Otfgc_heap.Space
+
+  let is_object heap addr =
+    let space = Heap.space heap in
+    addr >= 0
+    && addr < Space.capacity space
+    && addr land (Otfgc_heap.Layout.granule - 1) = 0
+    && Space.is_block_start space addr
+    && Space.kind_of space addr = Space.Allocated
+
+  let reachable (st : State.t) =
+    let roots = ref [] in
+    List.iter
+      (fun m -> Mutator.iter_roots m (fun r -> roots := r :: !roots))
+      (State.active_mutators st);
+    List.iter (fun g -> roots := g :: !roots) st.State.globals;
+    let seen = Hashtbl.create 1024 in
+    let stack = ref !roots in
+    while !stack <> [] do
+      match !stack with
+      | [] -> ()
+      | x :: rest ->
+          stack := rest;
+          if x <> Heap.nil && not (Hashtbl.mem seen x) then begin
+            Hashtbl.add seen x ();
+            if is_object st.State.heap x then
+              Heap.iter_slots st.State.heap x (fun y -> stack := y :: !stack)
+          end
+    done;
+    seen
+
+  let safe st =
+    Hashtbl.fold
+      (fun x () ok -> ok && is_object st.State.heap x)
+      (reachable st) true
+
+  let garbage st =
+    let seen = reachable st in
+    let acc = ref [] in
+    Heap.iter_objects st.State.heap (fun x ->
+        if not (Hashtbl.mem seen x) then acc := x :: !acc);
+    List.rev !acc
+
+  let live_count st = Hashtbl.length (reachable st)
+end
+
+(* A random object graph.  A target is an object index, nil, or a wild
+   value: past the capacity, unaligned, inside an object, or negative. *)
+type target = Obj of int | Nil | Wild of int
+
+type graph = {
+  slots : target array array; (* per object, its slot targets *)
+  regs : target list; (* first mutator's registers *)
+  stack : target list; (* first mutator's stack *)
+  retired_regs : target list; (* a retired mutator: not roots *)
+  globals : target list;
+  freed : int list; (* objects freed behind the oracle's back *)
+}
+
+let oracle_heap_bytes = 64 * 1024
+
+let gen_graph =
+  let open QCheck.Gen in
+  int_range 1 48 >>= fun n ->
+  bool >>= fun wild ->
+  let target =
+    frequency
+      ([ (6, map (fun i -> Obj i) (int_bound (n - 1))); (3, return Nil) ]
+      @
+      if wild then
+        [
+          ( 1,
+            map
+              (fun w -> Wild w)
+              (oneofl
+                 [ oracle_heap_bytes + 16; 17; 16 * 1024 * 1024; -5; 8 ]) );
+        ]
+      else [])
+  in
+  array_repeat n (int_bound 3 >>= fun k -> array_repeat k target)
+  >>= fun slots ->
+  list_size (int_bound 4) target >>= fun regs ->
+  list_size (int_bound 3) target >>= fun stack ->
+  list_size (int_bound 2) target >>= fun retired_regs ->
+  list_size (int_bound 3) target >>= fun globals ->
+  bool >>= fun free_some ->
+  (if free_some then list_size (int_bound 3) (int_bound (n - 1))
+   else return [])
+  >>= fun freed -> return { slots; regs; stack; retired_regs; globals; freed }
+
+let print_graph g =
+  let t = function
+    | Obj i -> Printf.sprintf "o%d" i
+    | Nil -> "nil"
+    | Wild w -> Printf.sprintf "w%d" w
+  in
+  let ts l = "[" ^ String.concat ";" (List.map t l) ^ "]" in
+  Printf.sprintf "slots=%s regs=%s stack=%s retired=%s globals=%s freed=[%s]"
+    (String.concat " "
+       (Array.to_list
+          (Array.mapi (fun i s -> Printf.sprintf "o%d:%s" i (ts (Array.to_list s)))
+             g.slots)))
+    (ts g.regs) (ts g.stack) (ts g.retired_regs) (ts g.globals)
+    (String.concat ";" (List.map string_of_int g.freed))
+
+let build_graph g =
+  let heap =
+    Heap.create
+      {
+        Heap.initial_bytes = oracle_heap_bytes;
+        max_bytes = oracle_heap_bytes;
+        card_size = 16;
+      }
+  in
+  let st = State.create heap (Gc_config.generational ()) in
+  let addrs =
+    Array.map
+      (fun s ->
+        let n_slots = Array.length s in
+        Option.get
+          (Heap.alloc heap ~size:(16 + (8 * n_slots)) ~n_slots ~color:Color.C0))
+      g.slots
+  in
+  (* Wild 8 becomes the granule after object 0's start: inside object 0,
+     or the start of the next block when object 0 is one granule.  The
+     other wild values are out of range, unaligned or negative. *)
+  let value = function
+    | Obj i -> addrs.(i)
+    | Nil -> Heap.nil
+    | Wild 8 -> addrs.(0) + 16
+    | Wild w -> w
+  in
+  Array.iteri
+    (fun i s -> Array.iteri (fun j t -> Heap.set_slot heap addrs.(i) j (value t)) s)
+    g.slots;
+  let mutator id roots =
+    let m = Mutator.create ~id ~name:"m" ~n_regs:(max 1 (List.length roots)) in
+    List.iteri (fun i t -> Mutator.set_reg m i (value t)) roots;
+    State.register_mutator st m;
+    m
+  in
+  let m = mutator 0 g.regs in
+  List.iter (fun t -> Mutator.push m (value t)) g.stack;
+  Mutator.retire (mutator 1 g.retired_regs);
+  st.State.globals <- List.map value g.globals;
+  List.iter
+    (fun i -> if Heap.is_object heap addrs.(i) then Heap.free heap addrs.(i))
+    g.freed;
+  st
+
+let prop_oracle_matches_reference =
+  QCheck.Test.make ~name:"bitmap oracle matches the list/Hashtbl reference"
+    ~count:500
+    (QCheck.make ~print:print_graph gen_graph)
+    (fun g ->
+      let st = build_graph g in
+      let ref_safe = Reference_oracle.safe st in
+      let safe = Oracle.check_safety st = Ok () in
+      if safe <> ref_safe then
+        QCheck.Test.fail_reportf "safety verdict %b, reference %b" safe ref_safe;
+      if Oracle.garbage st <> Reference_oracle.garbage st then
+        QCheck.Test.fail_report "garbage lists differ";
+      if safe && Oracle.live_count st <> Reference_oracle.live_count st then
+        QCheck.Test.fail_reportf "live_count %d, reference %d"
+          (Oracle.live_count st)
+          (Reference_oracle.live_count st);
+      true)
+
+(* A root the bitmap cannot index must be reported, never raise. *)
+let test_oracle_dangling_roots () =
+  let bytes = 4096 in
+  let mk root =
+    let heap =
+      Heap.create { Heap.initial_bytes = bytes; max_bytes = bytes; card_size = 16 }
+    in
+    let st = State.create heap (Gc_config.generational ()) in
+    let m = Mutator.create ~id:0 ~name:"m" ~n_regs:2 in
+    State.register_mutator st m;
+    let a = Option.get (Heap.alloc heap ~size:32 ~n_slots:1 ~color:Color.C0) in
+    Mutator.set_reg m 0 a;
+    Mutator.set_reg m 1 (root heap);
+    (st, a)
+  in
+  let cases =
+    [
+      ("out of range", fun heap -> Heap.capacity heap + 16);
+      ("unaligned", fun _ -> 17);
+      ( "freed block",
+        fun heap ->
+          let b = Option.get (Heap.alloc heap ~size:32 ~n_slots:0 ~color:Color.C0) in
+          Heap.free heap b;
+          b );
+    ]
+  in
+  List.iter
+    (fun (name, root) ->
+      let st, a = mk root in
+      check (name ^ ": unsafe") true
+        (match Oracle.check_safety st with Ok () -> false | Error _ -> true);
+      check_int (name ^ ": live objects") 1 (Oracle.live_count st);
+      check (name ^ ": a is live") false (List.mem a (Oracle.garbage st)))
+    cases
+
 let suites =
   [
     ( "core.status",
@@ -262,5 +470,10 @@ let suites =
         Alcotest.test_case "stack growth" `Quick test_mutator_stack_growth;
         Alcotest.test_case "retire" `Quick test_mutator_retire;
       ] );
-    ("core.oracle", [ Alcotest.test_case "reachability" `Quick test_oracle_reachability ]);
+    ( "core.oracle",
+      [
+        Alcotest.test_case "reachability" `Quick test_oracle_reachability;
+        Alcotest.test_case "dangling roots" `Quick test_oracle_dangling_roots;
+        QCheck_alcotest.to_alcotest prop_oracle_matches_reference;
+      ] );
   ]
