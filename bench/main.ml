@@ -171,7 +171,7 @@ module Micro = struct
     let fl = Freelist.create s in
     Test.make ~name:"freelist: pop+push 32B exact"
       (Staged.stage (fun () ->
-           let a = Option.get (Freelist.pop fl ~bytes_wanted:32) in
+           let a = Freelist.pop fl ~bytes_wanted:32 in
            Freelist.push fl a))
 
   let test_freelist_pop_exact_legacy =
@@ -192,7 +192,7 @@ module Micro = struct
     let fl = Freelist.create s in
     Test.make ~name:"freelist: split 1008B + coalesce + stale"
       (Staged.stage (fun () ->
-           let a = Option.get (Freelist.pop fl ~bytes_wanted:32) in
+           let a = Freelist.pop fl ~bytes_wanted:32 in
            ignore (Space.coalesce_with_next s a : bool);
            Freelist.push fl a))
 
@@ -226,7 +226,7 @@ module Micro = struct
     let fl = Freelist.create s in
     Test.make ~name:"freelist: large-class miss, 1024 entries"
       (Staged.stage (fun () ->
-           assert (Freelist.pop fl ~bytes_wanted:2048 = None)))
+           assert (Freelist.pop fl ~bytes_wanted:2048 = -1)))
 
   let test_freelist_large_miss_legacy =
     let s = mk_fragmented 1024 in
@@ -548,10 +548,38 @@ module Micro = struct
             incr polls;
             !polls >= sched_batch))
 
+  (* two processes under [Random]: a daemon parked on a false predicate
+     and a worker napping through [sched_batch - 1] of its own picks; the
+     seed is fixed, so every run takes the same number of steps *)
+  let random_noop () =
+    let s = Sched.create ~policy:(Sched.random_policy (Rng.make 1)) () in
+    let stop = ref false in
+    ignore
+      (Sched.spawn s ~daemon:true ~name:"parked" (fun () ->
+           Sched.wait_until (fun () -> !stop)));
+    ignore
+      (Sched.spawn s ~name:"napper" (fun () ->
+           Sched.yield_n (sched_batch - 1);
+           stop := true));
+    Sched.run s;
+    Sched.steps s
+
+  let random_noop_steps = random_noop ()
+
+  let test_sched_random_noop =
+    Test.make ~name:"sched: random no-op step (2 procs)"
+      (Staged.stage (fun () -> ignore (random_noop () : int)))
+
+  (* test name, scheduling steps per run *)
   let per_step =
     List.map
-      (fun t -> "otfgc " ^ Test.name t)
-      [ test_sched_yield; test_sched_nap; test_sched_parked ]
+      (fun (t, steps) -> ("otfgc " ^ Test.name t, steps))
+      [
+        (test_sched_yield, sched_batch);
+        (test_sched_nap, sched_batch);
+        (test_sched_parked, sched_batch);
+        (test_sched_random_noop, random_noop_steps);
+      ]
 
   let tests =
     Test.make_grouped ~name:"otfgc" ~fmt:"%s %s"
@@ -580,6 +608,7 @@ module Micro = struct
         test_sched_yield;
         test_sched_nap;
         test_sched_parked;
+        test_sched_random_noop;
       ]
 
   let run ?(quick = false) () =
@@ -598,9 +627,9 @@ module Micro = struct
     Hashtbl.iter
       (fun name ols_result ->
         match Analyze.OLS.estimates ols_result with
-        | Some [ est ] when List.mem name per_step ->
+        | Some [ est ] when List.mem_assoc name per_step ->
             Printf.printf "  %-45s %12.1f ns/step\n" name
-              (est /. float_of_int sched_batch)
+              (est /. float_of_int (List.assoc name per_step))
         | Some [ est ] when name = "otfgc " ^ Test.name test_census ->
             Printf.printf "  %-45s %12.1f ns/live object\n" name
               (est /. float_of_int census_live)

@@ -571,7 +571,7 @@ let mark_black st cycle x =
     let k = Heap.n_slots heap x in
     for i = 0 to k - 1 do
       charge_tick st Cost.c_scan_slot;
-      let y = Heap.get_slot heap x i in
+      let y = Heap.unsafe_get_slot heap x i in
       State.step st;
       if y <> Heap.nil then begin
         charged_mark_gray st ~charge:(Cost.collector st.cost)
@@ -836,7 +836,7 @@ let par_mark_black st (w : Gc_par.worker) x =
     let k = Heap.n_slots heap x in
     for i = 0 to k - 1 do
       charge Cost.c_scan_slot;
-      let y = Heap.get_slot heap x i in
+      let y = Heap.unsafe_get_slot heap x i in
       if y <> Heap.nil then begin
         charged_mark_gray st ~charge ~tel:w.Gc_par.tel ~sync:false y;
         Page_set.touch_color pages y

@@ -79,7 +79,7 @@ let rec pop_class t cls =
   let n = Array.unsafe_get t.lens cls in
   if n = 0 then begin
     if cls < n_exact then t.occupancy <- t.occupancy land lnot (1 lsl cls);
-    None
+    -1
   end
   else begin
     let n = n - 1 in
@@ -88,7 +88,7 @@ let rec pop_class t cls =
     t.n_entries <- t.n_entries - 1;
     if n = 0 && cls < n_exact then
       t.occupancy <- t.occupancy land lnot (1 lsl cls);
-    if valid t cls addr then Some addr
+    if valid t cls addr then addr
     else begin
       t.stale_drops <- t.stale_drops + 1;
       pop_class t cls
@@ -130,7 +130,7 @@ let pop_large t ~granules =
     done;
     t.n_entries <- t.n_entries - (n - !w);
     t.lens.(n_exact) <- !w;
-    Some !result
+    !result
   end
   else begin
     if !stale > 0 then begin
@@ -145,43 +145,38 @@ let pop_large t ~granules =
       t.n_entries <- t.n_entries - !stale;
       t.lens.(n_exact) <- !w
     end;
-    None
+    -1
   end
 
+(* Every pop returns an address, or -1 for none, so that no option is
+   built on the allocation path. *)
 let pop t ~bytes_wanted =
   let want_g = Layout.granules_of_bytes (Stdlib.max 1 bytes_wanted) in
   let want_b = Layout.bytes_of_granules want_g in
-  let exact = if want_g <= n_exact then pop_class t (want_g - 1) else None in
-  match exact with
-  | Some addr -> Some addr
-  | None ->
-      (* Find a strictly larger block to split (or an exact large block):
-         the smallest occupied class at or above the request, in one
-         bitmap probe per (rare) all-stale class. *)
-      let found = ref None in
-      if want_g < n_exact then begin
-        let continue = ref true in
-        while !found = None && !continue do
-          let m = t.occupancy land ((-1) lsl want_g) in
-          if m = 0 then continue := false
-          else
-            match pop_class t (Otfgc_support.Bits.ctz m) with
-            | Some addr -> found := Some addr
-            | None -> () (* class was all stale; its bit is now clear *)
-        done
-      end;
-      let found =
-        match !found with Some a -> Some a | None -> pop_large t ~granules:want_g
-      in
-      (match found with
-      | None -> None
-      | Some addr ->
-          let have = Space.block_size t.space addr in
-          if have > want_b then begin
-            let rest = Space.split t.space addr ~first_bytes:want_b in
-            push_raw t rest
-          end;
-          Some addr)
+  let exact = if want_g <= n_exact then pop_class t (want_g - 1) else -1 in
+  if exact >= 0 then exact
+  else begin
+    (* Find a strictly larger block to split (or an exact large block):
+       the smallest occupied class at or above the request, in one bitmap
+       probe per (rare) all-stale class. *)
+    let found = ref (-1) in
+    if want_g < n_exact then begin
+      let continue = ref true in
+      while !found < 0 && !continue do
+        let m = t.occupancy land ((-1) lsl want_g) in
+        if m = 0 then continue := false
+        else
+          (* -1 when the class was all stale; its bit is now clear *)
+          found := pop_class t (Otfgc_support.Bits.ctz m)
+      done
+    end;
+    let addr = if !found >= 0 then !found else pop_large t ~granules:want_g in
+    if addr >= 0 && Space.block_size t.space addr > want_b then begin
+      let rest = Space.split t.space addr ~first_bytes:want_b in
+      push_raw t rest
+    end;
+    addr
+  end
 
 let rebuild t =
   Array.fill t.lens 0 n_classes 0;

@@ -23,12 +23,12 @@ val create : Space.t -> t
 val push : t -> int -> unit
 (** [push t addr] registers the free block starting at [addr]. *)
 
-val pop : t -> bytes_wanted:int -> int option
+val pop : t -> bytes_wanted:int -> int
 (** [pop t ~bytes_wanted] removes and returns the address of a free block
     resized to exactly [bytes_wanted] (granule-rounded): an exact-class
     block if available, otherwise a larger block is split and its remainder
     pushed back.  The returned block is still [Free] in the space; the
-    caller marks it allocated.  [None] if nothing fits. *)
+    caller marks it allocated.  [-1] if nothing fits. *)
 
 val rebuild : t -> unit
 (** Drop all entries and re-seed from the space's current free blocks.

@@ -12,8 +12,10 @@ type t = {
   remset : Remset.t;
   layout : Layout.tables;
   colors : Bytes.t; (* one byte per granule, Color.to_byte encoding *)
-  slots : int array array; (* per start granule; [||] when not an object *)
-  datas : int array array; (* scalar (non-pointer) words, same indexing *)
+  mem : int array; (* one word per 8 heap bytes; object layout below *)
+  somes : int option array;
+      (* [Some addr] per start granule, made on first use: [alloc] hands
+         the same block out again, so it allocates nothing once warm *)
   mutable total_alloc_bytes : int;
   mutable total_alloc_objects : int;
   (* Reusable snapshot buffer for iter_objects_on_card (see below). *)
@@ -21,7 +23,6 @@ type t = {
 }
 
 let nil = -1
-let no_slots : int array = [||]
 
 let create config =
   if config.initial_bytes <= 0 || config.initial_bytes > config.max_bytes then
@@ -40,8 +41,8 @@ let create config =
     remset = Remset.create ~max_heap_bytes:config.max_bytes;
     layout = Layout.make_tables ~max_heap_bytes:config.max_bytes ~card_size:config.card_size;
     colors = Bytes.make n_granules (Color.to_byte Color.Blue);
-    slots = Array.make n_granules no_slots;
-    datas = Array.make n_granules no_slots;
+    mem = Array.make (2 * n_granules) 0;
+    somes = Array.make n_granules None;
     total_alloc_bytes = 0;
     total_alloc_objects = 0;
     card_scratch = Array.make 64 0;
@@ -63,41 +64,105 @@ let set_color t addr c = Bytes.set t.colors (gi addr) (Color.to_byte c)
 let is_object t addr = Space.is_allocated_start t.space addr
 
 let size t addr = Space.block_size t.space addr
-let n_slots t addr = Array.length t.slots.(gi addr)
 
-let get_slot t x i = t.slots.(gi x).(i)
-let set_slot t x i y = t.slots.(gi x).(i) <- y
+(* Object words.  The object at [addr] starts at word [addr lsr 3]: a
+   header word holding [n_slots + 1], a pad word, the [n_slots] pointer
+   slots, then the scalar words up to the end of the block — the paper's
+   16-byte header followed by 8-byte fields.  A header of 0 marks a block
+   that has no object layout: a reserved block not yet issued, or (with
+   the block no longer allocated) a freed one. *)
+let word addr = addr lsr 3
 
-let n_data t addr = Array.length t.datas.(gi addr)
-let get_data t x i = t.datas.(gi x).(i)
-let set_data t x i v = t.datas.(gi x).(i) <- v
+let[@inline never] not_object fn addr =
+  invalid_arg (Printf.sprintf "Heap.%s: %d is not an allocated object" fn addr)
+
+let[@inline never] bad_index fn addr i =
+  invalid_arg (Printf.sprintf "Heap.%s: index %d out of range for object %d" fn i addr)
+
+(* The header word of the object at [addr], validated. *)
+let[@inline] header t fn addr =
+  if not (Space.is_allocated_start t.space addr) then not_object fn addr;
+  Array.unsafe_get t.mem (word addr)
+
+let[@inline] slots_of_header h = if h = 0 then 0 else h - 1
+
+let n_slots t addr = slots_of_header (header t "n_slots" addr)
+
+let get_slot t x i =
+  let n = slots_of_header (header t "get_slot" x) in
+  if i < 0 || i >= n then bad_index "get_slot" x i;
+  Array.unsafe_get t.mem (word x + 2 + i)
+
+let set_slot t x i y =
+  let n = slots_of_header (header t "set_slot" x) in
+  if i < 0 || i >= n then bad_index "set_slot" x i;
+  Array.unsafe_set t.mem (word x + 2 + i) y
+
+let unsafe_get_slot t x i = Array.unsafe_get t.mem (word x + 2 + i)
+
+(* The scalar words follow the slots: [size / 8 - 2 - n_slots] of them,
+   none for a block with no object layout. *)
+let[@inline] n_data_of t x h =
+  if h = 0 then 0 else (Space.unsafe_size t.space x lsr 3) - 1 - h
+
+let n_data t addr = n_data_of t addr (header t "n_data" addr)
+
+let get_data t x i =
+  let h = header t "get_data" x in
+  if i < 0 || i >= n_data_of t x h then bad_index "get_data" x i;
+  Array.unsafe_get t.mem (word x + 1 + h + i)
+
+let set_data t x i v =
+  let h = header t "set_data" x in
+  if i < 0 || i >= n_data_of t x h then bad_index "set_data" x i;
+  Array.unsafe_set t.mem (word x + 1 + h + i) v
 
 let iter_slots t x f =
-  let s = t.slots.(gi x) in
-  for i = 0 to Array.length s - 1 do
-    if s.(i) <> nil then f s.(i)
+  let base = word x + 2 in
+  for i = base to base + slots_of_header (header t "iter_slots" x) - 1 do
+    let y = Array.unsafe_get t.mem i in
+    if y <> nil then f y
   done
+
+(* Lay out a fresh object in the [real]-byte block at [addr]: pad, slots
+   at nil, scalar words zeroed, and the header last. *)
+let init_words t addr ~n_slots ~real =
+  let mem = t.mem in
+  let w = word addr in
+  Array.unsafe_set mem (w + 1) 0;
+  for i = w + 2 to w + 1 + n_slots do
+    Array.unsafe_set mem i nil
+  done;
+  for i = w + 2 + n_slots to w + (real lsr 3) - 1 do
+    Array.unsafe_set mem i 0
+  done;
+  Array.unsafe_set mem w (n_slots + 1)
+
+let some t addr =
+  match Array.unsafe_get t.somes (gi addr) with
+  | Some _ as r -> r
+  | None ->
+      let r = Some addr in
+      Array.unsafe_set t.somes (gi addr) r;
+      r
 
 let alloc t ~size ~n_slots ~color =
   let min_size = 16 + (8 * n_slots) in
-  if size < min_size then
+  if n_slots < 0 || size < min_size then
     invalid_arg
       (Printf.sprintf "Heap.alloc: size %d too small for %d slots" size n_slots);
-  match Freelist.pop t.freelist ~bytes_wanted:size with
-  | None -> None
-  | Some addr ->
-      Space.set_kind t.space addr Space.Allocated;
-      set_color t addr color;
-      Age_table.set t.ages addr 0;
-      t.slots.(gi addr) <- (if n_slots = 0 then no_slots else Array.make n_slots nil);
-      let real = Space.block_size t.space addr in
-      (* the bytes beyond the header and the pointer slots are scalar
-         fields, one 8-byte word each *)
-      let n_data = (real - 16 - (8 * n_slots)) / 8 in
-      t.datas.(gi addr) <- (if n_data = 0 then no_slots else Array.make n_data 0);
-      t.total_alloc_bytes <- t.total_alloc_bytes + real;
-      t.total_alloc_objects <- t.total_alloc_objects + 1;
-      Some addr
+  let addr = Freelist.pop t.freelist ~bytes_wanted:size in
+  if addr < 0 then None
+  else begin
+    Space.set_kind t.space addr Space.Allocated;
+    let real = Space.block_size t.space addr in
+    init_words t addr ~n_slots ~real;
+    set_color t addr color;
+    Age_table.set t.ages addr 0;
+    t.total_alloc_bytes <- t.total_alloc_bytes + real;
+    t.total_alloc_objects <- t.total_alloc_objects + 1;
+    some t addr
+  end
 
 (* --- Reserved blocks (real-domains allocation caches) ---------------
 
@@ -112,20 +177,27 @@ let alloc t ~size ~n_slots ~color =
    lock-free on the owning mutator's domain. *)
 
 let reserve t ~size =
-  match Freelist.pop t.freelist ~bytes_wanted:size with
-  | None -> None
-  | Some addr ->
-      Space.set_kind t.space addr Space.Allocated;
-      set_color t addr Color.Blue;
-      Some addr
+  let addr = Freelist.pop t.freelist ~bytes_wanted:size in
+  if addr < 0 then None
+  else begin
+    Space.set_kind t.space addr Space.Allocated;
+    (* the block may start on a word of an earlier object *)
+    t.mem.(word addr) <- 0;
+    set_color t addr Color.Blue;
+    some t addr
+  end
 
+(* The words are written before the color: a collector that sees the
+   object's new color through the gray-queue mutex or a handshake sees
+   its words too (DESIGN.md section 10.3). *)
 let issue t addr ~n_slots ~color =
+  let real = Space.block_size t.space addr in
+  if n_slots < 0 || 16 + (8 * n_slots) > real then
+    invalid_arg
+      (Printf.sprintf "Heap.issue: %d-byte block too small for %d slots" real n_slots);
+  init_words t addr ~n_slots ~real;
   set_color t addr color;
   Age_table.set t.ages addr 0;
-  t.slots.(gi addr) <- (if n_slots = 0 then no_slots else Array.make n_slots nil);
-  let real = Space.block_size t.space addr in
-  let n_data = (real - 16 - (8 * n_slots)) / 8 in
-  t.datas.(gi addr) <- (if n_data = 0 then no_slots else Array.make n_data 0);
   real
 
 let release_reserved t addr =
@@ -141,8 +213,7 @@ let free t addr =
   if not (is_object t addr) then
     invalid_arg (Printf.sprintf "Heap.free: %d is not an allocated object" addr);
   set_color t addr Color.Blue;
-  t.slots.(gi addr) <- no_slots;
-  t.datas.(gi addr) <- no_slots;
+  t.mem.(word addr) <- 0;
   (* drop the remembered-set dedup flag, or a new object reusing this
      granule could never be recorded again *)
   Remset.forget t.remset addr;

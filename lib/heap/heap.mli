@@ -3,7 +3,17 @@
 
     Objects are non-moving blocks with a granule-aligned start address, a
     byte size and a number of pointer slots.  Pointer slots hold object
-    addresses or {!nil}.  Colors live in a side table (one byte per
+    addresses or {!nil}.
+
+    Object contents live in one flat word array, one [int] word per 8
+    heap bytes, laid out as in the paper's JVM: the object at [addr]
+    starts at word [addr / 8] with a 16-byte header — a header word
+    holding [n_slots + 1] and a pad word — followed by its [n_slots]
+    pointer slots and then its scalar words, up to the end of its block.
+    A header word of 0 marks a block with no object layout: {!free}
+    zeroes it, and so does {!reserve}.  The accessors below validate the
+    address ({!is_object}) and the index, and raise [Invalid_argument]
+    otherwise.  Colors live in a side table (one byte per
     granule); the collectors read and write them through {!color} /
     {!set_color}, which are single atomic steps under the simulator's
     scheduling model.
@@ -57,7 +67,7 @@ val alloc : t -> size:int -> n_slots:int -> color:Color.t -> int option
 
 val free : t -> int -> unit
 (** Reclaim the object at the given address: paint it {!Color.Blue},
-    release its slots and return its block to the free lists.  Does not
+    zero its header word and return its block to the free lists.  Does not
     coalesce — sweep does, via {!merge_free_prev}. *)
 
 (** {2 Reserved blocks (real-domains allocation caches)}
@@ -76,8 +86,12 @@ val reserve : t -> size:int -> int option
     batches when objects are actually issued). *)
 
 val issue : t -> int -> n_slots:int -> color:Color.t -> int
-(** Turn a reserved block into a live object: paint [color], age 0,
-    [n_slots] pointer slots at {!nil}, scalar words zeroed.  Returns the
+(** Turn a reserved block into a live object: write its header, its
+    [n_slots] pointer slots at {!nil} and its zeroed scalar words, then
+    paint [color] and set age 0.  The words are written before the
+    color, so a collector that learns of the object through a
+    synchronising path (the gray-queue mutex, a handshake) reads them
+    initialised.  Returns the
     block's real byte size, which the caller accumulates for
     {!add_alloc_stats}. *)
 
@@ -118,8 +132,14 @@ val set_slot : t -> int -> int -> int -> unit
 (** [set_slot t x i y] performs the raw store [heap\[x,i\] <- y] with no
     barrier — the collectors wrap it. *)
 
+val unsafe_get_slot : t -> int -> int -> int
+(** {!get_slot} without validation: the address {e must} be an object and
+    the index below its {!n_slots}.  For collector loops that validate
+    once per object (through {!n_slots}) and then read every slot. *)
+
 val iter_slots : t -> int -> (int -> unit) -> unit
-(** Apply to every non-{!nil} slot value of the object. *)
+(** Apply to every non-{!nil} slot value of the object, validating the
+    address once. *)
 
 (** {2 Scalar fields}
 

@@ -1,7 +1,7 @@
 open Effect
 open Effect.Deep
 
-type _ Effect.t += Yield : unit Effect.t
+type _ Effect.t += Switch : unit Effect.t
 
 type state =
   | Not_started of (unit -> unit)
@@ -13,7 +13,6 @@ type state =
    resumed: [nap] picks still to sleep through (set by [yield_n]), then
    [wait] to hold (set by [wait_until]; [ready] when not parked). *)
 type proc = {
-  id : int;
   name : string;
   daemon : bool;
   mutable state : state;
@@ -30,23 +29,35 @@ let random_policy rng = Random rng
 
 exception Stalled of string
 
+(* Processes are named by their index in [procs] ([none] for no process),
+   so the per-step bookkeeping below stores ints, not pointers: a no-op
+   step then runs no write barrier. *)
+let none = -1
+
 type t = {
   policy : policy;
   quantum : int;
   mutable procs : proc array;
   mutable nprocs : int;
   mutable live : int;  (** unfinished non-daemon processes *)
-  mutable current : proc;  (** [nobody] between steps *)
+  mutable unfinished : int;  (** processes not [Finished], daemons too *)
+  mutable current : pid;  (** the process taking the current step *)
   mutable polling : bool;  (** a [wait_until] predicate is being evaluated *)
   mutable rr_cursor : int;
   mutable step_count : int;
+  mutable max_steps : int;  (** of the current [run] *)
+  mutable burst : int;  (** steps left to [burst_pid] in its quantum *)
+  mutable burst_pid : pid;
+  mutable next : pid;  (** picked by a yielding process, for [run] to resume *)
+  mutable failure : (exn * Printexc.raw_backtrace) option;
+      (** raised during a yielding process's steps, for [run] to re-raise *)
   mutable on_switch : (string -> unit) option;
 }
 
 let ready () = true
 
-let nobody =
-  { id = -1; name = ""; daemon = true; state = Finished; nap = 0; wait = ready }
+let placeholder =
+  { name = ""; daemon = true; state = Finished; nap = 0; wait = ready }
 
 (* The scheduler running a process is recorded here so that [yield] (which
    has no scheduler argument by design — barrier code deep inside the heap
@@ -63,19 +74,25 @@ let create ?(policy = Round_robin) ?(quantum = 1) () =
   {
     policy;
     quantum;
-    procs = Array.make 8 nobody;
+    procs = Array.make 8 placeholder;
     nprocs = 0;
     live = 0;
-    current = nobody;
+    unfinished = 0;
+    current = none;
     polling = false;
     rr_cursor = 0;
     step_count = 0;
+    max_steps = max_int;
+    burst = 0;
+    burst_pid = none;
+    next = none;
+    failure = None;
     on_switch = None;
   }
 
 let spawn t ?(daemon = false) ~name fn =
   let id = t.nprocs in
-  let p = { id; name; daemon; state = Not_started fn; nap = 0; wait = ready } in
+  let p = { name; daemon; state = Not_started fn; nap = 0; wait = ready } in
   if t.nprocs = Array.length t.procs then begin
     let bigger = Array.make (2 * t.nprocs) p in
     Array.blit t.procs 0 bigger 0 t.nprocs;
@@ -83,6 +100,7 @@ let spawn t ?(daemon = false) ~name fn =
   end;
   t.procs.(t.nprocs) <- p;
   t.nprocs <- t.nprocs + 1;
+  t.unfinished <- t.unfinished + 1;
   if not daemon then t.live <- t.live + 1;
   id
 
@@ -91,11 +109,11 @@ let current_sched () =
   match !(active ()) with
   | None -> failwith "Sched.yield: called outside of Sched.run"
   | Some t ->
-      if t.current == nobody then failwith "Sched.yield: no process is running";
+      if t.current = none then failwith "Sched.yield: no process is running";
       t
 
-(* Predicates run in the scheduler, where there is no continuation to
-   capture, so nothing may suspend while one is evaluated. *)
+(* Nothing may suspend while a predicate is evaluated: the steps that
+   evaluate it run with no continuation of their own to capture. *)
 let not_polling t =
   if t.polling then
     invalid_arg
@@ -107,18 +125,47 @@ let running () =
   not_polling t;
   t
 
-let yield () =
-  ignore (running ());
-  perform Yield
+let steps t = t.step_count
 
-(* [n] consecutive yields, of which only the first suspends: the
-   scheduler sleeps through the next [n - 1] picks of this process. *)
-let yield_n n =
-  if n > 0 then begin
-    let t = running () in
-    t.current.nap <- n - 1;
-    perform Yield
+let finished t pid = match t.procs.(pid).state with Finished -> true | _ -> false
+
+let set_on_switch t hook = t.on_switch <- hook
+
+(* Every process a policy may pick is unfinished: picks happen between
+   steps, or while the one [Running] process is yielding. *)
+let runnable t pid =
+  match (Array.unsafe_get t.procs pid).state with Finished -> false | _ -> true
+
+(* The [k]-th unfinished process in spawn order. *)
+let nth_runnable t k =
+  if t.unfinished = t.nprocs then k
+  else begin
+    let i = ref 0 and k = ref k in
+    while !k > 0 || not (runnable t !i) do
+      if runnable t !i then decr k;
+      incr i
+    done;
+    !i
   end
+
+let pick t =
+  match t.policy with
+  | Round_robin ->
+      let n = t.nprocs in
+      let found = ref none in
+      let i = ref 0 in
+      while !found = none && !i < n do
+        let idx = (t.rr_cursor + !i) mod n in
+        if runnable t idx then begin
+          found := idx;
+          t.rr_cursor <- (idx + 1) mod n
+        end;
+        incr i
+      done;
+      !found
+  | Random rng ->
+      if t.unfinished = 0 then none
+      else nth_runnable t (Otfgc_support.Rng.int rng t.unfinished)
 
 let poll t cond =
   t.polling <- true;
@@ -130,74 +177,109 @@ let poll t cond =
       t.polling <- false;
       raise e
 
-(* Checked once here, then on every pick by the scheduler itself: the
-   process is only resumed once [cond] holds.  Outside a process (the
-   spawning domain of a domains run, say) there is nothing to park, and a
-   wait that already holds returns at once, as the plain yield loop did. *)
+(* Take scheduling steps until one must resume a process, and return that
+   process ([none] once every non-daemon has finished).  A step first
+   spends the rest of the current quantum, then picks afresh.  A napping
+   or parked process takes its step without being resumed: the step costs
+   a counter decrement or a predicate call instead of a continuation
+   switch — and the pick, the step count and the hook are exactly those
+   of the process resuming only to yield again.  Called by [run] and, on
+   the yielding process's own fiber, by every yield. *)
+let rec advance t =
+  let pid =
+    if t.burst > 0 && runnable t t.burst_pid then t.burst_pid
+    else if t.live = 0 then none
+    else begin
+      if t.step_count >= t.max_steps then
+        raise
+          (Stalled
+             (Printf.sprintf "no termination after %d scheduling steps"
+                t.step_count));
+      let pid = pick t in
+      if pid = none then
+        (* Only daemons are runnable but a non-daemon hasn't finished:
+           that non-daemon must be Running, which is impossible here. *)
+        failwith "Sched.run: non-daemon process neither runnable nor finished";
+      t.step_count <- t.step_count + 1;
+      t.burst <- t.quantum;
+      t.burst_pid <- pid;
+      pid
+    end
+  in
+  if pid = none then none
+  else begin
+    let p = Array.unsafe_get t.procs pid in
+    t.burst <- t.burst - 1;
+    t.current <- pid;
+    (match t.on_switch with Some f -> f p.name | None -> ());
+    if p.nap > 0 then begin
+      p.nap <- p.nap - 1;
+      advance t
+    end
+    else if p.wait == ready then pid
+    else if poll t p.wait then begin
+      p.wait <- ready;
+      pid
+    end
+    else advance t
+  end
+
+(* The calling process has yielded.  Take the scheduler's following steps
+   here; suspend only to hand the CPU to another process, which [run]
+   then resumes without picking again.  What the steps raise is handed to
+   [run] too, so the yielding process never sees it. *)
+let hand_over t =
+  let self = t.current in
+  match advance t with
+  | pid when pid = self -> ()
+  | pid ->
+      t.next <- pid;
+      perform Switch
+  | exception e ->
+      t.failure <- Some (e, Printexc.get_raw_backtrace ());
+      perform Switch
+
+let yield () = hand_over (running ())
+
+(* [n] consecutive yields as one: the process naps through its next
+   [n - 1] picks, each of which only decrements [nap]. *)
+let yield_n n =
+  if n > 0 then begin
+    let t = running () in
+    t.procs.(t.current).nap <- n - 1;
+    hand_over t
+  end
+
+(* Checked once here, then at every pick of the process: it is only
+   resumed once [cond] holds.  Outside a process (the spawning domain of a
+   domains run, say) there is nothing to park, and a wait that already
+   holds returns at once, as the plain yield loop did. *)
 let wait_until cond =
   match !(active ()) with
-  | Some t when t.current != nobody ->
+  | Some t when t.current <> none ->
       not_polling t;
       if not (poll t cond) then begin
-        t.current.wait <- cond;
-        perform Yield
+        t.procs.(t.current).wait <- cond;
+        hand_over t
       end
   | _ -> if not (cond ()) then yield ()
 
-let self_name () = (current_sched ()).current.name
+let self_name () =
+  let t = current_sched () in
+  t.procs.(t.current).name
 
-let steps t = t.step_count
-
-let finished t pid = match t.procs.(pid).state with Finished -> true | _ -> false
-
-let set_on_switch t hook = t.on_switch <- hook
-
-let runnable p = match p.state with Not_started _ | Suspended _ -> true | _ -> false
-
-(* The [k]-th runnable process in spawn order. *)
-let nth_runnable t k =
-  let rec go i k =
-    let p = t.procs.(i) in
-    if runnable p then if k = 0 then p else go (i + 1) (k - 1) else go (i + 1) k
-  in
-  go 0 k
-
-let pick t =
-  match t.policy with
-  | Round_robin ->
-      let n = t.nprocs in
-      let found = ref nobody in
-      let i = ref 0 in
-      while !found == nobody && !i < n do
-        let idx = (t.rr_cursor + !i) mod n in
-        if runnable t.procs.(idx) then begin
-          found := t.procs.(idx);
-          t.rr_cursor <- (idx + 1) mod n
-        end;
-        incr i
-      done;
-      !found
-  | Random rng ->
-      let count = ref 0 in
-      for i = 0 to t.nprocs - 1 do
-        if runnable t.procs.(i) then incr count
-      done;
-      if !count = 0 then nobody
-      else nth_runnable t (Otfgc_support.Rng.int rng !count)
-
-(* Run [p] for one step: either start its body under a fresh deep
-   handler, or continue its stored continuation.  Control comes back here
-   when the process yields (handler stores the new continuation) or
-   finishes. *)
+(* Run [p] until it hands the CPU over or finishes: either start its body
+   under a fresh deep handler, or continue its stored continuation. *)
 let resume t p =
   match p.state with
   | Not_started fn ->
       p.state <- Running;
-      let on_yield = Some (fun k -> p.state <- Suspended k) in
+      let on_handover = Some (fun k -> p.state <- Suspended k) in
       match_with
         (fun () ->
           fn ();
           p.state <- Finished;
+          t.unfinished <- t.unfinished - 1;
           if not p.daemon then t.live <- t.live - 1)
         ()
         {
@@ -208,27 +290,13 @@ let resume t p =
           effc =
             (fun (type a) (eff : a Effect.t) ->
               match eff with
-              | Yield -> (on_yield : ((a, _) continuation -> _) option)
+              | Switch -> (on_handover : ((a, _) continuation -> _) option)
               | _ -> None);
         }
   | Suspended k ->
       p.state <- Running;
       continue k ()
   | Running | Finished -> assert false
-
-(* One step of [p].  A napping or parked process takes it without being
-   resumed, so the step costs a counter decrement or a predicate call
-   instead of a continuation switch — and the pick, the step count and the
-   hook are exactly those of the process resuming only to yield again. *)
-let step t p =
-  t.current <- p;
-  (match t.on_switch with Some f -> f p.name | None -> ());
-  if p.nap > 0 then p.nap <- p.nap - 1
-  else if p.wait == ready || poll t p.wait then begin
-    p.wait <- ready;
-    resume t p
-  end;
-  t.current <- nobody
 
 let run ?(max_steps = max_int) t =
   let active = active () in
@@ -237,24 +305,22 @@ let run ?(max_steps = max_int) t =
   | None -> active := Some t);
   Fun.protect
     ~finally:(fun () ->
-      t.current <- nobody;
+      t.current <- none;
+      t.burst <- 0;
+      t.next <- none;
+      t.failure <- None;
       active := None)
     (fun () ->
-      while t.live > 0 do
-        if t.step_count >= max_steps then
-          raise
-            (Stalled
-               (Printf.sprintf "no termination after %d scheduling steps"
-                  t.step_count));
-        let p = pick t in
-        if p == nobody then
-          (* Only daemons are runnable but a non-daemon hasn't finished:
-             that non-daemon must be Running, which is impossible here. *)
-          failwith "Sched.run: non-daemon process neither runnable nor finished";
-        t.step_count <- t.step_count + 1;
-        let q = ref t.quantum in
-        while !q > 0 && runnable p do
-          step t p;
-          decr q
-        done
+      t.max_steps <- max_steps;
+      let pid = ref (advance t) in
+      while !pid <> none do
+        resume t t.procs.(!pid);
+        (match t.failure with
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> ());
+        if t.next <> none then begin
+          pid := t.next;
+          t.next <- none
+        end
+        else pid := advance t
       done)

@@ -32,7 +32,8 @@ val round_robin : policy
 
 val random_policy : Otfgc_support.Rng.t -> policy
 (** Pick uniformly among runnable processes using the given generator
-    (one [Rng.int] draw per step).  Every simulated run uses it — the
+    (one [Rng.int] draw per step; O(1) and allocation-free while no
+    process has finished).  Every simulated run uses it — the
     workload driver, the benchmarks and the property tests — so a run's
     interleaving is a function of its seed. *)
 
@@ -54,7 +55,17 @@ val spawn : t -> ?daemon:bool -> name:string -> (unit -> unit) -> pid
 val yield : unit -> unit
 (** Give the scheduler a chance to switch to another process.  Must be
     called from inside a spawned process; calling it elsewhere raises
-    [Failure]. *)
+    [Failure].
+
+    The scheduling steps that follow run on the yielding process's own
+    fiber for as long as they resume no other process: napped picks,
+    parked predicates that are false, and a pick of the yielding process
+    itself, after which [yield] simply returns.  The process suspends
+    only to hand the CPU to another process.  So {!wait_until}
+    predicates and the {!set_on_switch} hook may run on the yielding
+    process's fiber, in exactly the order {!run} would call them; what
+    they raise there is re-raised by {!run}, never inside the yielding
+    process. *)
 
 val yield_n : int -> unit
 (** [yield_n n] behaves exactly like [n] consecutive {!yield}s (none when
@@ -71,7 +82,9 @@ val wait_until : (unit -> bool) -> unit
     costs a predicate call per step, not a context switch.  Like the loop,
     it returns at once outside a process when [p ()] already holds.
 
-    [p] must not yield.  It runs outside the process, and a {!yield},
+    [p] must not yield.  It runs outside the waiting process (in
+    {!run}, or on the fiber of another process that is yielding), and a
+    {!yield},
     {!yield_n} or nested [wait_until] inside [p] raises [Invalid_argument].
     A wait that must do scheduling work on every iteration (for instance
     answering handshakes with a fine-grained runtime) is written as an
@@ -95,4 +108,5 @@ val finished : t -> pid -> bool
 val set_on_switch : t -> (string -> unit) option -> unit
 (** Hook invoked with the process name each time a process is given the
     CPU, including the turns a napping or parked process spends without
-    being resumed. *)
+    being resumed.  It may run on the fiber of the process that yielded
+    last (see {!yield}). *)

@@ -35,7 +35,8 @@ let split t =
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-  r mod bound
+  (* [r >= 0], so a power-of-two bound needs no division *)
+  if bound land (bound - 1) = 0 then r land (bound - 1) else r mod bound
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";
@@ -43,7 +44,7 @@ let int_in t lo hi =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let float t bound =
+let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   (* 53 random bits scaled into [0,1). *)
   r /. 9007199254740992.0 *. bound
@@ -67,21 +68,34 @@ let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
 
+(* [Float.max w 0.], inlined: a negative weight counts as 0, a NaN stays
+   NaN. *)
+let[@inline] weight (_, w) = if w > 0. then w else if w <> w then w else 0.
+
+(* Loops over local float refs, which the compiler keeps unboxed, so a
+   pick allocates nothing: the engine draws once per simulated
+   allocation.  The pick is the first choice whose running sum of weights
+   exceeds the draw, the last one if none does. *)
 let pick_weighted t choices =
-  if Array.length choices = 0 then invalid_arg "Rng.pick_weighted: empty array";
-  let total = Array.fold_left (fun acc (_, w) -> acc +. Float.max w 0.) 0. choices in
-  if total <= 0. then invalid_arg "Rng.pick_weighted: zero total weight";
-  let x = float t total in
+  let n = Array.length choices in
+  if n = 0 then invalid_arg "Rng.pick_weighted: empty array";
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    total := !total +. weight choices.(i)
+  done;
+  if !total <= 0. then invalid_arg "Rng.pick_weighted: zero total weight";
+  let x = float t !total in
   let acc = ref 0. in
-  let result = ref None in
-  Array.iter
-    (fun (v, w) ->
-      if !result = None then begin
-        acc := !acc +. Float.max w 0.;
-        if x < !acc then result := Some v
-      end)
-    choices;
-  match !result with Some v -> v | None -> fst choices.(Array.length choices - 1)
+  let i = ref 0 in
+  while
+    !i < n - 1
+    &&
+    (acc := !acc +. weight choices.(!i);
+     not (x < !acc))
+  do
+    incr i
+  done;
+  fst choices.(!i)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

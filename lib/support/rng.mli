@@ -54,7 +54,8 @@ val pick : t -> 'a array -> 'a
 
 val pick_weighted : t -> ('a * float) array -> 'a
 (** [pick_weighted t choices] picks proportionally to the (non-negative)
-    weights.  Raises [Invalid_argument] if all weights are zero or the array
+    weights (a negative weight counts as zero).  Allocates nothing on the
+    host.  Raises [Invalid_argument] if all weights are zero or the array
     is empty. *)
 
 val shuffle : t -> 'a array -> unit

@@ -208,8 +208,8 @@ let test_freelist_exact_fit () =
   let s = mk_space () in
   let fl = Freelist.create s in
   match Freelist.pop fl ~bytes_wanted:64 with
-  | None -> Alcotest.fail "no block"
-  | Some addr ->
+  | -1 -> Alcotest.fail "no block"
+  | addr ->
       check_int "block size granule-exact" 64 (Space.block_size s addr);
       check "still free until claimed" true (Space.kind_of s addr = Space.Free)
 
@@ -217,38 +217,37 @@ let test_freelist_split_remainder () =
   let s = mk_space () in
   let fl = Freelist.create s in
   (match Freelist.pop fl ~bytes_wanted:64 with
-  | Some addr ->
+  | -1 -> Alcotest.fail "no block"
+  | addr -> (
       Space.set_kind s addr Space.Allocated;
       (* remainder should be allocatable *)
-      (match Freelist.pop fl ~bytes_wanted:128 with
-      | Some addr2 ->
-          check "disjoint" true (addr2 >= addr + 64 || addr2 + 128 <= addr)
-      | None -> Alcotest.fail "remainder lost")
-  | None -> Alcotest.fail "no block");
+      match Freelist.pop fl ~bytes_wanted:128 with
+      | -1 -> Alcotest.fail "remainder lost"
+      | addr2 -> check "disjoint" true (addr2 >= addr + 64 || addr2 + 128 <= addr)));
   check "invariants" true (Space.check s = Ok ())
 
 let test_freelist_exhaustion () =
   let s = Space.create ~initial_bytes:64 ~max_bytes:64 () in
   let fl = Freelist.create s in
   (match Freelist.pop fl ~bytes_wanted:64 with
-  | Some a -> Space.set_kind s a Space.Allocated
-  | None -> Alcotest.fail "first alloc failed");
-  check "exhausted" true (Freelist.pop fl ~bytes_wanted:16 = None)
+  | -1 -> Alcotest.fail "first alloc failed"
+  | a -> Space.set_kind s a Space.Allocated);
+  check "exhausted" true (Freelist.pop fl ~bytes_wanted:16 = -1)
 
 let test_freelist_push_pop_roundtrip () =
   let s = Space.create ~initial_bytes:64 ~max_bytes:64 () in
   let fl = Freelist.create s in
-  let a = Option.get (Freelist.pop fl ~bytes_wanted:64) in
+  let a = Freelist.pop fl ~bytes_wanted:64 in
   Space.set_kind s a Space.Allocated;
   Space.set_kind s a Space.Free;
   Freelist.push fl a;
-  check "pop returns pushed" true (Freelist.pop fl ~bytes_wanted:64 = Some a)
+  check "pop returns pushed" true (Freelist.pop fl ~bytes_wanted:64 = a)
 
 let test_freelist_stale_entries_skipped () =
   let s = mk_space () in
   let fl = Freelist.create s in
-  let a = Option.get (Freelist.pop fl ~bytes_wanted:32) in
-  let b = Option.get (Freelist.pop fl ~bytes_wanted:32) in
+  let a = Freelist.pop fl ~bytes_wanted:32 in
+  let b = Freelist.pop fl ~bytes_wanted:32 in
   check "adjacent" true (b = a + 32 || a = b + 32);
   (* push both as free, then coalesce behind the list's back *)
   Freelist.push fl a;
@@ -257,9 +256,8 @@ let test_freelist_stale_entries_skipped () =
   check "merged" true (Space.coalesce_with_next s lo);
   (* the two 32-byte entries are stale; a 64-byte request must still be
      satisfiable via the merged block or the big remainder *)
-  (match Freelist.pop fl ~bytes_wanted:64 with
-  | Some _ -> ()
-  | None -> Alcotest.fail "stale entries broke allocation");
+  if Freelist.pop fl ~bytes_wanted:64 = -1 then
+    Alcotest.fail "stale entries broke allocation";
   check "invariants" true (Space.check s = Ok ())
 
 let test_freelist_large_class () =
@@ -267,8 +265,8 @@ let test_freelist_large_class () =
   let fl = Freelist.create s in
   (* larger than the largest exact class (63 granules = 1008 B) *)
   match Freelist.pop fl ~bytes_wanted:(8 * kb) with
-  | Some addr -> check_int "big block" (8 * kb) (Space.block_size s addr)
-  | None -> Alcotest.fail "large allocation failed"
+  | -1 -> Alcotest.fail "large allocation failed"
+  | addr -> check_int "big block" (8 * kb) (Space.block_size s addr)
 
 let test_freelist_class_of_bytes () =
   check_int "16 bytes -> class 0" 0 (Freelist.class_of_bytes 16);
@@ -281,10 +279,10 @@ let test_freelist_counters () =
   let fl = Freelist.create s in
   check_int "seeded entries" 1 (Freelist.entry_count fl);
   check_int "no stale drops yet" 0 (Freelist.stale_entries fl);
-  let a = Option.get (Freelist.pop fl ~bytes_wanted:32) in
+  let a = Freelist.pop fl ~bytes_wanted:32 in
   Space.set_kind s a Space.Allocated;
   check_int "split remainder queued" 1 (Freelist.entry_count fl);
-  let b = Option.get (Freelist.pop fl ~bytes_wanted:32) in
+  let b = Freelist.pop fl ~bytes_wanted:32 in
   Space.set_kind s b Space.Allocated;
   check "adjacent" true (b = a + 32);
   Space.set_kind s a Space.Free;
@@ -298,8 +296,8 @@ let test_freelist_counters () =
   check_int "counters are lazy" 3 (Freelist.entry_count fl);
   check_int "staleness discovered only on pop" 0 (Freelist.stale_entries fl);
   (match Freelist.pop fl ~bytes_wanted:32 with
-  | Some addr -> Space.set_kind s addr Space.Allocated
-  | None -> Alcotest.fail "pop failed");
+  | -1 -> Alcotest.fail "pop failed"
+  | addr -> Space.set_kind s addr Space.Allocated);
   check_int "both stale entries counted" 2 (Freelist.stale_entries fl);
   check_int "remaining entries" 1 (Freelist.entry_count fl);
   Freelist.rebuild fl;
@@ -319,10 +317,10 @@ let prop_freelist_random_alloc_free =
         if Rng.bool rng || !live = [] then begin
           let size = 16 * Rng.int_in rng 1 8 in
           match Freelist.pop fl ~bytes_wanted:size with
-          | Some a ->
+          | -1 -> ()
+          | a ->
               Space.set_kind s a Space.Allocated;
               live := a :: !live
-          | None -> ()
         end
         else begin
           let n = Rng.int rng (List.length !live) in
@@ -405,6 +403,279 @@ let test_heap_merge_free_prev () =
   check_int "merged into predecessor" a merged;
   check_int "merged size" 128 (Space.block_size (Heap.space h) a);
   check "check ok" true (Heap.check h = Ok ())
+
+(* Every accessor validates the address and the index. *)
+let test_heap_accessors_reject () =
+  let h = mk_heap ~initial:kb ~max:kb () in
+  let a = Option.get (Heap.alloc h ~size:64 ~n_slots:2 ~color:Color.C0) in
+  let b = Option.get (Heap.alloc h ~size:64 ~n_slots:2 ~color:Color.C0) in
+  let c = Option.get (Heap.alloc h ~size:48 ~n_slots:1 ~color:Color.C0) in
+  Heap.free h a;
+  Heap.free h b;
+  check_int "b merged into a" a (Heap.merge_free_prev h b);
+  let raises what f =
+    check what true (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun (where, x) ->
+      raises ("n_slots, " ^ where) (fun () -> Heap.n_slots h x);
+      raises ("get_slot, " ^ where) (fun () -> Heap.get_slot h x 0);
+      raises ("set_slot, " ^ where) (fun () -> Heap.set_slot h x 0 Heap.nil);
+      raises ("n_data, " ^ where) (fun () -> Heap.n_data h x);
+      raises ("get_data, " ^ where) (fun () -> Heap.get_data h x 0);
+      raises ("set_data, " ^ where) (fun () -> Heap.set_data h x 0 0);
+      raises ("iter_slots, " ^ where) (fun () -> Heap.iter_slots h x ignore))
+    [ ("freed start", a); ("merged interior", b); ("unaligned", c + 8) ];
+  check_int "c has one slot" 1 (Heap.n_slots h c);
+  check_int "c has three data words" 3 (Heap.n_data h c);
+  List.iter
+    (fun i ->
+      let where = Printf.sprintf "index %d" i in
+      raises ("get_slot, " ^ where) (fun () -> Heap.get_slot h c i);
+      raises ("set_slot, " ^ where) (fun () -> Heap.set_slot h c i Heap.nil))
+    [ -1; 1 ];
+  List.iter
+    (fun i ->
+      let where = Printf.sprintf "index %d" i in
+      raises ("get_data, " ^ where) (fun () -> Heap.get_data h c i);
+      raises ("set_data, " ^ where) (fun () -> Heap.set_data h c i 0))
+    [ -1; 3 ];
+  check "check ok" true (Heap.check h = Ok ())
+
+(* The object store before the flat word array: a pointer-slot array and
+   a scalar-word array per start granule, empty when the granule starts
+   no object.  Block structure and free lists are the real ones. *)
+module Old_heap = struct
+  type t = {
+    space : Space.t;
+    freelist : Freelist.t;
+    slots : int array array;
+    datas : int array array;
+  }
+
+  let gi = Layout.granule_index
+
+  let create ~initial ~max =
+    let space = Space.create ~card_size:16 ~initial_bytes:initial ~max_bytes:max () in
+    let n = Layout.granules_of_bytes max in
+    {
+      space;
+      freelist = Freelist.create space;
+      slots = Array.make n [||];
+      datas = Array.make n [||];
+    }
+
+  let lay_out t addr ~n_slots =
+    t.slots.(gi addr) <- Array.make n_slots Heap.nil;
+    let real = Space.block_size t.space addr in
+    t.datas.(gi addr) <- Array.make ((real - 16 - (8 * n_slots)) / 8) 0
+
+  let reserve t ~size =
+    match Freelist.pop t.freelist ~bytes_wanted:size with
+    | -1 -> None
+    | addr ->
+        Space.set_kind t.space addr Space.Allocated;
+        Some addr
+
+  let alloc t ~size ~n_slots =
+    let r = reserve t ~size in
+    Option.iter (fun addr -> lay_out t addr ~n_slots) r;
+    r
+
+  let issue t addr ~n_slots = lay_out t addr ~n_slots
+
+  let free t addr =
+    t.slots.(gi addr) <- [||];
+    t.datas.(gi addr) <- [||];
+    Space.set_kind t.space addr Space.Free;
+    Freelist.push t.freelist addr
+
+  let merge_free_prev t addr =
+    match Space.prev_block t.space addr with
+    | Some p when Space.kind_of t.space p = Space.Free ->
+        ignore (Space.coalesce_with_next t.space p : bool);
+        Freelist.push t.freelist p;
+        p
+    | _ -> addr
+
+  let grow t ~want_bytes =
+    match Space.grow t.space ~want_bytes with
+    | None -> false
+    | Some (addr, _) ->
+        Freelist.push t.freelist addr;
+        true
+
+  let n_slots t x = Array.length t.slots.(gi x)
+  let get_slot t x i = t.slots.(gi x).(i)
+  let set_slot t x i y = t.slots.(gi x).(i) <- y
+  let n_data t x = Array.length t.datas.(gi x)
+  let get_data t x i = t.datas.(gi x).(i)
+  let set_data t x i v = t.datas.(gi x).(i) <- v
+
+  let iter_slots t x f =
+    Array.iter (fun y -> if y <> Heap.nil then f y) t.slots.(gi x)
+end
+
+type heap_op =
+  | H_alloc of int * int  (** granules, slot choice *)
+  | H_free of int
+  | H_merge of int
+  | H_grow of int
+  | H_set_slot of int * int * int  (** object, index, value choice *)
+  | H_set_data of int * int * int
+  | H_reserve of int
+  | H_issue of int * int
+
+let gen_heap_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (5, map2 (fun g s -> H_alloc (g, s)) (int_range 1 16) nat);
+        (3, map (fun k -> H_free k) nat);
+        (2, map (fun k -> H_merge k) nat);
+        (1, map (fun k -> H_grow k) (int_range 1 4));
+        (4, map3 (fun k i v -> H_set_slot (k, i, v)) nat (int_range (-1) 8) nat);
+        (3, map3 (fun k i v -> H_set_data (k, i, v)) nat (int_range (-1) 30) int);
+        (1, map (fun g -> H_reserve g) (int_range 1 16));
+        (1, map2 (fun k s -> H_issue (k, s)) nat nat);
+      ]
+  in
+  list_size (int_range 1 120) op
+
+let print_heap_op = function
+  | H_alloc (g, s) -> Printf.sprintf "alloc %d/%d" g s
+  | H_free k -> Printf.sprintf "free %d" k
+  | H_merge k -> Printf.sprintf "merge %d" k
+  | H_grow k -> Printf.sprintf "grow %dK" k
+  | H_set_slot (k, i, v) -> Printf.sprintf "set_slot %d.%d=%d" k i v
+  | H_set_data (k, i, v) -> Printf.sprintf "set_data %d.%d=%d" k i v
+  | H_reserve g -> Printf.sprintf "reserve %d" g
+  | H_issue (k, s) -> Printf.sprintf "issue %d/%d" k s
+
+(* The same operations on the flat heap and on [Old_heap]; after each
+   one, every read of every object, and the rejection of every freed
+   address, must agree. *)
+let prop_heap_matches_old_model =
+  QCheck.Test.make ~name:"flat object memory reads as the array-of-arrays heap"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_heap_op) gen_heap_ops)
+    (fun ops ->
+      let h = mk_heap ~initial:(4 * kb) ~max:(16 * kb) () in
+      let o = Old_heap.create ~initial:(4 * kb) ~max:(16 * kb) in
+      let live = ref [] and reserved = ref [] and freed = ref [] in
+      let ok = ref true in
+      let same a b = if a <> b then ok := false in
+      let nth l k = List.nth l (k mod List.length l) in
+      let attempt f = match f () with v -> Some v | exception Invalid_argument _ -> None in
+      let read_all () =
+        List.iter
+          (fun x ->
+            same (Heap.n_slots h x) (Old_heap.n_slots o x);
+            same (Heap.n_data h x) (Old_heap.n_data o x);
+            for i = 0 to Heap.n_slots h x - 1 do
+              same (Heap.get_slot h x i) (Old_heap.get_slot o x i)
+            done;
+            for i = 0 to Heap.n_data h x - 1 do
+              same (Heap.get_data h x i) (Old_heap.get_data o x i)
+            done;
+            let seen heap_iter =
+              let acc = ref [] in
+              heap_iter (fun y -> acc := y :: !acc);
+              !acc
+            in
+            same (seen (Heap.iter_slots h x)) (seen (Old_heap.iter_slots o x)))
+          (!live @ !reserved);
+        List.iter
+          (fun x ->
+            if not (List.mem x !live || List.mem x !reserved) then begin
+              same (attempt (fun () -> Heap.get_slot h x 0)) None;
+              same (attempt (fun () -> Old_heap.get_slot o x 0)) None;
+              same (attempt (fun () -> Heap.get_data h x 0)) None;
+              same (attempt (fun () -> Old_heap.get_data o x 0)) None
+            end)
+          !freed
+      in
+      let slots_for size s = s mod (((size - 16) / 8) + 1) in
+      List.iter
+        (fun op ->
+          (match op with
+          | H_alloc (g, s) ->
+              let size = 16 * g in
+              let n_slots = slots_for size s in
+              let r = Heap.alloc h ~size ~n_slots ~color:Color.C0 in
+              same r (Old_heap.alloc o ~size ~n_slots);
+              Option.iter (fun a -> live := a :: !live) r
+          | H_free k when !live <> [] ->
+              let x = nth !live k in
+              Heap.free h x;
+              Old_heap.free o x;
+              live := List.filter (( <> ) x) !live;
+              freed := x :: !freed
+          | H_merge k ->
+              let s = Heap.space h in
+              let free_starts =
+                List.filter
+                  (fun x -> Space.is_block_start s x && Space.kind_of s x = Space.Free)
+                  !freed
+              in
+              if free_starts <> [] then begin
+                let x = nth free_starts k in
+                same (Heap.merge_free_prev h x) (Old_heap.merge_free_prev o x)
+              end
+          | H_grow k ->
+              same (Heap.grow h ~want_bytes:(k * kb)) (Old_heap.grow o ~want_bytes:(k * kb))
+          | H_set_slot (k, i, v) when !live <> [] ->
+              let x = nth !live k in
+              let y = if v mod 4 = 0 then Heap.nil else nth !live v in
+              same
+                (attempt (fun () -> Heap.set_slot h x i y))
+                (attempt (fun () -> Old_heap.set_slot o x i y))
+          | H_set_data (k, i, v) when !live <> [] ->
+              let x = nth !live k in
+              same
+                (attempt (fun () -> Heap.set_data h x i v))
+                (attempt (fun () -> Old_heap.set_data o x i v))
+          | H_reserve g ->
+              let r = Heap.reserve h ~size:(16 * g) in
+              same r (Old_heap.reserve o ~size:(16 * g));
+              Option.iter (fun a -> reserved := a :: !reserved) r
+          | H_issue (k, s) when !reserved <> [] ->
+              let x = nth !reserved k in
+              let n_slots = slots_for (Heap.size h x) s in
+              ignore (Heap.issue h x ~n_slots ~color:Color.C0 : int);
+              Old_heap.issue o x ~n_slots;
+              reserved := List.filter (( <> ) x) !reserved;
+              live := x :: !live
+          | H_free _ | H_set_slot _ | H_set_data _ | H_issue _ -> ());
+          read_all ())
+        ops;
+      (* reserved blocks are blue, which [Heap.check] rejects *)
+      !ok && (!reserved <> [] || Heap.check ~check_slots:false h = Ok ()))
+
+(* Allocating, storing and freeing in a warm heap allocates nothing on
+   the host, however many rounds run. *)
+let test_heap_rounds_allocate_nothing () =
+  let h = mk_heap () in
+  let rounds n =
+    for _ = 1 to n do
+      match Heap.alloc h ~size:32 ~n_slots:2 ~color:Color.C0 with
+      | None -> Alcotest.fail "alloc failed"
+      | Some a ->
+          Heap.set_slot h a 0 a;
+          Heap.free h a
+    done
+  in
+  rounds 10;
+  let words n =
+    let w0 = Gc.minor_words () in
+    rounds n;
+    Gc.minor_words () -. w0
+  in
+  let small = words 100 in
+  let large = words 10_000 in
+  check (Printf.sprintf "10^4 rounds allocate %.0f words" large) true (large < 256.);
+  check "no growth with the round count" true (large <= small +. 64.)
 
 let test_heap_grow () =
   let h = mk_heap ~initial:kb ~max:(2 * kb) () in
@@ -718,6 +989,10 @@ let suites =
         Alcotest.test_case "free recycles" `Quick test_heap_free_recycles;
         Alcotest.test_case "free validation" `Quick test_heap_free_validation;
         Alcotest.test_case "merge free prev" `Quick test_heap_merge_free_prev;
+        Alcotest.test_case "accessors reject" `Quick test_heap_accessors_reject;
+        QCheck_alcotest.to_alcotest prop_heap_matches_old_model;
+        Alcotest.test_case "rounds allocate nothing" `Quick
+          test_heap_rounds_allocate_nothing;
         Alcotest.test_case "grow" `Quick test_heap_grow;
         Alcotest.test_case "grow keeps trailing free block" `Quick
           test_heap_grow_no_merge_with_trailing_free;

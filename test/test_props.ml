@@ -311,6 +311,9 @@ let prop_freelist_differential =
       let sa = mk () and sb = mk () in
       let fl = Hfreelist.create sa in
       let rf = Ref_freelist.create sb in
+      let pop fl ~bytes_wanted =
+        match Hfreelist.pop fl ~bytes_wanted with -1 -> None | a -> Some a
+      in
       let blocks_of_kind s kind =
         let acc = ref [] in
         Hspace.iter_blocks s (fun a k _ -> if k = kind then acc := a :: !acc);
@@ -327,7 +330,7 @@ let prop_freelist_differential =
                 if Rng.bool rng then 16 * Rng.int_in rng 1 12
                 else 16 * Rng.int_in rng 60 160
               in
-              let a = Hfreelist.pop fl ~bytes_wanted:size in
+              let a = pop fl ~bytes_wanted:size in
               let b = Ref_freelist.pop rf ~bytes_wanted:size in
               if a <> b then ok := fail "pop addresses diverge"
               else (
@@ -368,7 +371,7 @@ let prop_freelist_differential =
          also agree *)
       let draining = ref !ok in
       while !draining do
-        let a = Hfreelist.pop fl ~bytes_wanted:16 in
+        let a = pop fl ~bytes_wanted:16 in
         let b = Ref_freelist.pop rf ~bytes_wanted:16 in
         if a <> b then begin
           ok := fail "drain order diverges";

@@ -338,7 +338,12 @@ module Reference = struct
     done
 end
 
-type op = Yield | Yield_n of int | Wait of int
+type op =
+  | Yield
+  | Yield_n of int
+  | Wait of int
+  | Wait_raise of int  (** a wait whose predicate raises at its [k+1]-th call *)
+  | Spawn of op list  (** start a non-daemon child running these ops *)
 
 (* One process of a random program: its ops in order; a daemon repeats
    them, with a yield after each round, forever. *)
@@ -348,18 +353,33 @@ type prims = {
   yield : unit -> unit;
   yield_n : int -> unit;
   wait_until : (unit -> bool) -> unit;
+  spawn : daemon:bool -> name:string -> (unit -> unit) -> unit;
 }
+
+exception Predicate_raised of string
 
 (* [Wait k] waits for [k] ops to have completed across all processes, a
    pure predicate over shared state that other processes advance. *)
-let exec prims progress log name { daemon; ops } () =
+let rec exec prims progress log name { daemon; ops } () =
+  let children = ref 0 in
   let round () =
     List.iter
       (fun op ->
         (match op with
         | Yield -> prims.yield ()
         | Yield_n k -> prims.yield_n k
-        | Wait k -> prims.wait_until (fun () -> !progress >= k));
+        | Wait k -> prims.wait_until (fun () -> !progress >= k)
+        | Wait_raise k ->
+            let polls = ref 0 in
+            prims.wait_until (fun () ->
+                incr polls;
+                if !polls > k then raise (Predicate_raised name);
+                false)
+        | Spawn ops ->
+            incr children;
+            let child = Printf.sprintf "%s.%d" name !children in
+            prims.spawn ~daemon:false ~name:child
+              (exec prims progress log child { daemon = false; ops }));
         incr progress;
         log := name :: !log)
       ops
@@ -371,22 +391,27 @@ let exec prims progress log name { daemon; ops } () =
     done
   else round ()
 
-(* Switch names, steps, whether the run stalled, and the op completion
-   order of one run of [program]. *)
-let run_program ~spawn ~run prims program =
+type outcome = Done | Stalled | Raised of string
+
+(* Switch names, steps, how the run ended, and the op completion order
+   of one run of [program]. *)
+let run_program ~run prims program =
   let progress = ref 0 in
   let log = ref [] in
   List.iteri
     (fun i pp ->
       let name = Printf.sprintf "p%d" i in
-      spawn ~daemon:pp.daemon ~name (exec prims progress log name pp))
+      prims.spawn ~daemon:pp.daemon ~name (exec prims progress log name pp))
     program;
-  let stalled = match run () with () -> false | exception Sched.Stalled _ -> true in
-  (stalled, List.rev !log)
+  let outcome =
+    match run () with
+    | () -> Done
+    | exception Sched.Stalled _ -> Stalled
+    | exception Predicate_raised n -> Raised n
+  in
+  (outcome, List.rev !log)
 
-let max_steps = 2_000
-
-let run_new ~seed ~quantum program =
+let run_new ~seed ~quantum ~max_steps program =
   let policy =
     match seed with
     | None -> Sched.round_robin
@@ -395,60 +420,71 @@ let run_new ~seed ~quantum program =
   let s = Sched.create ~policy ~quantum () in
   let switches = ref [] in
   Sched.set_on_switch s (Some (fun n -> switches := n :: !switches));
-  let stalled, log =
+  let outcome, log =
     run_program
-      ~spawn:(fun ~daemon ~name fn -> ignore (Sched.spawn s ~daemon ~name fn))
       ~run:(fun () -> Sched.run ~max_steps s)
-      { yield = Sched.yield; yield_n = Sched.yield_n; wait_until = Sched.wait_until }
+      {
+        yield = Sched.yield;
+        yield_n = Sched.yield_n;
+        wait_until = Sched.wait_until;
+        spawn = (fun ~daemon ~name fn -> ignore (Sched.spawn s ~daemon ~name fn));
+      }
       program
   in
-  (List.rev !switches, Sched.steps s, stalled, log)
+  (List.rev !switches, Sched.steps s, outcome, log)
 
-let run_reference ~seed ~quantum program =
+let run_reference ~seed ~quantum ~max_steps program =
   let switches = ref [] in
   let r =
     Reference.create ~random:(Option.map Rng.make seed) ~quantum
       ~on_switch:(fun n -> switches := n :: !switches)
   in
-  let stalled, log =
+  let outcome, log =
     run_program
-      ~spawn:(Reference.spawn r)
       ~run:(fun () -> Reference.run ~max_steps r)
       {
         yield = Reference.yield;
         yield_n = Reference.yield_n;
         wait_until = Reference.wait_until;
+        spawn = Reference.spawn r;
       }
       program
   in
-  (List.rev !switches, r.Reference.step_count, stalled, log)
+  (List.rev !switches, r.Reference.step_count, outcome, log)
 
 let gen_program =
   let open QCheck.Gen in
+  let base =
+    [
+      (3, return Yield);
+      (3, map (fun k -> Yield_n k) (int_bound 6));
+      (2, map (fun k -> Wait k) (int_bound 30));
+      (1, map (fun k -> Wait_raise k) (int_bound 20));
+    ]
+  in
+  let leaf = frequency base in
   let op =
-    frequency
-      [
-        (3, return Yield);
-        (3, map (fun k -> Yield_n k) (int_bound 6));
-        (2, map (fun k -> Wait k) (int_bound 30));
-      ]
+    frequency ((1, map (fun ops -> Spawn ops) (list_size (int_range 0 6) leaf)) :: base)
   in
   let proc daemon = map (fun ops -> { daemon; ops }) (list_size (int_range 0 10) op) in
   let* workers = list_size (int_range 1 4) (proc false) in
   let* daemon = opt (map (fun ops -> { daemon = true; ops }) (list_size (int_range 1 4) op)) in
   let* seed = opt small_nat in
   let* quantum = int_range 1 3 in
-  return (seed, quantum, workers @ Option.to_list daemon)
+  let* max_steps = frequency [ (3, return 2_000); (1, int_range 1 40) ] in
+  return (seed, quantum, max_steps, workers @ Option.to_list daemon)
 
-let print_program (seed, quantum, program) =
-  let op = function
+let print_program (seed, quantum, max_steps, program) =
+  let rec op = function
     | Yield -> "y"
     | Yield_n k -> Printf.sprintf "y%d" k
     | Wait k -> Printf.sprintf "w%d" k
+    | Wait_raise k -> Printf.sprintf "r%d" k
+    | Spawn ops -> Printf.sprintf "s(%s)" (String.concat " " (List.map op ops))
   in
-  Printf.sprintf "%s q=%d %s"
+  Printf.sprintf "%s q=%d max=%d %s"
     (match seed with None -> "round-robin" | Some s -> Printf.sprintf "random %d" s)
-    quantum
+    quantum max_steps
     (String.concat " | "
        (List.map
           (fun p ->
@@ -460,8 +496,52 @@ let prop_matches_reference =
   QCheck.Test.make ~name:"parked/napped schedule equals the reference scheduler"
     ~count:500
     (QCheck.make ~print:print_program gen_program)
-    (fun (seed, quantum, program) ->
-      run_new ~seed ~quantum program = run_reference ~seed ~quantum program)
+    (fun (seed, quantum, max_steps, program) ->
+      run_new ~seed ~quantum ~max_steps program
+      = run_reference ~seed ~quantum ~max_steps program)
+
+(* The picks after a yield run on the yielding process's fiber, but what
+   they raise belongs to [run]: the process's own handler never sees it. *)
+let test_on_switch_exception_escapes () =
+  let s = Sched.create ~policy:Sched.round_robin () in
+  let caught = ref false in
+  ignore
+    (Sched.spawn s ~name:"a" (fun () ->
+         try
+           for _ = 1 to 3 do
+             Sched.yield ()
+           done
+         with Exit -> caught := true));
+  ignore (Sched.spawn s ~name:"b" (fun () -> ()));
+  Sched.set_on_switch s (Some (fun n -> if n = "b" then raise Exit));
+  check "escapes run" true
+    (match Sched.run s with () -> false | exception Exit -> true);
+  check "not caught by the yielding process" false !caught
+
+(* Host words allocated while [f ()] runs. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Two processes under [Random], a parked daemon and a napping worker:
+   the steady state takes every step without allocating. *)
+let random_noop_steps n =
+  let s = Sched.create ~policy:(Sched.random_policy (Rng.make 7)) () in
+  let stop = ref false in
+  ignore (Sched.spawn s ~daemon:true ~name:"parked" (fun () -> Sched.wait_until (fun () -> !stop)));
+  ignore
+    (Sched.spawn s ~name:"napper" (fun () ->
+         Sched.yield_n n;
+         stop := true));
+  Sched.run s
+
+let test_noop_steps_allocate_nothing () =
+  random_noop_steps 10;
+  let small = minor_words (fun () -> random_noop_steps 1_000) in
+  let large = minor_words (fun () -> random_noop_steps 100_000) in
+  check (Printf.sprintf "10^5 steps allocate %.0f words" large) true (large < 1_000.);
+  check "no growth with the step count" true (large <= small +. 64.)
 
 let suites =
   [
@@ -487,5 +567,9 @@ let suites =
         Alcotest.test_case "yielding predicate rejected" `Quick
           test_yielding_predicate_rejected;
         QCheck_alcotest.to_alcotest prop_matches_reference;
+        Alcotest.test_case "on_switch exception escapes run" `Quick
+          test_on_switch_exception_escapes;
+        Alcotest.test_case "no-op steps allocate nothing" `Quick
+          test_noop_steps_allocate_nothing;
       ] );
   ]

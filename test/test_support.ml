@@ -201,7 +201,12 @@ let prop_rng_matches_reference =
     QCheck.Gen.(
       frequency
         [
-          (3, map (fun b -> Int b) (oneof [ int_range 1 100; int_range 1 max_int ]));
+          ( 3,
+            map
+              (fun b -> Int b)
+              (oneof
+                 [ int_range 1 100; int_range 1 max_int; map (( lsl ) 1) (int_range 0 61) ])
+          );
           (2, map (fun b -> Float b) (float_range 0.001 1e6));
           (2, return Bool);
           (2, map (fun n -> Pick n) (int_range 1 8));
@@ -216,6 +221,63 @@ let prop_rng_matches_reference =
         ~int:Rng.int ~float:Rng.float ~bool:Rng.bool ~pick:Rng.pick case
       = Reference_rng.(
           rng_stream ~make ~split ~copy ~bits64 ~int ~float ~bool ~pick case))
+
+(* [Rng.pick_weighted] as it was before it stopped allocating: a fold
+   for the total, then an iteration with a ref and an option. *)
+let old_pick_weighted t choices =
+  if Array.length choices = 0 then invalid_arg "Rng.pick_weighted: empty array";
+  let total = Array.fold_left (fun acc (_, w) -> acc +. Float.max w 0.) 0. choices in
+  if total <= 0. then invalid_arg "Rng.pick_weighted: zero total weight";
+  let x = Rng.float t total in
+  let acc = ref 0. in
+  let result = ref None in
+  Array.iter
+    (fun (v, w) ->
+      if !result = None then begin
+        acc := !acc +. Float.max w 0.;
+        if x < !acc then result := Some v
+      end)
+    choices;
+  match !result with Some v -> v | None -> fst choices.(Array.length choices - 1)
+
+let prop_pick_weighted_matches_old =
+  let weight =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, float_range 0. 100.);
+          (1, return 0.);
+          (1, float_range (-10.) 0.);
+          (1, float_range 1e-300 1e-290);
+          (1, return Float.nan);
+        ])
+  in
+  QCheck.Test.make ~name:"allocation-free pick_weighted matches the old one" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list float))
+       QCheck.Gen.(pair int (list_size (int_range 0 8) weight)))
+    (fun (seed, weights) ->
+      let choices = Array.of_list (List.mapi (fun i w -> (i, w)) weights) in
+      let draws pick =
+        let t = Rng.make seed in
+        List.init 20 (fun _ ->
+            match pick t choices with
+            | v -> Ok v
+            | exception Invalid_argument m -> Error m)
+      in
+      draws Rng.pick_weighted = draws old_pick_weighted)
+
+let test_pick_weighted_allocates_nothing () =
+  let r = Rng.make 3 in
+  let classes = [| (16, 5.); (32, 3.); (64, 1.5); (256, 0.5) |] in
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sum := !sum + Rng.pick_weighted r classes
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check (Printf.sprintf "10^4 picks allocate %.0f words" words) true (words < 64.);
+  check "picked" true (!sum > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                              *)
@@ -525,6 +587,9 @@ let suites =
         Alcotest.test_case "pick weighted zero" `Quick test_rng_pick_weighted_zero;
         Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         QCheck_alcotest.to_alcotest prop_rng_matches_reference;
+        QCheck_alcotest.to_alcotest prop_pick_weighted_matches_old;
+        Alcotest.test_case "pick weighted allocates nothing" `Quick
+          test_pick_weighted_allocates_nothing;
       ] );
     ( "support.bitset",
       [
