@@ -316,11 +316,13 @@ module Micro = struct
   let test_card_objects =
     let heap = mk_card_heap () in
     let acc = ref 0 in
+    let scratch = ref (Array.make 64 0) in
     Test.make ~name:"cards: objects on 64 cards (crossing map)"
       (Staged.stage (fun () ->
            acc := 0;
            for card = 0 to 63 do
-             Heap.iter_objects_on_card heap card (fun x -> acc := !acc + x)
+             Heap.iter_objects_on_card heap ~scratch card (fun x ->
+                 acc := !acc + x)
            done))
 
   let test_card_objects_legacy =

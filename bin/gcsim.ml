@@ -76,8 +76,8 @@ let gc_workers_arg =
   let doc =
     "Collection crew width: the collector domain plus N-1 helper domains \
      share card scanning, tracing (work-stealing deques) and sweeping.  \
-     Requires --substrate domains when > 1; 1 (default) is the serial \
-     collector."
+     Requires --substrate domains when > 1; 1 (default) is the collector \
+     domain alone, the crew the simulator runs."
   in
   Arg.(value & opt int 1 & info [ "gc-workers" ] ~docv:"N" ~doc)
 

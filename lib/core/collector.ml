@@ -322,6 +322,37 @@ let switch_allocation_clear_colors st =
   emit st Event_log.Colors_toggled
 
 (* ------------------------------------------------------------------ *)
+(* The collection crew                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Card scan, trace and sweep run on the [Gc_par] crew.  Worker 0 is the
+   collector process itself: alone under the simulator and, by default,
+   on the domains substrate, where [--gc-workers] > 1 adds helper
+   domains.  Worker 0's ledgers and page set alias the shared ones, so
+   phase attribution is exact; helpers charge private ledgers merged at
+   cycle end.  Per-cycle statistics go to the worker's partial counters,
+   folded into the cycle record at each phase barrier.  Helper page
+   touches go to private sets unioned into the shared one at cycle end,
+   before [pages_touched] is read: the touched-page union over any
+   partition of the work equals worker 0's set at width 1, so the count
+   is exact at every crew width.  [Observatory] census sampling needs a
+   quiescent heap walk: the simulator samples at worker 0's pacing
+   charges, the domains substrate at phase boundaries
+   ([Observatory.phase_sample]). *)
+
+(* Pacing charge: worker 0 charges through [charge_tick]; a helper
+   charges its private ledger (its own domain is paced by the hardware,
+   and the pacing counter and census belong to the collector process). *)
+let tick st (w : Gc_par.worker) k =
+  if w.Gc_par.wid = 0 then charge_tick st k else Cost.collector w.Gc_par.cost k
+
+(* The collector's MarkGray on worker [w]'s behalf: a shading is charged
+   to the worker's ledger, outside the pacing counter. *)
+let worker_mark_gray st (w : Gc_par.worker) y =
+  if mark_gray st ~tel:w.Gc_par.tel ~sync:false y then
+    Cost.collector w.Gc_par.cost Cost.c_mark_gray
+
+(* ------------------------------------------------------------------ *)
 (* ClearCards (Figure 3 and Figure 6)                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -329,139 +360,152 @@ let cards_covering_capacity st =
   let cs = Card_table.card_size (Heap.cards st.heap) in
   (Heap.capacity st.heap + cs - 1) / cs
 
-let touch_card_table_scan st n =
+let touch_card_table_scan st pages n =
   let base = (Heap.layout st.heap).Layout.card_table_base in
-  Page_set.touch_range st.pages base n
+  Page_set.touch_range pages base n
 
-(* Figure 3 (simple promotion): clear every dirty card and gray the black
+(* Figure 3 (simple promotion): clear a dirty card and gray the black
    (old) objects on it, seeding the partial trace with the sources of all
    potential inter-generational pointers.  Marks can be cleared
    unconditionally: every survivor is promoted, so surviving
    inter-generational pointers become intra-generational.
 
-   The heap lock (parallel mode only) brackets each dirty card's object
-   walk: [iter_objects_on_card] reads the block structure, which mutator
+   The heap lock (domains only) brackets the card's object walk:
+   [iter_objects_on_card] reads the block structure, which mutator
    cache refills may be splitting concurrently. *)
-let clear_cards_simple st cycle =
-  Cost.set_phase st.cost Cost.Card_scan;
+let scan_card_simple st (w : Gc_par.worker) card =
   let heap = st.heap in
-  let cards = Heap.cards heap in
-  let n = cards_covering_capacity st in
-  touch_card_table_scan st n;
-  for card = 0 to n - 1 do
-    (* reading the card table costs ~one unit per cache line *)
-    if card land 63 = 0 then charge_tick st 1;
-    if Card_table.is_dirty cards card then begin
-      Telemetry.hit_dirty_card st.telemetry;
-      cycle.Gc_stats.dirty_cards <- cycle.Gc_stats.dirty_cards + 1;
-      charge_tick st Cost.c_card_visit;
-      Card_table.clear_card cards card;
+  let pages = w.Gc_par.pages in
+  Card_table.clear_card (Heap.cards heap) card;
+  State.step st;
+  State.lock_heap st;
+  Heap.iter_objects_on_card heap ~scratch:w.Gc_par.scratch card (fun x ->
+      tick st w Cost.c_card_obj;
+      Page_set.touch_range pages x Layout.granule;
       State.step st;
-      State.lock_heap st;
-      Heap.iter_objects_on_card heap card (fun x ->
-          charge_tick st Cost.c_card_obj;
-          Page_set.touch_range st.pages x Layout.granule;
-          State.step st;
-          if Color.equal (Heap.color heap x) Color.Black then begin
-            cycle.Gc_stats.intergen_scanned <-
-              cycle.Gc_stats.intergen_scanned + 1;
-            cycle.Gc_stats.card_scan_bytes <-
-              cycle.Gc_stats.card_scan_bytes + Heap.size heap x;
-            Page_set.touch_heap_object st.pages ~addr:x ~size:(Heap.size heap x);
-            Page_set.touch_color st.pages x;
-            Heap.set_color heap x Color.Gray;
-            Gray_queue.push st.gray x;
-            Cost.collector st.cost Cost.c_mark_gray
-          end);
-      State.unlock_heap st
-    end
-  done
+      if Color.equal (Heap.color heap x) Color.Black then begin
+        w.Gc_par.intergen_scanned <- w.Gc_par.intergen_scanned + 1;
+        w.Gc_par.card_scan_bytes <- w.Gc_par.card_scan_bytes + Heap.size heap x;
+        Page_set.touch_heap_object pages ~addr:x ~size:(Heap.size heap x);
+        Page_set.touch_color pages x;
+        Heap.set_color heap x Color.Gray;
+        Gray_queue.push st.gray x;
+        Cost.collector w.Gc_par.cost Cost.c_mark_gray
+      end);
+  State.unlock_heap st
 
-(* Figure 6 (aging): scan the pointers of old objects on dirty cards, gray
-   their targets, and keep the card dirty iff it still references a young
-   object.  The default is the 3-step protocol of Section 7.2 — clear
-   first, then scan, then re-mark — which tolerates a concurrent mutator
-   store; [naive_card_clear] selects the broken check-then-clear ordering
-   so tests can exhibit the race the paper describes. *)
-let clear_cards_aging st cycle =
-  Cost.set_phase st.cost Cost.Card_scan;
+(* Figure 6 (aging): scan the pointers of the objects on a dirty card,
+   gray the targets of old ones, and keep the card dirty iff it still
+   references a young object.  The default is the 3-step protocol of
+   Section 7.2 — clear first, then scan, then re-mark — which tolerates a
+   concurrent mutator store; [naive] ([naive_card_clear]) selects the
+   broken check-then-clear ordering so tests can exhibit the race the
+   paper describes.  Each card has exactly one owner in the crew, so the
+   sequence races only the mutators it was designed to race. *)
+let scan_card_aging st (w : Gc_par.worker) ~naive card =
   let heap = st.heap in
   let cards = Heap.cards heap in
+  let pages = w.Gc_par.pages in
+  if not naive then begin
+    (* Step 1: clear the mark before checking. *)
+    Card_table.clear_card cards card;
+    State.step st
+  end;
+  (* Step 2: scan the objects on the card.  Old objects' young targets
+     are grayed (they seed the partial trace).  Young objects' targets
+     are NOT grayed — a dead young parent must not keep its children
+     alive — but they do keep the card dirty: the parent may be
+     promoted by this very cycle's sweep, turning its pointers
+     inter-generational while its card mark would otherwise already be
+     gone.  (Figure 6 only scans old objects; the accompanying text —
+     "if no young object is referenced from a given card, the collector
+     clears the card's mark" — requires this wider check, and the
+     narrower one demonstrably loses objects: see test_props.ml.) *)
+  let has_young = ref false in
+  State.lock_heap st;
+  Heap.iter_objects_on_card heap ~scratch:w.Gc_par.scratch card (fun x ->
+      tick st w Cost.c_card_obj;
+      Page_set.touch_range pages x Layout.granule;
+      Page_set.touch_age pages x;
+      State.step st;
+      let old = is_old st x in
+      w.Gc_par.card_scan_bytes <- w.Gc_par.card_scan_bytes + Heap.size heap x;
+      if old then begin
+        w.Gc_par.intergen_scanned <- w.Gc_par.intergen_scanned + 1;
+        Page_set.touch_heap_object pages ~addr:x ~size:(Heap.size heap x)
+      end;
+      for i = 0 to Heap.n_slots heap x - 1 do
+        tick st w Cost.c_scan_slot;
+        let y = Heap.get_slot heap x i in
+        State.step st;
+        if y <> Heap.nil then begin
+          if old then begin
+            worker_mark_gray st w y;
+            Page_set.touch_color pages y
+          end;
+          Page_set.touch_age pages y;
+          if not (is_old st y) then has_young := true
+        end
+      done);
+  State.unlock_heap st;
+  (* Step 3: keep the mark consistent with what the scan found. *)
+  if naive then begin
+    if not !has_young then begin
+      State.step st;
+      Card_table.clear_card cards card
+    end
+  end
+  else if !has_young then begin
+    State.step st;
+    Card_table.mark_card cards card;
+    Cost.collector w.Gc_par.cost Cost.c_mark_card
+  end
+
+(* Card ownership: round-robin chunks of 64 cards (one card-table cache
+   line's worth), so dirty-card clusters spread across the crew without
+   splitting any single card.  Worker [w] walks chunks w, w+n, w+2n, ...;
+   at width 1 that is every card in order.  Reading the card table costs
+   ~one unit per cache line, charged at each chunk start.  Every worker
+   touches the whole card-table range, so the union is the one range a
+   single worker touches. *)
+let card_chunk = 64
+
+let card_scan st (w : Gc_par.worker) =
+  Cost.set_phase w.Gc_par.cost Cost.Card_scan;
+  let cards = Heap.cards st.heap in
+  let aging =
+    match mode_of st with
+    | Gc_config.Generational_aging _ | Gc_config.Generational_adaptive -> true
+    | Gc_config.Generational | Gc_config.Non_generational -> false
+  in
   let naive = st.cfg.Gc_config.naive_card_clear in
   let n = cards_covering_capacity st in
-  touch_card_table_scan st n;
-  for card = 0 to n - 1 do
-    if card land 63 = 0 then charge_tick st 1;
-    if Card_table.is_dirty cards card then begin
-      Telemetry.hit_dirty_card st.telemetry;
-      cycle.Gc_stats.dirty_cards <- cycle.Gc_stats.dirty_cards + 1;
-      charge_tick st Cost.c_card_visit;
-      if not naive then begin
-        (* Step 1: clear the mark before checking. *)
-        Card_table.clear_card cards card;
-        State.step st
-      end;
-      (* Step 2: scan the objects on the card.  Old objects' young targets
-         are grayed (they seed the partial trace).  Young objects' targets
-         are NOT grayed — a dead young parent must not keep its children
-         alive — but they do keep the card dirty: the parent may be
-         promoted by this very cycle's sweep, turning its pointers
-         inter-generational while its card mark would otherwise already be
-         gone.  (Figure 6 only scans old objects; the accompanying text —
-         "if no young object is referenced from a given card, the collector
-         clears the card's mark" — requires this wider check, and the
-         narrower one demonstrably loses objects: see test_props.ml.) *)
-      let has_young = ref false in
-      State.lock_heap st;
-      Heap.iter_objects_on_card heap card (fun x ->
-          charge_tick st Cost.c_card_obj;
-          Page_set.touch_range st.pages x Layout.granule;
-          Page_set.touch_age st.pages x;
-          State.step st;
-          let old = is_old st x in
-          cycle.Gc_stats.card_scan_bytes <-
-            cycle.Gc_stats.card_scan_bytes + Heap.size heap x;
-          if old then begin
-            cycle.Gc_stats.intergen_scanned <-
-              cycle.Gc_stats.intergen_scanned + 1;
-            Page_set.touch_heap_object st.pages ~addr:x ~size:(Heap.size heap x)
-          end;
-          let k = Heap.n_slots heap x in
-          for i = 0 to k - 1 do
-            charge_tick st Cost.c_scan_slot;
-            let y = Heap.get_slot heap x i in
-            State.step st;
-            if y <> Heap.nil then begin
-              if old then begin
-                charged_mark_gray st ~charge:(Cost.collector st.cost)
-                  ~tel:st.telemetry ~sync:false y;
-                Page_set.touch_color st.pages y
-              end;
-              Page_set.touch_age st.pages y;
-              if not (is_old st y) then has_young := true
-            end
-          done);
-      State.unlock_heap st;
-      (* Step 3: keep the mark consistent with what the scan found. *)
-      if naive then begin
-        if not !has_young then begin
-          State.step st;
-          Card_table.clear_card cards card
-        end
+  touch_card_table_scan st w.Gc_par.pages n;
+  let stride = card_chunk * st.par.Gc_par.n_workers in
+  let first = ref (card_chunk * w.Gc_par.wid) in
+  while !first < n do
+    tick st w 1;
+    for card = !first to Stdlib.min n (!first + card_chunk) - 1 do
+      if Card_table.is_dirty cards card then begin
+        Telemetry.hit_dirty_card w.Gc_par.tel;
+        w.Gc_par.dirty_cards <- w.Gc_par.dirty_cards + 1;
+        tick st w Cost.c_card_visit;
+        if aging then scan_card_aging st w ~naive card
+        else scan_card_simple st w card
       end
-      else if !has_young then begin
-        State.step st;
-        Card_table.mark_card cards card;
-        Cost.collector st.cost Cost.c_mark_card
-      end
-    end
+    done;
+    first := !first + stride
   done
 
-(* Remembered-set analogue of ClearCards (simple promotion): drain the
-   exact set of recorded objects and gray the black ones; no card scans,
-   no re-marking protocol — every surviving inter-generational pointer
-   becomes intra-generational at the coming promotion, exactly as in the
-   simple card algorithm. *)
+let clear_cards st cycle =
+  card_scan st st.par.Gc_par.workers.(0);
+  Gc_par.drain_partials st.par cycle
+
+(* Remembered-set analogue of ClearCards (simple promotion), run by the
+   collector process alone: drain the exact set of recorded objects and
+   gray the black ones; no card scans, no re-marking protocol — every
+   surviving inter-generational pointer becomes intra-generational at the
+   coming promotion, exactly as in the simple card algorithm. *)
 let scan_remset_simple st cycle =
   Cost.set_phase st.cost Cost.Card_scan;
   let heap = st.heap in
@@ -489,16 +533,6 @@ let scan_remset_simple st cycle =
       end;
       State.unlock_heap st)
     entries
-
-let clear_cards st cycle =
-  match mode_of st with
-  | Gc_config.Non_generational -> ()
-  | Gc_config.Generational -> (
-      match st.cfg.Gc_config.intergen with
-      | Gc_config.Card_marking -> clear_cards_simple st cycle
-      | Gc_config.Remembered_set -> scan_remset_simple st cycle)
-  | Gc_config.Generational_aging _ | Gc_config.Generational_adaptive ->
-      clear_cards_aging st cycle
 
 (* ------------------------------------------------------------------ *)
 (* InitFullCollection (Figure 3 and Figure 6)                          *)
@@ -541,7 +575,7 @@ let init_full_collection st ~clear_card_marks =
     | Gc_config.Card_marking ->
         let cards = Heap.cards heap in
         let n = cards_covering_capacity st in
-        touch_card_table_scan st n;
+        touch_card_table_scan st st.pages n;
         charge_tick st (1 + (n / 64));
         Card_table.clear_all cards
     | Gc_config.Remembered_set ->
@@ -561,97 +595,204 @@ let trace_target st =
   | Gc_config.Generational_adaptive ->
       Color.Black
 
-let mark_black st cycle x =
+let mark_black st (w : Gc_par.worker) x =
   let heap = st.heap in
   let target = trace_target st in
+  let pages = w.Gc_par.pages in
   if not (Color.equal (Heap.color heap x) target) then begin
-    charge_tick st Cost.c_trace_obj;
-    Page_set.touch_heap_object st.pages ~addr:x ~size:(Heap.size heap x);
-    Page_set.touch_color st.pages x;
-    let k = Heap.n_slots heap x in
-    for i = 0 to k - 1 do
-      charge_tick st Cost.c_scan_slot;
+    tick st w Cost.c_trace_obj;
+    Page_set.touch_heap_object pages ~addr:x ~size:(Heap.size heap x);
+    Page_set.touch_color pages x;
+    for i = 0 to Heap.n_slots heap x - 1 do
+      tick st w Cost.c_scan_slot;
       let y = Heap.unsafe_get_slot heap x i in
       State.step st;
       if y <> Heap.nil then begin
-        charged_mark_gray st ~charge:(Cost.collector st.cost)
-          ~tel:st.telemetry ~sync:false y;
-        Page_set.touch_color st.pages y
+        worker_mark_gray st w y;
+        Page_set.touch_color pages y
       end
     done;
     State.step st;
     Heap.set_color heap x target;
-    cycle.Gc_stats.objects_traced <- cycle.Gc_stats.objects_traced + 1;
+    (* two workers can race on a duplicate entry and both blacken [x];
+       the recolor is idempotent and the double count is bounded by the
+       (rare) duplicates the gray queue already tolerates *)
+    w.Gc_par.objects_traced <- w.Gc_par.objects_traced + 1;
     (* Simple promotion (Figure 2): blackening IS promotion — every traced
        survivor joins the old generation.  Aging modes promote in the
        sweep instead; the non-generational mark color is not a generation. *)
     match mode_of st with
     | Gc_config.Generational ->
-        cycle.Gc_stats.promotions <- cycle.Gc_stats.promotions + 1
+        w.Gc_par.promotions <- w.Gc_par.promotions + 1
     | Gc_config.Non_generational | Gc_config.Generational_aging _
     | Gc_config.Generational_adaptive ->
         ()
   end
 
-(* The gray set is a shared queue and every shading publishes into it
-   atomically, so "the queue is empty" coincides with "no gray object
-   exists", which by the snapshot argument of the DLG proof means the trace
-   is complete.  Objects shaded by a mutator after this check are dead
-   (every live object is already marked); they ride through the sweep as
-   gray floating garbage and are normalised back to the allocation color
-   there. *)
-let trace st cycle =
-  Cost.set_phase st.cost Cost.Trace;
-  let running = ref true in
-  while !running do
-    charge_tick st 1;
-    match Gray_queue.pop st.gray with
-    | None -> running := false
-    | Some x -> mark_black st cycle x
-  done
+(* Worker [w]'s trace: pop its own work (one unit per pop attempt, the
+   final empty one included), then the shared queue where mutator barrier
+   pushes land, then steal from the other workers; when everything looks
+   dry, register idle and run the Gc_par termination protocol.
+
+   At width 1 there is no deque and no one to steal from: the gray set is
+   the shared queue and every shading publishes into it atomically, so
+   "the queue is empty" coincides with "no gray object exists", which by
+   the snapshot argument of the DLG proof means the trace is complete —
+   and the termination check succeeds at once.  Objects shaded by a
+   mutator after this check are dead (every live object is already
+   marked); they ride through the sweep as gray floating garbage and are
+   normalised back to the allocation color there. *)
+let trace st (w : Gc_par.worker) =
+  Cost.set_phase w.Gc_par.cost Cost.Trace;
+  let par = st.par in
+  let n = par.Gc_par.n_workers in
+  let wid = w.Gc_par.wid in
+  let gray = st.gray in
+  let ring = w.Gc_par.ring in
+  (* flight-recorder timestamp, 0 when the recorder is disarmed (one
+     option check — the branch every instrumented site pays) *)
+  let fnow () =
+    match ring with Some _ -> Flight_recorder.now_ns () | None -> 0
+  in
+  let fspan kind ~a ~t0 =
+    match ring with
+    | Some r -> Flight_recorder.span r kind ~a ~t0 ~t1:(Flight_recorder.now_ns ())
+    | None -> ()
+  in
+  (* per-worker deterministic sequence over the n-1 other workers (no
+     shared rng state) *)
+  let rng = ref ((wid * 0x9E3779B9) lor 1) in
+  let next_victim () =
+    rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
+    let v = !rng mod (n - 1) in
+    if v >= wid then v + 1 else v
+  in
+  let rec run () =
+    tick st w 1;
+    match Gray_queue.pop_worker gray ~w:wid with
+    | Some x ->
+        mark_black st w x;
+        run ()
+    | None when n = 1 -> idle ()
+    | None -> (
+        match Gray_queue.pop gray with
+        | Some x ->
+            mark_black st w x;
+            run ()
+        | None -> try_steal (2 * (n - 1)))
+  and try_steal budget =
+    if budget = 0 then idle ()
+    else begin
+      let t0 = fnow () in
+      match Gray_queue.steal gray ~victim:(next_victim ()) with
+      | Some x ->
+          w.Gc_par.steals <- w.Gc_par.steals + 1;
+          fspan Flight_recorder.Steal ~a:1 ~t0;
+          tick st w 1;
+          mark_black st w x;
+          run ()
+      | None ->
+          w.Gc_par.steal_failures <- w.Gc_par.steal_failures + 1;
+          fspan Flight_recorder.Steal ~a:0 ~t0;
+          try_steal (budget - 1)
+    end
+  and idle () =
+    let t0 = fnow () in
+    Atomic.incr par.Gc_par.idle;
+    wait_idle t0
+  and wait_idle t0 =
+    (* Park with the substrate's spin-then-sleep backoff (bare cpu_relax
+       here starves the very workers we wait on when cores are scarce)
+       until there is work, a termination verdict, or this worker itself
+       declares termination. *)
+    Substrate.wait_until (fun () ->
+        Atomic.get par.Gc_par.term
+        || (not (Gray_queue.is_empty gray))
+        || Gc_par.try_terminate par ~queues_empty:(fun () ->
+               Gray_queue.is_empty gray));
+    if Atomic.get par.Gc_par.term then
+      fspan Flight_recorder.Idle ~a:wid ~t0
+    else if not (Gray_queue.is_empty gray) then begin
+      (* activity stamp before the idle decrement — the ordering the
+         termination check's soundness argument needs *)
+      Gc_par.leave_idle par;
+      fspan Flight_recorder.Idle ~a:wid ~t0;
+      run ()
+    end
+    else wait_idle t0
+  in
+  run ()
 
 (* ------------------------------------------------------------------ *)
 (* Sweep (Figure 2 / Figure 5)                                         *)
 (* ------------------------------------------------------------------ *)
 
-let sweep st cycle =
-  Cost.set_phase st.cost Cost.Sweep;
+(* Sweep-region boundaries: n+1 block-aligned addresses computed under
+   the heap lock.  They stay block starts for the whole phase — splits
+   only add boundaries, merges only coalesce blocks strictly inside one
+   region (each worker suppresses the leftward merge at its region
+   start), and mutator-triggered growth is blocked while [collecting]
+   is up.  At width 1 the one region is the whole heap. *)
+let compute_sweep_bounds st =
+  let n = st.par.Gc_par.n_workers in
+  let space = Heap.space st.heap in
+  let cap = Heap.capacity st.heap in
+  let bounds = Array.make (n + 1) 0 in
+  State.lock_heap st;
+  for i = 1 to n - 1 do
+    bounds.(i) <- Space.find_block_start space (i * cap / n)
+  done;
+  State.unlock_heap st;
+  bounds.(n) <- cap;
+  for i = 1 to n do
+    if bounds.(i) < bounds.(i - 1) then bounds.(i) <- bounds.(i - 1)
+  done;
+  st.par.Gc_par.sweep_bounds <- bounds
+
+let sweep st (w : Gc_par.worker) =
+  Cost.set_phase w.Gc_par.cost Cost.Sweep;
   let heap = st.heap in
   let space = Heap.space heap in
   let ages = Heap.ages heap in
   let tenure = survivals_to_tenure st in
-  let addr = ref 0 in
-  while !addr < Heap.capacity heap do
+  let bounds = st.par.Gc_par.sweep_bounds in
+  let lo = bounds.(w.Gc_par.wid) in
+  let hi = bounds.(w.Gc_par.wid + 1) in
+  let pages = w.Gc_par.pages in
+  let addr = ref lo in
+  while !addr < hi do
     State.lock_heap st;
     (* header-to-header walk, so the bounds-check-free accessors apply;
        merge_free_prev and free only ever move block boundaries at or
-       before the cursor, never ahead of it.  In parallel mode the lock
-       covers one block step; a refill splitting a free block ahead of
-       the cursor between steps preserves this block's end boundary, so
-       the advance below stays a block start. *)
+       before the cursor, never ahead of it.  On domains the lock covers
+       one block step; a refill splitting a free block ahead of the
+       cursor between steps preserves this block's end boundary, so the
+       advance below stays a block start. *)
     let size = Space.unsafe_size space !addr in
     (* sweeping is linear in bytes: header cost plus a per-64-byte term *)
-    charge_tick st (Cost.c_sweep_block + (size / 64));
+    tick st w (Cost.c_sweep_block + (size / 64));
     let x = !addr in
     (match Space.unsafe_kind space x with
     | Space.Free ->
-        (* merge runs of free blocks leftward as the cursor passes *)
-        ignore (Heap.merge_free_prev heap x : int)
+        (* merge runs of free blocks leftward as the cursor passes, but
+           never across the region seam: the merge at [lo] would extend
+           a block the previous worker's cursor may still stand on *)
+        if x > lo then ignore (Heap.merge_free_prev heap x : int)
     | Space.Allocated ->
-        Page_set.touch_color st.pages x;
+        Page_set.touch_color pages x;
         let c = Heap.color heap x in
         if Color.equal c Color.Blue then
           (* a reserved block in some mutator's allocation cache (real
              domains only): not an object yet — leave it alone *)
           ()
         else if Color.equal c st.clear_color then begin
-          charge_tick st Cost.c_free;
-          cycle.Gc_stats.objects_freed <- cycle.Gc_stats.objects_freed + 1;
-          cycle.Gc_stats.bytes_freed <- cycle.Gc_stats.bytes_freed + size;
+          tick st w Cost.c_free;
+          w.Gc_par.objects_freed <- w.Gc_par.objects_freed + 1;
+          w.Gc_par.bytes_freed <- w.Gc_par.bytes_freed + size;
           (* the free-list link is written into the block itself *)
-          Page_set.touch_range st.pages x Layout.granule;
+          Page_set.touch_range pages x Layout.granule;
           Heap.free heap x;
-          ignore (Heap.merge_free_prev heap x : int)
+          if x > lo then ignore (Heap.merge_free_prev heap x : int)
         end
         else begin
           match mode_of st with
@@ -678,333 +819,6 @@ let sweep st cycle =
               if Color.equal c Color.Black && (age = 255 || age + 1 >= tenure)
               then begin
                 if age <> 255 then begin
-                  cycle.Gc_stats.promotions <- cycle.Gc_stats.promotions + 1;
-                  Age_table.set ages x 255;
-                  Page_set.touch_age st.pages x
-                end
-              end
-              else begin
-                if not (Color.equal c st.allocation_color) then
-                  Heap.set_color heap x st.allocation_color;
-                (* never age a young object into the sentinel *)
-                if age < 254 then Age_table.incr ages x;
-                Page_set.touch_age st.pages x;
-                Cost.collector st.cost 1
-              end
-        end);
-    State.unlock_heap st;
-    addr := !addr + size
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Parallel phases (domains substrate, Gc_par crew)                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Worker-context variants of the card scan, trace and sweep.  Worker 0
-   is the orchestrating collector domain (its ledgers alias the shared
-   ones, so phase attribution is unchanged); helpers charge private
-   ledgers merged at cycle end.  Per-cycle statistics go to the
-   worker's partial counters, folded into the cycle record at each
-   phase barrier.  Page touches go to the worker's private [Page_set]
-   (worker 0's aliases the shared one), unioned into the shared set at
-   cycle end before [pages_touched] is read: the touched-page union
-   over any partition of the work equals the serial set, so the count
-   is exact at every crew width.  [Observatory] census sampling —
-   which needs a quiescent walk — runs at phase boundaries on the
-   orchestrator instead ([Observatory.phase_sample]). *)
-
-(* Card ownership: round-robin chunks of 64 cards (one card-table cache
-   line's worth) per worker, so dirty-card clusters spread across the
-   crew without splitting any single card. *)
-let par_card_chunk = 64
-
-let owns_card st (w : Gc_par.worker) card =
-  (card / par_card_chunk) mod st.par.Gc_par.n_workers = w.Gc_par.wid
-
-(* Every worker reads the whole card table, so every worker touches the
-   whole scan range — the union is the single range the serial scan
-   touches. *)
-let par_touch_card_table_scan st (w : Gc_par.worker) n =
-  let base = (Heap.layout st.heap).Layout.card_table_base in
-  Page_set.touch_range w.Gc_par.pages base n
-
-let par_cards_simple st (w : Gc_par.worker) =
-  Cost.set_phase w.Gc_par.cost Cost.Card_scan;
-  let heap = st.heap in
-  let cards = Heap.cards heap in
-  let n = cards_covering_capacity st in
-  let pages = w.Gc_par.pages in
-  par_touch_card_table_scan st w n;
-  let charge = Cost.collector w.Gc_par.cost in
-  for card = 0 to n - 1 do
-    if owns_card st w card then begin
-      if card land 63 = 0 then charge 1;
-      if Card_table.is_dirty cards card then begin
-        Telemetry.hit_dirty_card w.Gc_par.tel;
-        w.Gc_par.dirty_cards <- w.Gc_par.dirty_cards + 1;
-        charge Cost.c_card_visit;
-        Card_table.clear_card cards card;
-        State.lock_heap st;
-        Heap.iter_objects_on_card_buf heap ~scratch:w.Gc_par.scratch card
-          (fun x ->
-            charge Cost.c_card_obj;
-            Page_set.touch_range pages x Layout.granule;
-            if Color.equal (Heap.color heap x) Color.Black then begin
-              w.Gc_par.intergen_scanned <- w.Gc_par.intergen_scanned + 1;
-              w.Gc_par.card_scan_bytes <-
-                w.Gc_par.card_scan_bytes + Heap.size heap x;
-              Page_set.touch_heap_object pages ~addr:x
-                ~size:(Heap.size heap x);
-              Page_set.touch_color pages x;
-              Heap.set_color heap x Color.Gray;
-              Gray_queue.push st.gray x;
-              charge Cost.c_mark_gray
-            end);
-        State.unlock_heap st
-      end
-    end
-  done
-
-let par_cards_aging st (w : Gc_par.worker) =
-  Cost.set_phase w.Gc_par.cost Cost.Card_scan;
-  let heap = st.heap in
-  let cards = Heap.cards heap in
-  let n = cards_covering_capacity st in
-  let pages = w.Gc_par.pages in
-  par_touch_card_table_scan st w n;
-  let charge = Cost.collector w.Gc_par.cost in
-  for card = 0 to n - 1 do
-    if owns_card st w card then begin
-      if card land 63 = 0 then charge 1;
-      if Card_table.is_dirty cards card then begin
-        Telemetry.hit_dirty_card w.Gc_par.tel;
-        w.Gc_par.dirty_cards <- w.Gc_par.dirty_cards + 1;
-        charge Cost.c_card_visit;
-        (* 3-step protocol, per card, same as the serial scan: each card
-           has exactly one owner, so the clear/scan/re-mark sequence
-           races only the mutators it was already designed to race. *)
-        Card_table.clear_card cards card;
-        let has_young = ref false in
-        State.lock_heap st;
-        Heap.iter_objects_on_card_buf heap ~scratch:w.Gc_par.scratch card
-          (fun x ->
-            charge Cost.c_card_obj;
-            Page_set.touch_range pages x Layout.granule;
-            Page_set.touch_age pages x;
-            let old = is_old st x in
-            w.Gc_par.card_scan_bytes <-
-              w.Gc_par.card_scan_bytes + Heap.size heap x;
-            if old then begin
-              w.Gc_par.intergen_scanned <- w.Gc_par.intergen_scanned + 1;
-              Page_set.touch_heap_object pages ~addr:x
-                ~size:(Heap.size heap x)
-            end;
-            let k = Heap.n_slots heap x in
-            for i = 0 to k - 1 do
-              charge Cost.c_scan_slot;
-              let y = Heap.get_slot heap x i in
-              if y <> Heap.nil then begin
-                if old then begin
-                  charged_mark_gray st ~charge ~tel:w.Gc_par.tel ~sync:false y;
-                  Page_set.touch_color pages y
-                end;
-                Page_set.touch_age pages y;
-                if not (is_old st y) then has_young := true
-              end
-            done);
-        State.unlock_heap st;
-        if !has_young then begin
-          Card_table.mark_card cards card;
-          charge Cost.c_mark_card
-        end
-      end
-    end
-  done
-
-(* Trace-phase worker: drain own deque (LIFO, lock-free), then the
-   shared queue (mutator barrier pushes), then steal; when everything
-   looks dry, register idle and run the Gc_par termination protocol. *)
-let par_mark_black st (w : Gc_par.worker) x =
-  let heap = st.heap in
-  let target = trace_target st in
-  let charge = Cost.collector w.Gc_par.cost in
-  let pages = w.Gc_par.pages in
-  if not (Color.equal (Heap.color heap x) target) then begin
-    charge Cost.c_trace_obj;
-    Page_set.touch_heap_object pages ~addr:x ~size:(Heap.size heap x);
-    Page_set.touch_color pages x;
-    let k = Heap.n_slots heap x in
-    for i = 0 to k - 1 do
-      charge Cost.c_scan_slot;
-      let y = Heap.unsafe_get_slot heap x i in
-      if y <> Heap.nil then begin
-        charged_mark_gray st ~charge ~tel:w.Gc_par.tel ~sync:false y;
-        Page_set.touch_color pages y
-      end
-    done;
-    Heap.set_color heap x target;
-    (* two workers can race on a duplicate entry and both blacken [x];
-       the recolor is idempotent and the double-count is bounded by the
-       (rare) duplicates the serial trace already tolerates *)
-    w.Gc_par.objects_traced <- w.Gc_par.objects_traced + 1;
-    match mode_of st with
-    | Gc_config.Generational ->
-        w.Gc_par.promotions <- w.Gc_par.promotions + 1
-    | Gc_config.Non_generational | Gc_config.Generational_aging _
-    | Gc_config.Generational_adaptive ->
-        ()
-  end
-
-let par_trace st (w : Gc_par.worker) =
-  Cost.set_phase w.Gc_par.cost Cost.Trace;
-  let par = st.par in
-  let n = par.Gc_par.n_workers in
-  let gray = st.gray in
-  let charge = Cost.collector w.Gc_par.cost in
-  let ring = w.Gc_par.ring in
-  (* flight-recorder timestamp, 0 when the recorder is disarmed (one
-     option check — the branch every instrumented site pays) *)
-  let fnow () =
-    match ring with Some _ -> Flight_recorder.now_ns () | None -> 0
-  in
-  let fspan kind ~a ~t0 =
-    match ring with
-    | Some r -> Flight_recorder.span r kind ~a ~t0 ~t1:(Flight_recorder.now_ns ())
-    | None -> ()
-  in
-  (* per-worker deterministic victim sequence (no shared rng state) *)
-  let rng = ref ((w.Gc_par.wid * 0x9E3779B9) lor 1) in
-  let next_victim () =
-    rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
-    !rng mod n
-  in
-  let rec run () =
-    match Gray_queue.pop_local gray ~w:w.Gc_par.wid with
-    | Some x ->
-        charge 1;
-        par_mark_black st w x;
-        run ()
-    | None -> (
-        match Gray_queue.pop gray with
-        | Some x ->
-            charge 1;
-            par_mark_black st w x;
-            run ()
-        | None -> try_steal (2 * n))
-  and try_steal budget =
-    if budget = 0 then idle ()
-    else
-      let victim = next_victim () in
-      if victim = w.Gc_par.wid then try_steal budget
-      else begin
-        let t0 = fnow () in
-        match Gray_queue.steal gray ~victim with
-        | Some x ->
-            w.Gc_par.steals <- w.Gc_par.steals + 1;
-            fspan Flight_recorder.Steal ~a:1 ~t0;
-            charge 1;
-            par_mark_black st w x;
-            run ()
-        | None ->
-            w.Gc_par.steal_failures <- w.Gc_par.steal_failures + 1;
-            fspan Flight_recorder.Steal ~a:0 ~t0;
-            try_steal (budget - 1)
-      end
-  and idle () =
-    let t0 = fnow () in
-    Atomic.incr par.Gc_par.idle;
-    wait_idle t0
-  and wait_idle t0 =
-    (* Park with the substrate's spin-then-sleep backoff (bare cpu_relax
-       here starves the very workers we wait on when cores are scarce)
-       until there is work, a termination verdict, or this worker itself
-       declares termination. *)
-    Substrate.wait_until (fun () ->
-        Atomic.get par.Gc_par.term
-        || (not (Gray_queue.is_empty gray))
-        || Gc_par.try_terminate par ~queues_empty:(fun () ->
-               Gray_queue.all_empty gray));
-    if Atomic.get par.Gc_par.term then
-      fspan Flight_recorder.Idle ~a:w.Gc_par.wid ~t0
-    else if not (Gray_queue.is_empty gray) then begin
-      (* activity stamp before the idle decrement — the ordering the
-         termination check's soundness argument needs *)
-      Gc_par.leave_idle par;
-      fspan Flight_recorder.Idle ~a:w.Gc_par.wid ~t0;
-      run ()
-    end
-    else wait_idle t0
-  in
-  run ()
-
-(* Sweep-region boundaries: n+1 block-aligned addresses computed under
-   the heap lock.  They stay block starts for the whole phase — splits
-   only add boundaries, merges only coalesce blocks strictly inside one
-   region (each worker suppresses the leftward merge at its region
-   start), and mutator-triggered growth is blocked while [collecting]
-   is up. *)
-let compute_sweep_bounds st =
-  let n = st.par.Gc_par.n_workers in
-  let space = Heap.space st.heap in
-  let cap = Heap.capacity st.heap in
-  let bounds = Array.make (n + 1) 0 in
-  State.lock_heap st;
-  for i = 1 to n - 1 do
-    bounds.(i) <- Space.find_block_start space (i * cap / n)
-  done;
-  State.unlock_heap st;
-  bounds.(n) <- cap;
-  for i = 1 to n do
-    if bounds.(i) < bounds.(i - 1) then bounds.(i) <- bounds.(i - 1)
-  done;
-  st.par.Gc_par.sweep_bounds <- bounds
-
-let par_sweep st (w : Gc_par.worker) =
-  Cost.set_phase w.Gc_par.cost Cost.Sweep;
-  let heap = st.heap in
-  let space = Heap.space heap in
-  let ages = Heap.ages heap in
-  let tenure = survivals_to_tenure st in
-  let bounds = st.par.Gc_par.sweep_bounds in
-  let lo = bounds.(w.Gc_par.wid) in
-  let hi = bounds.(w.Gc_par.wid + 1) in
-  let charge = Cost.collector w.Gc_par.cost in
-  let pages = w.Gc_par.pages in
-  let addr = ref lo in
-  while !addr < hi do
-    State.lock_heap st;
-    let size = Space.unsafe_size space !addr in
-    charge (Cost.c_sweep_block + (size / 64));
-    let x = !addr in
-    (match Space.unsafe_kind space x with
-    | Space.Free ->
-        (* never merge across the region seam: the leftward merge at
-           [lo] would extend a block the previous worker's cursor may
-           still stand on *)
-        if x > lo then ignore (Heap.merge_free_prev heap x : int)
-    | Space.Allocated ->
-        Page_set.touch_color pages x;
-        let c = Heap.color heap x in
-        if Color.equal c Color.Blue then ()
-        else if Color.equal c st.clear_color then begin
-          charge Cost.c_free;
-          w.Gc_par.objects_freed <- w.Gc_par.objects_freed + 1;
-          w.Gc_par.bytes_freed <- w.Gc_par.bytes_freed + size;
-          Page_set.touch_range pages x Layout.granule;
-          Heap.free heap x;
-          if x > lo then ignore (Heap.merge_free_prev heap x : int)
-        end
-        else begin
-          match mode_of st with
-          | Gc_config.Non_generational | Gc_config.Generational ->
-              if Color.equal c Color.Gray then
-                Heap.set_color heap x st.allocation_color
-          | Gc_config.Generational_aging _ | Gc_config.Generational_adaptive
-            ->
-              let age = Age_table.get ages x in
-              if Color.equal c Color.Black && (age = 255 || age + 1 >= tenure)
-              then begin
-                if age <> 255 then begin
                   w.Gc_par.promotions <- w.Gc_par.promotions + 1;
                   Age_table.set ages x 255;
                   Page_set.touch_age pages x
@@ -1013,21 +827,33 @@ let par_sweep st (w : Gc_par.worker) =
               else begin
                 if not (Color.equal c st.allocation_color) then
                   Heap.set_color heap x st.allocation_color;
+                (* never age a young object into the sentinel *)
                 if age < 254 then Age_table.incr ages x;
                 Page_set.touch_age pages x;
-                charge 1
+                Cost.collector w.Gc_par.cost 1
               end
         end);
     State.unlock_heap st;
     addr := !addr + size
   done
 
+(* ------------------------------------------------------------------ *)
+(* Crew phases                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let run_share st w = function
+  | Gc_par.Idle -> ()
+  | Gc_par.Cards -> card_scan st w
+  | Gc_par.Trace -> trace st w
+  | Gc_par.Sweep -> sweep st w
+
 (* Orchestrator side: open a phase, run worker 0's share inline, wait
-   for the helpers' barrier, fold the partials into the cycle. *)
-let run_phase st cycle p ~self =
+   for the helpers' barrier (already passed at width 1), fold the
+   partials into the cycle. *)
+let run_phase st cycle p =
   let par = st.par in
   Gc_par.open_phase par p;
-  self par.Gc_par.workers.(0);
+  run_share st par.Gc_par.workers.(0) p;
   Substrate.wait_until (fun () -> Gc_par.helpers_done par);
   Gc_par.drain_partials par cycle;
   par.Gc_par.phase <- Gc_par.Idle
@@ -1035,9 +861,9 @@ let run_phase st cycle p ~self =
 (* Flight-recorder tag for a crew phase — the same numbering the
    collector ring's cycle segments use (0 clear, 1 cards, 2 trace,
    3 sweep), so one name table serves every track in the export. *)
-let par_phase_tag = function
+let phase_tag = function
   | Gc_par.Idle -> 0
-  | Gc_par.Cards_simple | Gc_par.Cards_aging -> 1
+  | Gc_par.Cards -> 1
   | Gc_par.Trace -> 2
   | Gc_par.Sweep -> 3
 
@@ -1060,15 +886,10 @@ let gc_worker_loop st wid =
         | Some _ -> Flight_recorder.now_ns ()
         | None -> 0
       in
-      (match phase with
-      | Gc_par.Idle -> ()
-      | Gc_par.Cards_simple -> par_cards_simple st w
-      | Gc_par.Cards_aging -> par_cards_aging st w
-      | Gc_par.Trace -> par_trace st w
-      | Gc_par.Sweep -> par_sweep st w);
+      run_share st w phase;
       (match w.Gc_par.ring with
       | Some r when phase <> Gc_par.Idle ->
-          Flight_recorder.span r Flight_recorder.Phase ~a:(par_phase_tag phase)
+          Flight_recorder.span r Flight_recorder.Phase ~a:(phase_tag phase)
             ~t0 ~t1:(Flight_recorder.now_ns ())
       | _ -> ());
       Atomic.incr par.Gc_par.done_count
@@ -1166,7 +987,6 @@ let run_cycle st ~full =
   wait_handshake st;
   (* mark phase *)
   post_handshake st Status.Sync2;
-  let crew = Gc_par.active st.par in
   let cards_t0 = fnow () in
   (match mode with
   | Gc_config.Non_generational -> ()
@@ -1175,11 +995,7 @@ let run_cycle st ~full =
          set), then toggle — new objects become "yellow" only after the
          inter-generational records are settled. *)
       (match st.cfg.Gc_config.intergen with
-      | Gc_config.Card_marking ->
-          if crew then
-            run_phase st cycle Gc_par.Cards_simple
-              ~self:(fun w -> par_cards_simple st w)
-          else clear_cards_simple st cycle
+      | Gc_config.Card_marking -> run_phase st cycle Gc_par.Cards
       | Gc_config.Remembered_set -> scan_remset_simple st cycle);
       emit st
         (Event_log.Intergen_scanned { seeds = cycle.Gc_stats.intergen_scanned });
@@ -1190,10 +1006,7 @@ let run_cycle st ~full =
          and the dirty bits stay for the next partial (Section 6). *)
       switch_allocation_clear_colors st;
       if not full then begin
-        if crew then
-          run_phase st cycle Gc_par.Cards_aging
-            ~self:(fun w -> par_cards_aging st w)
-        else clear_cards_aging st cycle;
+        run_phase st cycle Gc_par.Cards;
         emit st
           (Event_log.Intergen_scanned
              { seeds = cycle.Gc_stats.intergen_scanned })
@@ -1211,19 +1024,16 @@ let run_cycle st ~full =
   post_handshake st Status.Async;
   (* mark global roots (attributed to the trace: they seed it) *)
   Cost.set_phase st.cost Cost.Trace;
+  let w0 = st.par.Gc_par.workers.(0) in
   List.iter
     (fun g ->
       charge_tick st Cost.c_root;
-      charged_mark_gray st ~charge:(Cost.collector st.cost) ~tel:st.telemetry
-        ~sync:false g)
+      worker_mark_gray st w0 g)
     st.globals;
   wait_handshake st;
   (* trace *)
-  if crew then begin
-    cycle.Gc_stats.trace_workers <- st.par.Gc_par.n_workers;
-    run_phase st cycle Gc_par.Trace ~self:(fun w -> par_trace st w)
-  end
-  else trace st cycle;
+  cycle.Gc_stats.trace_workers <- st.par.Gc_par.n_workers;
+  run_phase st cycle Gc_par.Trace;
   fspan Flight_recorder.Phase ~a:2 trace_t0;
   Observatory.phase_sample st;
   Telemetry.note_trace_workers st.telemetry cycle.Gc_stats.trace_workers;
@@ -1236,11 +1046,8 @@ let run_cycle st ~full =
   Atomic.set st.tracing false;
   (* sweep *)
   let sweep_t0 = fnow () in
-  if crew then begin
-    compute_sweep_bounds st;
-    run_phase st cycle Gc_par.Sweep ~self:(fun w -> par_sweep st w)
-  end
-  else sweep st cycle;
+  compute_sweep_bounds st;
+  run_phase st cycle Gc_par.Sweep;
   fspan Flight_recorder.Phase ~a:3 sweep_t0;
   Observatory.phase_sample st;
   emit st
@@ -1283,18 +1090,15 @@ let run_cycle st ~full =
      work accounting below reads them, so [cycle.work] counts every
      worker's share; steal counters become run-level telemetry here
      (worker partials were already drained into the cycle record). *)
-  if crew then begin
-    Gc_par.merge_ledgers st.par ~cost0:st.cost ~tel0:st.telemetry;
-    Telemetry.add_steals st.telemetry cycle.Gc_stats.steals;
-    Telemetry.add_steal_failures st.telemetry cycle.Gc_stats.steal_failures
-  end;
+  Gc_par.merge_ledgers st.par ~cost0:st.cost ~tel0:st.telemetry;
+  Telemetry.add_steals st.telemetry cycle.Gc_stats.steals;
+  Telemetry.add_steal_failures st.telemetry cycle.Gc_stats.steal_failures;
   cycle.Gc_stats.work <- Cost.collector_work st.cost - work0;
   cycle.Gc_stats.active_span <- Cost.elapsed_multi st.cost - elapsed0;
   (* Union the helpers' private page sets into the shared one (worker 0
-     already aliases it), restoring the exact serial count at any crew
-     width: the touched-page union over a partition of the work equals
-     the serial set. *)
-  if crew then Gc_par.merge_pages st.par ~dst:st.pages;
+     already aliases it): the touched-page union over a partition of the
+     work is the same at any crew width. *)
+  Gc_par.merge_pages st.par ~dst:st.pages;
   cycle.Gc_stats.pages_touched <- Page_set.count st.pages;
   State.lock_heap st;
   cycle.Gc_stats.live_objects_at_end <- Heap.object_count st.heap;
@@ -1354,9 +1158,9 @@ let run_cycle st ~full =
   cycle
 
 let collector_loop st =
-  (* the orchestrating collector domain is trace worker 0 when a crew
-     is armed (domains substrate only — the simulator never arms one) *)
-  if Gc_par.active st.par then Gray_queue.set_worker_id st.gray 0;
+  (* the collector process is crew worker 0: with deques armed, its
+     trace pushes go to deque 0 *)
+  Gray_queue.set_worker_id st.gray 0;
   while not (Atomic.get st.shutdown) do
     Substrate.wait_until (fun () ->
         Atomic.get st.shutdown || Atomic.get st.gc_request <> No_request);

@@ -19,9 +19,13 @@
 
     Mutator-facing routines ({!update}, {!cooperate}, {!allocation_color})
     must be called from the owning mutator's process; collector routines
-    run in the collector process spawned by {!Runtime}.  Every
-    shared-memory micro-step calls {!State.step}, so schedules explore the
-    same interleavings the paper's fine-grained atomicity argument is
+    run in the collector process spawned by {!Runtime}.  Each phase body
+    (card scan, trace, sweep) exists once and runs on the {!Gc_par}
+    crew, whose worker 0 is the collector process: alone under the
+    simulator and by default on domains, joined by helper domains when
+    [Runtime.set_gc_workers] widens the crew.  Every shared-memory
+    micro-step calls {!State.step}, so schedules explore the same
+    interleavings the paper's fine-grained atomicity argument is
     about. *)
 
 (** {2 Mutator routines (Figure 1 / Figure 4)} *)
@@ -46,15 +50,15 @@ val run_cycle : State.t -> full:bool -> Gc_stats.cycle
     statistics record (also appended to [state.stats]). *)
 
 val collector_loop : State.t -> unit
-(** Body of the collector thread: wait for a trigger or shutdown, run
-    cycles.  Spawn as a daemon process. *)
+(** Body of the collector process, crew worker 0: wait for a trigger or
+    shutdown, run cycles.  Spawn as a daemon process. *)
 
 val gc_worker_loop : State.t -> int -> unit
-(** Body of collector helper worker [wid] (1..n-1) on the domains
-    substrate: park on the crew's epoch counter, run each opened
-    phase's share (card scan / trace / sweep), check in at the phase
-    barrier; exits at shutdown.  Spawn as a daemon domain after
-    [Runtime.set_gc_workers]. *)
+(** Body of helper worker [wid] (1..n-1) of a crew widened by
+    [Runtime.set_gc_workers] (domains substrate): park on the crew's
+    epoch counter, run each opened phase's share (card scan / trace /
+    sweep), check in at the phase barrier; exits at shutdown.  Worker 0
+    is the {!collector_loop} process itself.  Spawn as a daemon domain. *)
 
 (** {2 Exposed for tests} *)
 
@@ -66,5 +70,7 @@ val mark_gray : State.t -> tel:Telemetry.t -> sync:bool -> int -> bool
     charged — callers do. *)
 
 val clear_cards : State.t -> Gc_stats.cycle -> unit
-(** The card-scanning routine of the current mode (Figure 3 or Figure 6),
-    exposed so tests can drive races against it directly. *)
+(** Worker 0's share of the card-scan phase (Figure 3, or Figure 6 under
+    the aging modes), with its partial counters folded into the cycle
+    record: at width 1 exactly what a partial cycle's card phase runs.
+    Exposed so tests can drive races against it directly. *)

@@ -1,16 +1,17 @@
-(* Coordination state for multi-worker collection on the domains
-   substrate.
+(* Coordination state for the collection crew.
 
-   Worker 0 is the orchestrating collector domain itself; workers
-   1..n-1 are helper domains parked in Collector.gc_worker_loop.  The
-   orchestrator opens a phase by publishing the phase name and then
-   incrementing [epoch] (the release store the helpers' epoch poll
-   acquires); helpers run their share and increment [done_count]; the
-   orchestrator runs worker 0's share and waits for
-   [done_count = n - 1] before folding every worker's partial counters
-   into the cycle record.  Between phases helpers spin on [epoch], so
-   all cycle-global decisions stay on the orchestrator exactly as in
-   the serial collector.
+   Every collection runs on a crew.  Worker 0 is the collector process
+   itself; under the simulator, and on the domains substrate unless
+   [--gc-workers] asks for more, it is the only worker, and a phase is
+   worker 0 running its share inline.  A wider crew (domains substrate
+   only) adds helper domains 1..n-1 parked in
+   Collector.gc_worker_loop.  The orchestrator opens a phase by
+   publishing the phase name and then incrementing [epoch] (the release
+   store the helpers' epoch poll acquires); helpers run their share and
+   increment [done_count]; the orchestrator runs worker 0's share and
+   waits for [done_count = n - 1] before folding every worker's partial
+   counters into the cycle record.  Between phases helpers spin on
+   [epoch], so all cycle-global decisions stay on the orchestrator.
 
    Trace termination (the only phase whose work set grows while it
    runs) uses the idle/activity protocol described in DESIGN.md §11:
@@ -21,14 +22,14 @@
    that observes, in order: a stamp a1 of [activity]; [idle] = n;
    every queue empty; [activity] still a1.  If any worker took work
    after the stamp, the final read sees a changed stamp and the check
-   retries.  Mutator barrier pushes racing the declaration are
-   tolerated exactly as in the serial trace's final pop-None — the
-   late-shaded object rides through the sweep as floating gray and is
-   normalised there. *)
+   retries.  At width 1 the first check after worker 0's final empty
+   pop succeeds.  Mutator barrier pushes racing the declaration are
+   tolerated: the late-shaded object rides through the sweep as
+   floating gray and is normalised there. *)
 
 module Page_set = Otfgc_heap.Page_set
 
-type phase = Idle | Cards_simple | Cards_aging | Trace | Sweep
+type phase = Idle | Cards | Trace | Sweep
 
 type worker = {
   wid : int;
@@ -39,7 +40,6 @@ type worker = {
      the orchestrator unions in at the cycle barrier (merge_pages), so
      [pages_touched] is exact at every crew width *)
   mutable ring : Flight_recorder.ring option;
-  mutable tick : int;
   scratch : int array ref;
   (* per-phase partials, folded into the cycle record at the phase
      barrier and zeroed *)
@@ -73,7 +73,6 @@ let make_worker ~wid ~cost ~tel ~pages =
     tel;
     pages;
     ring = None;
-    tick = 0;
     scratch = ref (Array.make 32 0);
     dirty_cards = 0;
     intergen_scanned = 0;
@@ -86,10 +85,13 @@ let make_worker ~wid ~cost ~tel ~pages =
     steal_failures = 0;
   }
 
-let create () =
+(* A width-1 crew: worker 0 alone, charging the shared collector
+   ledgers and touching the shared page set (phase attribution and
+   [pages_touched] stay exact). *)
+let create ~cost0 ~tel0 ~pages0 =
   {
     n_workers = 1;
-    workers = [||];
+    workers = [| make_worker ~wid:0 ~cost:cost0 ~tel:tel0 ~pages:pages0 |];
     epoch = Atomic.make 0;
     phase = Idle;
     done_count = Atomic.make 0;
@@ -99,19 +101,18 @@ let create () =
     sweep_bounds = [||];
   }
 
-(* Arm the crew.  Worker 0 keeps charging the shared collector ledgers
-   (phase attribution stays exact); helpers get private ledgers the
-   orchestrator merges into the shared ones at each cycle's end. *)
-let configure t ~n ~cost0 ~tel0 ~pages0 ~layout =
+(* Widen the crew to [n] workers.  Worker 0 is kept; helpers get
+   private ledgers the orchestrator merges into the shared ones at each
+   cycle's end. *)
+let configure t ~n ~layout =
+  let w0 = t.workers.(0) in
   t.n_workers <- n;
   t.workers <-
     Array.init n (fun wid ->
-        if wid = 0 then make_worker ~wid ~cost:cost0 ~tel:tel0 ~pages:pages0
+        if wid = 0 then w0
         else
           make_worker ~wid ~cost:(Cost.create ()) ~tel:(Telemetry.create ())
             ~pages:(Page_set.create layout))
-
-let active t = t.n_workers > 1
 
 let reset_partials w =
   w.dirty_cards <- 0;

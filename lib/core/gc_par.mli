@@ -1,15 +1,16 @@
-(** Multi-worker collection crew for the domains substrate.
+(** The collection crew: every card scan, trace and sweep runs on it.
 
-    Worker 0 is the orchestrating collector domain; helpers 1..n-1 park
-    in [Collector.gc_worker_loop] and are released into each parallel
-    phase by an epoch increment.  Serial collectors (and the simulator)
-    never configure a crew, so [active] stays false and the collector
-    takes the historical single-threaded paths unchanged.
+    Worker 0 is the collector process itself.  The simulator, and a
+    domains run without [--gc-workers] > 1, use the width-1 crew
+    {!create} builds, in which worker 0 runs each phase alone.
+    {!configure} widens the crew on the domains substrate: helpers
+    1..n-1 park in [Collector.gc_worker_loop] and are released into
+    each phase by an epoch increment.
 
     See DESIGN.md §11 for the deque protocol, the termination-detection
     argument, and the lock-ordering discipline. *)
 
-type phase = Idle | Cards_simple | Cards_aging | Trace | Sweep
+type phase = Idle | Cards | Trace | Sweep
 
 type worker = {
   wid : int;
@@ -21,7 +22,6 @@ type worker = {
   mutable ring : Flight_recorder.ring option;
       (** flight-recorder track (armed recorder only; see
           {!attach_rings}) *)
-  mutable tick : int;  (** local pacing counter (domains: no yields) *)
   scratch : int array ref;  (** per-worker card-walk scratch buffer *)
   mutable dirty_cards : int;
   mutable intergen_scanned : int;
@@ -46,23 +46,16 @@ type t = {
   mutable sweep_bounds : int array;  (** n+1 block-aligned region bounds *)
 }
 
-val create : unit -> t
-(** Inactive crew: [n_workers = 1], no worker records. *)
+val create :
+  cost0:Cost.t -> tel0:Telemetry.t -> pages0:Otfgc_heap.Page_set.t -> t
+(** Width-1 crew: worker 0 alone, aliasing the shared collector ledgers
+    and page set. *)
 
-val configure :
-  t ->
-  n:int ->
-  cost0:Cost.t ->
-  tel0:Telemetry.t ->
-  pages0:Otfgc_heap.Page_set.t ->
-  layout:Otfgc_heap.Layout.tables ->
-  unit
-(** Arm an [n]-worker crew.  Worker 0 aliases the shared ledgers and
-    page set; helpers get private ones (merged by {!merge_ledgers} and
-    {!merge_pages}); [layout] sizes the helpers' page sets. *)
-
-val active : t -> bool
-(** True iff a multi-worker crew is armed ([n_workers > 1]). *)
+val configure : t -> n:int -> layout:Otfgc_heap.Layout.tables -> unit
+(** Widen to an [n]-worker crew (domains substrate only).  Worker 0 is
+    kept; helpers get private ledgers and page sets (merged by
+    {!merge_ledgers} and {!merge_pages}); [layout] sizes the helpers'
+    page sets. *)
 
 val drain_partials : t -> Gc_stats.cycle -> unit
 (** Fold every worker's per-phase partial counters into the cycle
@@ -78,8 +71,8 @@ val merge_pages : t -> dst:Otfgc_heap.Page_set.t -> unit
 
 val attach_rings : t -> Flight_recorder.t -> unit
 (** Give each helper its flight-recorder track (worker 0 records on the
-    collector ring).  Call after {!configure}, once the recorder is
-    armed. *)
+    collector ring).  Call once the recorder is armed, and again after
+    {!configure} widens an armed crew. *)
 
 val open_phase : t -> phase -> unit
 (** Publish a phase and release the helpers into it (epoch bump).

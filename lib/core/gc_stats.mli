@@ -58,8 +58,8 @@ type cycle = {
           after the sweep — Section 5's "at most one cycle" claim made
           quantitative *)
   mutable floating_bytes : int;
-  (* parallel collection (domains substrate; 1/0/0 under the serial
-     collector, so sim figures are unchanged) *)
+  (* collection crew (1/0/0 at width 1, the simulator's crew, so sim
+     figures are unchanged) *)
   mutable trace_workers : int;
       (** collector worker domains that ran this cycle's trace *)
   mutable steals : int;  (** successful gray-deque steals *)

@@ -11,13 +11,14 @@
    plain color-byte write (shading) happens-before its push's unlock,
    which happens-before the collector's pop of the same entry.
 
-   With multiple collector workers ([set_workers n], n > 1) the queue
-   becomes sharded: each worker owns a Chase–Lev deque and pushes/pops
-   it lock-free; other workers steal from the top.  Mutator barrier
-   pushes still land in the shared mutex queue (mutators have no deque
-   and need the mutex's publication edge anyway); workers drain the
-   shared queue opportunistically when their own deque runs dry.  The
-   deque's SC atomics provide the same publication edge for
+   A width-1 collection crew pops the shared queue ([pop_worker]
+   without deques).  With multiple collector workers ([set_workers n],
+   n > 1) the queue becomes sharded: each worker owns a Chase–Lev deque
+   and pushes/pops it lock-free; other workers steal from the top.
+   Mutator barrier pushes still land in the shared mutex queue (mutators
+   have no deque and need the mutex's publication edge anyway); workers
+   drain the shared queue opportunistically when their own deque runs
+   dry.  The deque's SC atomics provide the same publication edge for
    worker-to-worker transfers: a worker's plain color write
    happens-before its deque push's atomic bottom store, which
    happens-before a thief's top CAS claiming the entry. *)
@@ -95,7 +96,9 @@ let pop t =
       Mutex.unlock l;
       r
 
-let pop_local t ~w = Ws_deque.pop t.deques.(w)
+let pop_worker t ~w =
+  if Array.length t.deques = 0 then pop t else Ws_deque.pop t.deques.(w)
+
 let steal t ~victim = Ws_deque.steal t.deques.(victim)
 
 let is_empty t =
@@ -109,8 +112,6 @@ let is_empty t =
         r
   in
   shared_empty && Array.for_all Ws_deque.is_empty t.deques
-
-let all_empty = is_empty
 
 let clear t =
   (match t.lock with

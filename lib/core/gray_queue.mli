@@ -43,19 +43,18 @@ val worker_id : t -> int
 
 val push : t -> int -> unit
 val pop : t -> int option
-(** Pop from the shared queue only (serial collector, and workers
-    draining mutator barrier pushes). *)
+(** Pop from the shared queue only (workers draining mutator barrier
+    pushes). *)
 
-val pop_local : t -> w:int -> int option
-(** Worker [w] pops its own deque (owner side, lock-free).  Only valid
-    when sharded and called from worker [w]. *)
+val pop_worker : t -> w:int -> int option
+(** Collector worker [w]'s pop: its own deque (owner side, lock-free)
+    when the queue is sharded, otherwise the shared queue.  Call only
+    from worker [w]. *)
 
 val steal : t -> victim:int -> int option
 (** Steal from worker [victim]'s deque.  [None] = empty or lost race. *)
 
 val is_empty : t -> bool
-
-val all_empty : t -> bool
 (** Shared queue and every worker deque observed empty (one moment
     each; the termination protocol re-validates with its activity
     counter). *)

@@ -24,17 +24,15 @@ let sampler t = t.st.sampler
 let set_fine_grained t v = t.st.fine_grained <- v
 let set_parallel t v = t.st.parallel <- v; Gray_queue.set_locked t.st.gray v
 
-(* Arm an [n]-worker collection crew (domains substrate only; call
-   before any process starts).  [n <= 1] leaves the serial collector —
-   the default — fully untouched: no deques, no crew, historical code
-   paths throughout. *)
+(* Widen the collection crew to [n] workers (domains substrate only;
+   call before any process starts).  Every state starts with the width-1
+   crew, in which the collector process is worker 0 alone, so [n <= 1]
+   changes nothing. *)
 let set_gc_workers t n =
-  let n = Stdlib.max 1 n in
   if n > 1 then begin
-    Gc_par.configure t.st.par ~n ~cost0:t.st.cost ~tel0:t.st.telemetry
-      ~pages0:t.st.pages ~layout:(Heap.layout t.st.heap);
+    Gc_par.configure t.st.par ~n ~layout:(Heap.layout t.st.heap);
     Gray_queue.set_workers t.st.gray n;
-    (* a recorder armed before the crew: give the new workers tracks *)
+    (* a recorder armed before the widening: give the new workers tracks *)
     if Flight_recorder.armed t.st.recorder then
       Gc_par.attach_rings t.st.par t.st.recorder
   end
@@ -50,10 +48,10 @@ let arm_recorder t =
   let st = t.st in
   if st.parallel then begin
     Flight_recorder.arm st.recorder;
-    if Gc_par.active st.par then Gc_par.attach_rings st.par st.recorder
+    Gc_par.attach_rings st.par st.recorder
   end
 
-let gc_workers t = if Gc_par.active t.st.par then t.st.par.Gc_par.n_workers else 1
+let gc_workers t = t.st.par.Gc_par.n_workers
 let gc_worker_loop t wid = Collector.gc_worker_loop t.st wid
 
 (* Registration must not race a cycle start: the handshake set has to be

@@ -50,15 +50,16 @@ val set_parallel : t -> bool -> unit
     the simulator's behavior bit-identical. *)
 
 val set_gc_workers : t -> int -> unit
-(** Arm an [n]-worker collection crew (domains substrate only; set
-    before any process starts): the gray queue shards into per-worker
-    work-stealing deques, and card scan, trace and sweep run across the
-    collector domain plus [n-1] helper domains spawned by the driver
-    ({!gc_worker_loop}).  [n <= 1] — the default — leaves the serial
-    collector completely untouched. *)
+(** Widen the collection crew to [n] workers (domains substrate only;
+    set before any process starts): the gray queue shards into
+    per-worker work-stealing deques, and card scan, trace and sweep run
+    across the collector domain plus [n-1] helper domains spawned by
+    the driver ({!gc_worker_loop}).  [n <= 1] keeps the width-1 crew
+    every runtime starts with: the collector process runs each phase
+    alone. *)
 
 val gc_workers : t -> int
-(** Armed crew width ([1] when serial). *)
+(** Crew width ([1] unless widened). *)
 
 val recorder : t -> Flight_recorder.t
 (** The flight recorder (disarmed unless {!arm_recorder} ran). *)

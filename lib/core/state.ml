@@ -55,6 +55,9 @@ type t = {
 }
 
 let create heap cfg =
+  let pages = Page_set.create (Heap.layout heap) in
+  let cost = Cost.create () in
+  let telemetry = Telemetry.create () in
   {
     heap;
     cfg;
@@ -73,10 +76,10 @@ let create heap cfg =
     gray = Gray_queue.create ();
     stats = Gc_stats.create ();
     events = Event_log.create ();
-    telemetry = Telemetry.create ();
+    telemetry;
     cur_cycle = None;
-    pages = Page_set.create (Heap.layout heap);
-    cost = Cost.create ();
+    pages;
+    cost;
     card_cache = Card_cache.create ();
     remset_cache = Card_cache.create ();
     tenure_threshold = 1;
@@ -88,7 +91,7 @@ let create heap cfg =
     parallel = false;
     heap_lock = Mutex.create ();
     reg_lock = Mutex.create ();
-    par = Gc_par.create ();
+    par = Gc_par.create ~cost0:cost ~tel0:telemetry ~pages0:pages;
     pool = Block_pool.create ();
   }
 

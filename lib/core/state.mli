@@ -92,8 +92,9 @@ type t = {
   reg_lock : Mutex.t;
       (** guards mutator registration against cycle starts *)
   par : Gc_par.t;
-      (** multi-worker collection crew (inactive unless the driver arms
-          it with [--gc-workers] > 1 on the domains substrate) *)
+      (** the collection crew every phase runs on: worker 0 alone
+          (aliasing [cost], [telemetry] and [pages]) unless the driver
+          widens it with [--gc-workers] > 1 on the domains substrate *)
   pool : Block_pool.t;
       (** per-size-class pools of reserved blocks — the sharded middle
           tier of the domains allocation path *)

@@ -18,8 +18,6 @@ type t = {
          the same block out again, so it allocates nothing once warm *)
   mutable total_alloc_bytes : int;
   mutable total_alloc_objects : int;
-  (* Reusable snapshot buffer for iter_objects_on_card (see below). *)
-  mutable card_scratch : int array;
 }
 
 let nil = -1
@@ -45,7 +43,6 @@ let create config =
     somes = Array.make n_granules None;
     total_alloc_bytes = 0;
     total_alloc_objects = 0;
-    card_scratch = Array.make 64 0;
   }
 
 let config t = t.config
@@ -247,42 +244,20 @@ let iter_objects t f =
 
 (* The space's crossing map (same card geometry as the card table) jumps
    straight to the card's first block; the allocated starts are snapshotted
-   into a reusable scratch buffer BEFORE the callback runs.  The snapshot
+   into the caller's scratch buffer BEFORE the callback runs.  The snapshot
    is semantically load-bearing, not just a loop shape: the collector's
    card-scan callbacks contain scheduling points, so under fine-grained
    interleaving a mutator may split blocks on this very card mid-scan, and
    an incremental walk would see objects the old list-returning API (which
-   also snapshotted) never did.  Not reentrant: the callback must not
-   itself call iter_objects_on_card (the collector scans one card at a
-   time). *)
-let iter_objects_on_card t card f =
-  let scratch = ref t.card_scratch in
+   also snapshotted) never did.  Each collector worker owns its buffer, so
+   workers scanning disjoint cards never share snapshot state; a callback
+   must not reuse the buffer it is called from. *)
+let iter_objects_on_card t ~scratch card f =
   let len = ref 0 in
   Space.iter_block_starts_on_card t.space card (fun addr kind _size ->
       if kind = Space.Allocated then begin
         if !len = Array.length !scratch then begin
-          let bigger = Array.make (2 * !len) 0 in
-          Array.blit !scratch 0 bigger 0 !len;
-          t.card_scratch <- bigger;
-          scratch := bigger
-        end;
-        Array.unsafe_set !scratch !len addr;
-        incr len
-      end);
-  let scratch = !scratch in
-  for i = 0 to !len - 1 do
-    f (Array.unsafe_get scratch i)
-  done
-
-(* Same walk with a caller-owned scratch buffer, so several collector
-   workers can scan disjoint cards concurrently (the shared
-   [t.card_scratch] above makes the default variant single-caller). *)
-let iter_objects_on_card_buf t ~scratch card f =
-  let len = ref 0 in
-  Space.iter_block_starts_on_card t.space card (fun addr kind _size ->
-      if kind = Space.Allocated then begin
-        if !len = Array.length !scratch then begin
-          let bigger = Array.make (2 * !len) 0 in
+          let bigger = Array.make (Stdlib.max 16 (2 * !len)) 0 in
           Array.blit !scratch 0 bigger 0 !len;
           scratch := bigger
         end;
@@ -296,7 +271,7 @@ let iter_objects_on_card_buf t ~scratch card f =
 
 let objects_on_card t card =
   let acc = ref [] in
-  iter_objects_on_card t card (fun addr -> acc := addr :: !acc);
+  iter_objects_on_card t ~scratch:(ref [||]) card (fun addr -> acc := addr :: !acc);
   List.rev !acc
 
 let capacity t = Space.capacity t.space

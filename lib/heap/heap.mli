@@ -162,22 +162,18 @@ val iter_objects : t -> (int -> unit) -> unit
     not free objects at or after the current address (sweep uses the block
     iteration below instead). *)
 
-val iter_objects_on_card : t -> int -> (int -> unit) -> unit
+val iter_objects_on_card :
+  t -> scratch:int array ref -> int -> (int -> unit) -> unit
 (** Apply to the address of every allocated object whose start address
     lies on the given card, in address order (an object "on a card" in
     the paper's sense: the card scan walks objects starting on the card).
     Powered by the space's crossing map — one lookup, then
     header-to-header hops — with no per-card allocation: the object set
-    is snapshotted into an internal scratch buffer before the callback
-    runs, so the iteration is insensitive to blocks the callback (or a
-    mutator at one of its scheduling points) splits on the card.  Not
-    reentrant. *)
-
-val iter_objects_on_card_buf :
-  t -> scratch:int array ref -> int -> (int -> unit) -> unit
-(** {!iter_objects_on_card} with a caller-owned scratch buffer (grown in
-    place as needed), so parallel collector workers scanning disjoint
-    cards never share snapshot state. *)
+    is snapshotted into the caller-owned [scratch] buffer (grown in place
+    as needed) before the callback runs, so the iteration is
+    insensitive to blocks the callback (or a mutator at one of its
+    scheduling points) splits on the card.  Parallel collector workers
+    each pass their own buffer, so they never share snapshot state. *)
 
 val objects_on_card : t -> int -> int list
 (** Same object set as a fresh list; for tests — the collector uses

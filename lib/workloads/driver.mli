@@ -48,8 +48,8 @@ val run_rt :
     remains covers exactly the measured lap.  [threads] overrides the
     profile's thread count (the speedup sweeps vary it); [substrate]
     selects the execution substrate (default [Sim]); [gc_workers]
-    (default 1) arms a multi-worker collection crew — domains substrate
-    only ([Invalid_argument] on [Sim] when > 1).  [observer], domains
+    (default 1) is the collection crew's width; more than 1 worker is
+    domains substrate only ([Invalid_argument] on [Sim]).  [observer], domains
     only, is launched right after [instrument] and stopped at quiescence
     — after the parallel run, before the per-mutator ledgers are folded
     into the shared ones — so its final snapshot equals the post-run

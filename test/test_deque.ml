@@ -1,7 +1,8 @@
 (* Work-stealing deque tests: the Chase–Lev deque behind the parallel
    trace must (a) behave exactly like a LIFO stack for its single owner,
    (b) never lose or duplicate an element under concurrent stealing, and
-   (c) slot into Gray_queue without disturbing the serial path.
+   (c) slot into Gray_queue without disturbing the unsharded queue a
+   width-1 crew runs on.
 
    The differential model in (a) is QCheck-driven: an arbitrary
    push/pop program runs against the deque and a plain list stack; any
@@ -163,23 +164,24 @@ let test_steal_stress_3 () = steal_stress ~n_thieves:3 ~n_items:20_000 ()
 (* Gray_queue sharding                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* With no crew armed, the sharded entry points are inert: push/pop are
-   the plain shared queue, exactly what the sim digest guard runs on. *)
+(* With no deques armed (a width-1 crew), the sharded entry points are
+   inert: push and the worker pop are the plain shared queue, exactly
+   what the sim digest guard runs on. *)
 let test_gray_queue_serial_untouched () =
   let q = Gray_queue.create () in
   check_int "no deques by default" 0 (Gray_queue.n_workers q);
   Gray_queue.push q 10;
   Gray_queue.push q 20;
   check_int "size" 2 (Gray_queue.size q);
-  (match Gray_queue.pop q with
+  (match Gray_queue.pop_worker q ~w:0 with
   | Some x -> check_int "LIFO pop (mark stack)" 20 x
   | None -> Alcotest.fail "pop on non-empty queue");
-  Alcotest.(check bool) "all_empty sees the shared tail" false
-    (Gray_queue.all_empty q)
+  Alcotest.(check bool) "is_empty sees the shared tail" false
+    (Gray_queue.is_empty q)
 
-(* With a crew armed, a worker's pushes land on its own deque (locally
-   poppable, stealable by others), while unregistered threads still go
-   through the shared queue. *)
+(* With deques armed (a crew of two), a worker's pushes land on its own
+   deque (locally poppable, stealable by others), while unregistered
+   threads still go through the shared queue. *)
 let test_gray_queue_sharded_routing () =
   let q = Gray_queue.create () in
   Gray_queue.set_workers q 2;
@@ -187,23 +189,23 @@ let test_gray_queue_sharded_routing () =
   (* this thread is unregistered (worker_id -1): shared queue *)
   Gray_queue.push q 1;
   check_int "unregistered push goes shared" 1 (Gray_queue.size q);
-  Alcotest.(check (option int)) "pop_local 0 empty" None
-    (Gray_queue.pop_local q ~w:0);
+  Alcotest.(check (option int)) "pop_worker 0 empty" None
+    (Gray_queue.pop_worker q ~w:0);
   (* register as worker 0: pushes now land on deque 0 *)
   Gray_queue.set_worker_id q 0;
   Gray_queue.push q 2;
   Gray_queue.push q 3;
   Alcotest.(check (option int)) "steal from worker 0 takes oldest" (Some 2)
     (Gray_queue.steal q ~victim:0);
-  Alcotest.(check (option int)) "pop_local 0 takes newest" (Some 3)
-    (Gray_queue.pop_local q ~w:0);
-  (* the shared item is still there; all_empty only after it drains *)
-  Alcotest.(check bool) "not all empty yet" false (Gray_queue.all_empty q);
+  Alcotest.(check (option int)) "pop_worker 0 takes newest" (Some 3)
+    (Gray_queue.pop_worker q ~w:0);
+  (* the shared item is still there; is_empty only after it drains *)
+  Alcotest.(check bool) "not all empty yet" false (Gray_queue.is_empty q);
   (match Gray_queue.pop q with
   | Some x -> check_int "shared pop" 1 x
   | None -> Alcotest.fail "shared queue lost its item");
-  Alcotest.(check bool) "all empty after drain" true (Gray_queue.all_empty q);
-  (* unregister so later tests on this domain see the serial behaviour *)
+  Alcotest.(check bool) "all empty after drain" true (Gray_queue.is_empty q);
+  (* unregister so later tests on this domain see the unsharded routing *)
   Gray_queue.set_worker_id q (-1)
 
 let suites =

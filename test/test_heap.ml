@@ -747,13 +747,14 @@ let test_heap_iter_objects_on_card_agrees () =
      granules *)
   List.iteri (fun i a -> if i mod 3 = 0 then Heap.free h a) (List.rev !objs);
   let cards = Heap.cards h in
+  let scratch = ref [||] in
   for card = 0 to Card_table.n_cards cards - 1 do
     let lo, hi = Card_table.card_bounds cards card in
     let expected = ref [] in
     Heap.iter_objects h (fun x ->
         if x >= lo && x < hi then expected := x :: !expected);
     let seen = ref [] in
-    Heap.iter_objects_on_card h card (fun x -> seen := x :: !seen);
+    Heap.iter_objects_on_card h ~scratch card (fun x -> seen := x :: !seen);
     Alcotest.(check (list int))
       (Printf.sprintf "card %d" card)
       (List.rev !expected) (List.rev !seen);

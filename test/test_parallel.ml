@@ -35,8 +35,8 @@ let total_promotions rt =
 
 (* One grid point: run the same (profile, gc, threads, seed) on both
    substrates and check every cross-substrate invariant.  [gc_workers]
-   applies to the domains side only (the sim reference is always serial) —
-   the invariants must hold for any crew width. *)
+   applies to the domains side only (the simulator always runs the
+   width-1 crew) — the invariants must hold for any crew width. *)
 let check_config ~name ~profile ~gc ~threads ~seed ~scale ?(gc_workers = 1) ()
     =
   let sim_res, sim_rt = Driver.run_rt ~seed ~scale ~threads ~gc profile in
@@ -113,17 +113,56 @@ let grid =
     grid_case ~name:"raytracer/gen/2 + 2 gc workers"
       ~profile:(Profile.raytracer ~threads:2)
       ~gc:(generational ()) ~threads:2 ~scale:0.02 ~gc_workers:2 ();
-    (* Guard: an explicitly armed crew of width 1 is the serial collector
-       — exact allocation totals versus sim stay byte-identical. *)
+    (* Guard: an explicitly requested crew of width 1 is the crew the
+       simulator runs — exact allocation totals versus sim stay
+       byte-identical. *)
     grid_case ~name:"anagram/gen/2 + explicit 1 gc worker"
       ~profile:Profile.anagram ~gc:(generational ()) ~threads:2 ~gc_workers:1
       ();
   ]
 
+(* The test runner sends a case's output to a log file; a watchdog also
+   writes to the console the process started with, since the runner never
+   gets to report a case the watchdog ends. *)
+let console = Unix.dup Unix.stderr
+
+(* Run [f] under a wall-clock deadline.  A hung domains run cannot be
+   interrupted from outside — its domains sleep in their wait loops, and
+   the caller sits in [Domain.join] — so a watchdog domain reports [what]
+   and exits the test process with a failure status once the deadline
+   passes, instead of letting the suite hang. *)
+let with_deadline ~seconds ~what f =
+  let finished = Atomic.make false in
+  let watchdog =
+    Domain.spawn (fun () ->
+        let until = Unix.gettimeofday () +. seconds in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < until do
+          Unix.sleepf 0.05
+        done;
+        if not (Atomic.get finished) then begin
+          let msg =
+            Printf.sprintf "%s: still running after the %g s deadline\n" what
+              seconds
+          in
+          prerr_string msg;
+          flush stderr;
+          ignore (Unix.write_substring console msg 0 (String.length msg) : int);
+          exit 3
+        end)
+  in
+  Fun.protect f ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join watchdog)
+
+(* A jitter seed takes a few seconds; a lost wake-up once hung one for
+   more than ten minutes. *)
+let jitter_deadline_s = 120.0
+
 (* Stress: arm the substrate's jitter hook so every yield point may burn
    a random spin — this perturbs the interleaving at exactly the
    barrier/handshake-sensitive program points.  The invariants must hold
-   under any schedule the jitter produces. *)
+   under any schedule the jitter produces, and each seed must finish
+   within [jitter_deadline_s]. *)
 let stress_jitter () =
   let gc = Otfgc.Gc_config.generational () in
   Fun.protect ~finally:Substrate.clear_jitter (fun () ->
@@ -131,13 +170,14 @@ let stress_jitter () =
         (fun seed ->
           Substrate.set_jitter ~seed ~prob:0.05 ~max_spin:400;
           let name = Printf.sprintf "jitter seed %d" seed in
-          check_config ~name ~profile:Profile.anagram ~gc ~threads:2 ~seed
-            ~scale:0.03 ())
+          with_deadline ~seconds:jitter_deadline_s ~what:name (fun () ->
+              check_config ~name ~profile:Profile.anagram ~gc ~threads:2 ~seed
+                ~scale:0.03 ()))
         [ 1; 2; 3 ])
 
 (* [pages_touched] must be exact, not approximate, at every crew width:
    the per-worker touched-page sets merged at cycle end must union to the
-   set the serial collector computes.  To compare across widths the heap
+   set worker 0 computes alone at width 1.  To compare across widths the heap
    snapshot each cycle sees must be identical, so the single mutator only
    requests collections from quiescent points — it parks in
    [collect_and_wait] while the (1-, 2- or 3-wide) crew runs, and the
@@ -202,7 +242,7 @@ let pages_at_width ~gc_workers =
 
 let test_pages_exact_across_widths () =
   let f1, p1 = pages_at_width ~gc_workers:1 in
-  Alcotest.(check bool) "serial cycles touched pages" true (f1 > 0 && p1 > 0);
+  Alcotest.(check bool) "width-1 cycles touched pages" true (f1 > 0 && p1 > 0);
   List.iter
     (fun w ->
       let fw, pw = pages_at_width ~gc_workers:w in

@@ -64,6 +64,11 @@ let attempt ~naive ~seed =
             the exact pair the Section 7.2 argument is about *)
          Collector.update st m ~x:o ~i:0 ~y));
   Sched.run sched;
+  (* the width-1 card scan folds its partial counters into [cycle]: the
+     one dirty card and the one old object on it *)
+  Alcotest.(check int) "dirty cards in cycle" 1 cycle.Gc_stats.dirty_cards;
+  Alcotest.(check int)
+    "old objects scanned in cycle" 1 cycle.Gc_stats.intergen_scanned;
   let cards = Heap.cards heap in
   let card = Card_table.card_of_addr cards o in
   Heap.get_slot heap o 0 = y && not (Card_table.is_dirty cards card)
