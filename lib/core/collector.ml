@@ -82,15 +82,20 @@ let charged_mark_gray st ~charge ~tel ~sync x =
    per ~8 work units, so scheduled time advances proportionally to the
    cost model on both sides — the collector owns a CPU and is not slower
    per unit of work than the mutators it runs beside.  (On the domains
-   substrate the yield point is free — the hardware paces for real.) *)
-let charge_tick st k =
+   substrate the yield point is free — the hardware paces for real.)
+   The counter is [pace] on crew worker 0 [w0], not on [State.t]: the
+   collector bumps it on every charge, and mutator domains read the
+   state record on every operation. *)
+let pace_charge st (w0 : Gc_par.worker) k =
   Cost.collector st.cost k;
   Observatory.maybe_sample st;
-  st.collector_tick <- st.collector_tick + k;
-  if st.collector_tick >= st.collector_speed then begin
-    st.collector_tick <- 0;
+  w0.Gc_par.pace <- w0.Gc_par.pace + k;
+  if w0.Gc_par.pace >= st.collector_speed then begin
+    w0.Gc_par.pace <- 0;
     Substrate.yield ()
   end
+
+let charge_tick st k = pace_charge st st.par.Gc_par.workers.(0) k
 
 (* Phase-transition and mutator-event log entry (no cost: observability
    must not perturb the schedule). *)
@@ -344,7 +349,7 @@ let switch_allocation_clear_colors st =
    charges its private ledger (its own domain is paced by the hardware,
    and the pacing counter and census belong to the collector process). *)
 let tick st (w : Gc_par.worker) k =
-  if w.Gc_par.wid = 0 then charge_tick st k else Cost.collector w.Gc_par.cost k
+  if w.Gc_par.wid = 0 then pace_charge st w k else Cost.collector w.Gc_par.cost k
 
 (* The collector's MarkGray on worker [w]'s behalf: a shading is charged
    to the worker's ledger, outside the pacing counter. *)
@@ -749,6 +754,11 @@ let compute_sweep_bounds st =
   done;
   st.par.Gc_par.sweep_bounds <- bounds
 
+(* Freed blocks between two bumps of [State.sweep_progress]: often enough
+   that a stalled allocator retries soon after memory comes back, rarely
+   enough that the wake-ups stay cheap next to the sweep itself. *)
+let progress_stride = 64
+
 let sweep st (w : Gc_par.worker) =
   Cost.set_phase w.Gc_par.cost Cost.Sweep;
   let heap = st.heap in
@@ -760,6 +770,7 @@ let sweep st (w : Gc_par.worker) =
   let hi = bounds.(w.Gc_par.wid + 1) in
   let pages = w.Gc_par.pages in
   let addr = ref lo in
+  let unannounced = ref 0 in
   while !addr < hi do
     State.lock_heap st;
     (* header-to-header walk, so the bounds-check-free accessors apply;
@@ -792,7 +803,8 @@ let sweep st (w : Gc_par.worker) =
           (* the free-list link is written into the block itself *)
           Page_set.touch_range pages x Layout.granule;
           Heap.free heap x;
-          if x > lo then ignore (Heap.merge_free_prev heap x : int)
+          if x > lo then ignore (Heap.merge_free_prev heap x : int);
+          incr unannounced
         end
         else begin
           match mode_of st with
@@ -834,8 +846,15 @@ let sweep st (w : Gc_par.worker) =
               end
         end);
     State.unlock_heap st;
+    (* announced after the unlock, so a woken allocator's retry does not
+       queue behind this block's lock hold *)
+    if !unannounced = progress_stride then begin
+      unannounced := 0;
+      Atomic.incr st.sweep_progress
+    end;
     addr := !addr + size
-  done
+  done;
+  Atomic.incr st.sweep_progress
 
 (* ------------------------------------------------------------------ *)
 (* Crew phases                                                         *)

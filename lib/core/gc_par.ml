@@ -52,6 +52,7 @@ type worker = {
   mutable bytes_freed : int;
   mutable steals : int;
   mutable steal_failures : int;
+  mutable pace : int;
 }
 
 type t = {
@@ -83,6 +84,7 @@ let make_worker ~wid ~cost ~tel ~pages =
     bytes_freed = 0;
     steals = 0;
     steal_failures = 0;
+    pace = 0;
   }
 
 (* A width-1 crew: worker 0 alone, charging the shared collector

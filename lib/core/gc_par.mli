@@ -32,6 +32,12 @@ type worker = {
   mutable bytes_freed : int;
   mutable steals : int;
   mutable steal_failures : int;
+  mutable pace : int;
+      (** worker 0 only: work units charged since the collector process
+          last yielded (its pacing counter, see [State.collector_speed]).
+          Kept here, in a record only the collector writes, rather than
+          on the shared [State.t] that mutators read on every
+          operation. *)
 }
 
 type t = {

@@ -49,6 +49,10 @@ type t = {
      on a hot path) so a concurrent reader sees monotone, tear-free
      counters without walking [completed]. Indexed by [kind_index]. *)
   done_by_kind : int Atomic.t array;
+  (* Cycles begun, per kind, bumped by [begin_cycle]: an allocation
+     stall compares it with [done_by_kind] to tell whether a completed
+     cycle began after the stall did. *)
+  begun_by_kind : int Atomic.t array;
   freed_bytes : int Atomic.t;
   freed_objects : int Atomic.t;
   promoted : int Atomic.t;
@@ -61,6 +65,7 @@ let create () =
     next_seq = 0;
     n_done = Atomic.make 0;
     done_by_kind = Array.init 3 (fun _ -> Atomic.make 0);
+    begun_by_kind = Array.init 3 (fun _ -> Atomic.make 0);
     freed_bytes = Atomic.make 0;
     freed_objects = Atomic.make 0;
     promoted = Atomic.make 0;
@@ -71,7 +76,15 @@ let reset t =
   t.completed <- [];
   t.next_seq <- 0;
   Atomic.set t.n_done 0;
-  Array.iter (fun a -> Atomic.set a 0) t.done_by_kind;
+  (* A cycle in flight across the reset stays begun and completes
+     later: drop from the begun count exactly the completions dropped,
+     so begun minus completed is preserved even if [begin_cycle] or
+     [end_cycle] runs concurrently on another domain. *)
+  Array.iteri
+    (fun k d ->
+      let n = Atomic.exchange d 0 in
+      ignore (Atomic.fetch_and_add t.begun_by_kind.(k) (-n) : int))
+    t.done_by_kind;
   Atomic.set t.freed_bytes 0;
   Atomic.set t.freed_objects 0;
   Atomic.set t.promoted 0;
@@ -105,6 +118,7 @@ let begin_cycle t kind =
     }
   in
   t.next_seq <- t.next_seq + 1;
+  Atomic.incr t.begun_by_kind.(kind_index kind);
   c
 
 let end_cycle t c =
@@ -120,6 +134,7 @@ let end_cycle t c =
 
 let n_completed t = Atomic.get t.n_done
 let n_completed_of t kind = Atomic.get t.done_by_kind.(kind_index kind)
+let n_begun_of t kind = Atomic.get t.begun_by_kind.(kind_index kind)
 let live_bytes_freed t = Atomic.get t.freed_bytes
 let live_objects_freed t = Atomic.get t.freed_objects
 let live_promotions t = Atomic.get t.promoted

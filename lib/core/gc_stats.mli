@@ -72,10 +72,14 @@ type t
 val create : unit -> t
 
 val reset : t -> unit
-(** Drop all recorded cycles (end-of-warmup measurement reset). *)
+(** Drop all recorded cycles (end-of-warmup measurement reset).  A cycle
+    begun and not yet ended stays counted by {!n_begun_of}, so
+    [n_begun_of k - n_completed_of k] (the cycles of kind [k] in flight)
+    is the same after the reset as before. *)
 
 val begin_cycle : t -> kind -> cycle
-(** Allocate and register the record for a starting collection. *)
+(** Allocate and register the record for a starting collection, and bump
+    {!n_begun_of} for its kind. *)
 
 val end_cycle : t -> cycle -> unit
 (** Mark the cycle complete; only completed cycles count in aggregates. *)
@@ -99,6 +103,13 @@ val n_completed : t -> int
 
 val n_completed_of : t -> kind -> int
 (** Completed cycles of one kind (atomic read). *)
+
+val n_begun_of : t -> kind -> int
+(** Cycles of one kind begun since the last {!reset}, plus any in flight
+    at it (atomic read).  Cycles run one at a time, so once
+    [n_completed_of k] exceeds a value [n_begun_of k] had at some
+    instant, a cycle of kind [k] that began after that instant has
+    completed — the allocation stall's out-of-memory test. *)
 
 val live_bytes_freed : t -> int
 val live_objects_freed : t -> int

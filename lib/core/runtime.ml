@@ -199,6 +199,18 @@ let try_alloc t ~size ~n_slots =
 let note_allocated st addr =
   ignore (Atomic.fetch_and_add st.bytes_since_gc (Heap.size st.heap addr) : int)
 
+(* Only a full (or non-generational) collection can reclaim tenured
+   garbage; partials completing while a stall waits do not count as "a
+   collection ran and it still does not fit".  Atomic reads, O(1) and
+   safe while the collector domain is ending a cycle. *)
+let fulls_done st =
+  Gc_stats.n_completed_of st.stats Gc_stats.Full
+  + Gc_stats.n_completed_of st.stats Gc_stats.Non_gen
+
+let fulls_begun st =
+  Gc_stats.n_begun_of st.stats Gc_stats.Full
+  + Gc_stats.n_begun_of st.stats Gc_stats.Non_gen
+
 (* The simulator's allocation path: one free-list pop per object, inline
    stall loop.  Byte-identical to the historical behavior. *)
 let alloc_sim t m ~size ~n_slots =
@@ -225,14 +237,7 @@ let alloc_sim t m ~size ~n_slots =
       if Event_log.enabled st.events then
         Event_log.emit st.events ~at:stall_from
           (Event_log.Stall_begin { mid = Mutator.id m });
-      (* Only a full (or non-generational) collection can reclaim tenured
-         garbage; partials completing while we wait do not count as "a
-         collection ran and it still does not fit". *)
-      let fulls_done () =
-        Gc_stats.count st.stats Gc_stats.Full
-        + Gc_stats.count st.stats Gc_stats.Non_gen
-      in
-      let baseline = ref (fulls_done ()) in
+      let baseline = ref (fulls_done st) in
       while !result = Heap.nil do
         match try_alloc t ~size ~n_slots with
         | Some addr -> result := addr
@@ -241,14 +246,14 @@ let alloc_sim t m ~size ~n_slots =
                (not (Atomic.get st.collecting))
                && Atomic.get st.gc_request = No_request
              then
-               if fulls_done () = !baseline then
+               if fulls_done st = !baseline then
                  Atomic.set st.gc_request Want_full
                else if
                  Heap.grow st.heap
                    ~want_bytes:
                      (Stdlib.max size
                         (Stdlib.max 65536 (Heap.capacity st.heap / 2)))
-               then baseline := fulls_done ()
+               then baseline := fulls_done st
                else raise Out_of_memory);
             Collector.cooperate st m;
             Cost.stall st.cost Cost.c_cooperate;
@@ -401,21 +406,28 @@ let alloc_domains t m ~size ~n_slots =
         | None -> 0
       in
       let stall_from = State.now_units st in
-      let fulls_done () =
-        Gc_stats.count st.stats Gc_stats.Full
-        + Gc_stats.count st.stats Gc_stats.Non_gen
-      in
-      let baseline = ref (fulls_done ()) in
+      (* The sweep hands blocks back as it goes, so a stalled allocator
+         retries whenever [sweep_progress] moves, not only at cycle end.
+         That makes the out-of-memory verdict need a full collection
+         that began after the stall did: the one already running when it
+         began may end with the heap refilled by the mutators that
+         allocated during its sweep. *)
+      let baseline = ref (fulls_begun st) in
       let result = ref Heap.nil in
       while !result = Heap.nil do
+        (* read before the attempt: progress made during a failed
+           attempt still wakes the wait below *)
+        let progress = Atomic.get st.sweep_progress in
         match attempt () with
         | Some addr -> result := addr
         | None ->
+            (* a retry failing mid-cycle waits on: only an idle collector
+               gets a request, and only after a full one does the heap grow *)
             (if
                (not (Atomic.get st.collecting))
                && Atomic.get st.gc_request = No_request
              then
-               if fulls_done () = !baseline then
+               if fulls_done st <= !baseline then
                  ignore
                    (Atomic.compare_and_set st.gc_request No_request Want_full
                      : bool)
@@ -428,16 +440,18 @@ let alloc_domains t m ~size ~n_slots =
                           (Stdlib.max 65536 (Heap.capacity heap / 2)))
                  in
                  State.unlock_heap st;
-                 if grown then baseline := fulls_done ()
+                 if grown then baseline := fulls_begun st
                  else raise Out_of_memory
                end);
             Cost.stall cost Cost.c_cooperate;
-            (* Sleep out the requested cycle (cooperating, or handshakes
-               would never complete), then retry. *)
+            (* Sleep (cooperating, or handshakes would never complete)
+               until the sweep frees more memory or the cycle ends, then
+               retry. *)
             Substrate.wait_until (fun () ->
                 Collector.cooperate st m;
-                (not (Atomic.get st.collecting))
-                && Atomic.get st.gc_request = No_request)
+                Atomic.get st.sweep_progress <> progress
+                || (not (Atomic.get st.collecting))
+                   && Atomic.get st.gc_request = No_request)
       done;
       Telemetry.record_stall tel (State.now_units st - stall_from);
       (match Mutator.ring m with

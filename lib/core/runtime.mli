@@ -13,8 +13,8 @@
     be called from that mutator's process. *)
 
 exception Out_of_memory
-(** Raised by {!alloc} when a full collection plus maximal heap growth
-    still cannot satisfy a request. *)
+(** Raised by {!alloc} when a full collection that began after the stall
+    did, plus maximal heap growth, still cannot satisfy a request. *)
 
 type t
 
@@ -111,9 +111,18 @@ val shutdown : t -> unit
 
 val alloc : t -> Mutator.t -> size:int -> n_slots:int -> int
 (** Allocate an object ([Create] of Figure 1): picks the current allocation
-    color, accounts the young-generation trigger, and on exhaustion grows
-    the heap, requests a collection and stalls until space appears.
-    Raises {!Out_of_memory} if nothing helps.
+    color, accounts the young-generation trigger, and on exhaustion
+    stalls: it requests a full collection, then grows the heap, and
+    raises {!Out_of_memory} if nothing helps.  A retry that fails while a
+    cycle runs neither requests nor grows.
+
+    The two substrates retry at different points.  The simulator retries
+    at every scheduling step of the stall.  On domains the stalled
+    mutator sleeps (still cooperating with handshakes) until
+    [State.sweep_progress] moves, i.e. the sweep has freed more blocks,
+    or the cycle ends; so a stall can end mid-cycle.  For that reason
+    the domains verdict counts only full collections that began after
+    the stall did ({!Gc_stats.n_begun_of}).
 
     {b Rooting contract}: there is no scheduling point between the
     allocation succeeding and [alloc] returning, so the caller can safely

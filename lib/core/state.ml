@@ -27,6 +27,7 @@ type t = {
   tracing : bool Atomic.t;
   sweeping : bool Atomic.t;
   collecting : bool Atomic.t;
+  sweep_progress : int Atomic.t;
   gc_request : gc_request Atomic.t;
   bytes_since_gc : int Atomic.t;
   shutdown : bool Atomic.t;
@@ -41,7 +42,6 @@ type t = {
   remset_cache : Card_cache.t;
   mutable tenure_threshold : int;
   mutable fine_grained : bool;
-  mutable collector_tick : int;
   mutable collector_speed : int;
   sampler : Sampler.t;
   recorder : Flight_recorder.t;
@@ -70,6 +70,7 @@ let create heap cfg =
     tracing = Atomic.make false;
     sweeping = Atomic.make false;
     collecting = Atomic.make false;
+    sweep_progress = Atomic.make 0;
     gc_request = Atomic.make No_request;
     bytes_since_gc = Atomic.make 0;
     shutdown = Atomic.make false;
@@ -84,7 +85,6 @@ let create heap cfg =
     remset_cache = Card_cache.create ();
     tenure_threshold = 1;
     fine_grained = true;
-    collector_tick = 0;
     collector_speed = 8;
     sampler = Sampler.create ();
     recorder = Flight_recorder.create ();

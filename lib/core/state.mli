@@ -42,6 +42,11 @@ type t = {
   tracing : bool Atomic.t;    (** the barrier's "Collector is tracing" *)
   sweeping : bool Atomic.t;   (** sweep in progress (create-color decision) *)
   collecting : bool Atomic.t; (** a collection cycle is in progress *)
+  sweep_progress : int Atomic.t;
+      (** bumped by the sweep once per 64 blocks it frees and once at the
+          end of each crew worker's region: a stalled allocator on the
+          domains substrate retries when this moves, instead of waiting
+          for the whole cycle to end ({!Runtime.alloc}) *)
   gc_request : gc_request Atomic.t;
   bytes_since_gc : int Atomic.t;
   shutdown : bool Atomic.t;
@@ -63,13 +68,14 @@ type t = {
   mutable fine_grained : bool;
       (** yield inside barrier/shade micro-steps (on for race testing, off
           for long benchmark runs — see DESIGN.md) *)
-  mutable collector_tick : int;
-      (** work units accumulated since the collector last yielded; the
-          collector yields once per ~[collector_speed] units so that
-          simulated time advances proportionally to work on both sides *)
   mutable collector_speed : int;
-      (** work units the collector performs per scheduling slot (default
-          8, matching one mutator-operation's worth).  The scheduler gives
+      (** work units the collector performs per scheduling slot: it
+          yields once per ~[collector_speed] units, so that simulated time
+          advances proportionally to work on both sides (default 8,
+          matching one mutator-operation's worth).  The pacing counter
+          itself is collector-private ([Gc_par.worker.pace] of worker 0):
+          mutators read this record on every operation, so the collector
+          does not write it per tick.  The scheduler gives
           every process equal slots — each thread owns a CPU — so when
           reproducing the paper's 4-way machine with more threads than
           CPUs, the driver raises this: the collector keeps a whole CPU

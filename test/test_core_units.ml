@@ -107,6 +107,34 @@ let test_gc_stats_aggregation () =
   Gc_stats.reset s;
   check_int "reset drops cycles" 0 (List.length (Gc_stats.cycles s))
 
+(* The atomic counters the allocation stalls poll: begun per kind at
+   [begin_cycle], completed per kind at [end_cycle], and a reset that
+   keeps a cycle in flight counted as begun. *)
+let test_gc_stats_begun_and_completed () =
+  let s = Gc_stats.create () in
+  let counts kind = (Gc_stats.n_begun_of s kind, Gc_stats.n_completed_of s kind) in
+  let pair = Alcotest.(pair int int) in
+  let p = Gc_stats.begin_cycle s Gc_stats.Partial in
+  Alcotest.check pair "partial begun, not done" (1, 0) (counts Gc_stats.Partial);
+  Gc_stats.end_cycle s p;
+  let f1 = Gc_stats.begin_cycle s Gc_stats.Full in
+  Gc_stats.end_cycle s f1;
+  let f2 = Gc_stats.begin_cycle s Gc_stats.Full in
+  Alcotest.check pair "partials" (1, 1) (counts Gc_stats.Partial);
+  Alcotest.check pair "fulls, one in flight" (2, 1) (counts Gc_stats.Full);
+  Alcotest.check pair "no non-gen" (0, 0) (counts Gc_stats.Non_gen);
+  check_int "completed in total" 2 (Gc_stats.n_completed s);
+  check_int "count agrees with n_completed_of" 1 (Gc_stats.count s Gc_stats.Full);
+  Gc_stats.reset s;
+  Alcotest.check pair "reset keeps the full in flight" (1, 0)
+    (counts Gc_stats.Full);
+  Alcotest.check pair "reset clears partials" (0, 0) (counts Gc_stats.Partial);
+  Gc_stats.end_cycle s f2;
+  Alcotest.check pair "in-flight full completes after reset" (1, 1)
+    (counts Gc_stats.Full);
+  check_int "completed since reset" 1 (Gc_stats.n_completed s);
+  check_int "count agrees after reset" 1 (Gc_stats.count s Gc_stats.Full)
+
 let test_gc_stats_incomplete_cycle_ignored () =
   let s = Gc_stats.create () in
   let _abandoned = Gc_stats.begin_cycle s Gc_stats.Partial in
@@ -453,6 +481,8 @@ let suites =
     ( "core.gc_stats",
       [
         Alcotest.test_case "aggregation" `Quick test_gc_stats_aggregation;
+        Alcotest.test_case "begun and completed counters" `Quick
+          test_gc_stats_begun_and_completed;
         Alcotest.test_case "incomplete ignored" `Quick
           test_gc_stats_incomplete_cycle_ignored;
       ] );

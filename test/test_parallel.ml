@@ -175,23 +175,15 @@ let stress_jitter () =
                 ~scale:0.03 ()))
         [ 1; 2; 3 ])
 
-(* [pages_touched] must be exact, not approximate, at every crew width:
-   the per-worker touched-page sets merged at cycle end must union to the
-   set worker 0 computes alone at width 1.  To compare across widths the heap
-   snapshot each cycle sees must be identical, so the single mutator only
-   requests collections from quiescent points — it parks in
-   [collect_and_wait] while the (1-, 2- or 3-wide) crew runs, and the
-   heap is far below every automatic trigger. *)
-let pages_at_width ~gc_workers =
-  let kb = 1024 in
+(* One mutator, the collector and [gc_workers - 1] crew helpers on real
+   domains, over a heap that cannot grow (initial = max).  The mutator
+   is retired even when [body] raises, so the collector never waits on
+   its handshake. *)
+let on_domains ?gc_config ?(gc_workers = 1) ~heap_bytes body =
   let heap_config =
-    { Heap.initial_bytes = 1024 * kb; max_bytes = 1024 * kb; card_size = 16 }
+    { Heap.initial_bytes = heap_bytes; max_bytes = heap_bytes; card_size = 16 }
   in
-  let rt =
-    Runtime.create ~heap_config
-      ~gc_config:(Otfgc.Gc_config.aging ~oldest_age:2 ())
-      ()
-  in
+  let rt = Runtime.create ~heap_config ?gc_config () in
   Runtime.set_fine_grained rt false;
   Runtime.set_parallel rt true;
   Runtime.set_gc_workers rt gc_workers;
@@ -202,9 +194,27 @@ let pages_at_width ~gc_workers =
     Parallel.spawn par ~daemon:true ~name:(Printf.sprintf "gc-worker-%d" wid)
       (fun () -> Runtime.gc_worker_loop rt wid)
   done;
-  let m = Runtime.new_mutator rt ~name:"pages" () in
-  let pages = ref (-1, -1) in
-  Parallel.spawn par ~name:"pages" (fun () ->
+  let m = Runtime.new_mutator rt ~name:"mutator" () in
+  let result = ref None in
+  Parallel.spawn par ~name:"mutator" (fun () ->
+      Fun.protect
+        ~finally:(fun () -> Runtime.retire_mutator rt m)
+        (fun () -> result := Some (body rt m)));
+  Fun.protect
+    ~finally:(fun () -> Substrate.set_current Substrate.Sim)
+    (fun () -> Parallel.run par);
+  Option.get !result
+
+(* [pages_touched] must be exact, not approximate, at every crew width:
+   the per-worker touched-page sets merged at cycle end must union to the
+   set worker 0 computes alone at width 1.  To compare across widths the heap
+   snapshot each cycle sees must be identical, so the single mutator only
+   requests collections from quiescent points — it parks in
+   [collect_and_wait] while the (1-, 2- or 3-wide) crew runs, and the
+   heap is far below every automatic trigger. *)
+let pages_at_width ~gc_workers =
+  on_domains ~gc_config:(Otfgc.Gc_config.aging ~oldest_age:2 ()) ~gc_workers
+    ~heap_bytes:(1024 * 1024) (fun rt m ->
       (* deterministic structure: a 200-node list hanging off one root *)
       let root = Runtime.alloc rt m ~size:64 ~n_slots:4 in
       Mutator.set_reg m 0 root;
@@ -233,12 +243,7 @@ let pages_at_width ~gc_workers =
         end
       done;
       let c2 = Runtime.collect_and_wait rt m ~full:false in
-      pages :=
-        (c1.Gc_stats.pages_touched, c2.Gc_stats.pages_touched);
-      Runtime.retire_mutator rt m);
-  Parallel.run par;
-  Substrate.set_current Substrate.Sim;
-  !pages
+      (c1.Gc_stats.pages_touched, c2.Gc_stats.pages_touched))
 
 let test_pages_exact_across_widths () =
   let f1, p1 = pages_at_width ~gc_workers:1 in
@@ -254,8 +259,77 @@ let test_pages_exact_across_widths () =
         p1 pw)
     [ 2; 3 ]
 
+(* ------------------------------------------------------------------ *)
+(* Allocation stalls on the domains substrate                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The sweep hands memory back as it goes, so a stalled allocator must
+   be able to resume before the cycle it waits on completes.  A 128 KB
+   heap that is almost all garbage keeps the collector cycling and the
+   mutator stalling; every stall is classified by whether
+   [Gc_stats.n_completed] moved while it lasted.  When stalls only end
+   at cycle end, every one spans a completion, except the rare one
+   whose first retry happens to follow a freed block (at most 5 of 200
+   seen), so the test asks for at least a tenth to end mid-cycle.  With
+   the early retry about nine in ten do on two cores, and over half
+   with both domains pinned to one core. *)
+let test_stall_ends_mid_cycle () =
+  let stalls, mid_cycle =
+    with_deadline ~seconds:60.0 ~what:"stall mid-cycle" (fun () ->
+        on_domains ~heap_bytes:(128 * 1024) (fun rt m ->
+            let st = Runtime.state rt in
+            let tel = State.mtelemetry st m in
+            let stalls = ref 0 and mid_cycle = ref 0 and allocs = ref 0 in
+            while !stalls < 200 && !allocs < 5_000_000 do
+              let done0 = Gc_stats.n_completed st.State.stats in
+              let stalls0 = Otfgc.Telemetry.stalls tel in
+              (* one live object at a time: the rest is garbage *)
+              Mutator.set_reg m 0 (Runtime.alloc rt m ~size:32 ~n_slots:2);
+              incr allocs;
+              if Otfgc.Telemetry.stalls tel > stalls0 then begin
+                incr stalls;
+                if Gc_stats.n_completed st.State.stats = done0 then
+                  incr mid_cycle
+              end
+            done;
+            (!stalls, !mid_cycle)))
+  in
+  Alcotest.(check bool) "the mutator stalled" true (stalls > 0);
+  if 10 * mid_cycle < stalls then
+    Alcotest.failf "only %d of %d stalls ended before a cycle completed"
+      mid_cycle stalls
+
+(* A live set larger than the heap maximum must end in [Out_of_memory]
+   on the domains substrate too, not in a stall that never gives up. *)
+let test_domains_out_of_memory () =
+  let raised =
+    with_deadline ~seconds:60.0 ~what:"domains out-of-memory" (fun () ->
+        match
+          on_domains ~heap_bytes:(64 * 1024) (fun rt m ->
+              (* 2000 live 64-byte nodes: about twice the maximum *)
+              for _ = 1 to 2000 do
+                let node = Runtime.alloc rt m ~size:64 ~n_slots:2 in
+                Mutator.set_reg m 1 node;
+                let head = Mutator.get_reg m 0 in
+                if head <> Heap.nil then Runtime.store rt m ~x:node ~i:0 ~y:head;
+                Mutator.set_reg m 0 node;
+                Mutator.clear_reg m 1
+              done)
+        with
+        | () -> false
+        | exception Runtime.Out_of_memory -> true)
+  in
+  Alcotest.(check bool) "raises Out_of_memory" true raised
+
 let suites =
   [
+    ( "domains.stall",
+      [
+        Alcotest.test_case "stalls end mid-cycle" `Quick
+          test_stall_ends_mid_cycle;
+        Alcotest.test_case "out of memory raises" `Quick
+          test_domains_out_of_memory;
+      ] );
     ( "parallel.cross-check",
       grid
       @ [
