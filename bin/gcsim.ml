@@ -16,7 +16,8 @@ module Lab = Otfgc_experiments.Lab
 module Registry = Otfgc_experiments.Registry
 module Textable = Otfgc_support.Textable
 module Json = Otfgc_support.Json
-module Telemetry_report = Otfgc_metrics.Telemetry
+module Metrics_snapshot = Otfgc_metrics.Metrics_snapshot
+module Contention = Otfgc_metrics.Contention
 module Trace_export = Otfgc_metrics.Trace_export
 module Report = Otfgc_metrics.Report
 module Timeseries = Otfgc_support.Timeseries
@@ -77,7 +78,8 @@ let gc_workers_arg =
     "Collection crew width: the collector domain plus N-1 helper domains \
      share card scanning, tracing (work-stealing deques) and sweeping.  \
      Requires --substrate domains when > 1; 1 (default) is the collector \
-     domain alone, the crew the simulator runs."
+     domain alone, the crew the simulator runs.  At most the recommended \
+     domain count."
   in
   Arg.(value & opt int 1 & info [ "gc-workers" ] ~docv:"N" ~doc)
 
@@ -117,7 +119,57 @@ let parse_mode ~young s =
         (`Msg
           (Printf.sprintf "unknown mode %S (gen|nongen|aging:N|remset|adaptive)" s))
 
-let heap_of_card card = { Driver.default_heap with Heap.card_size = card }
+let ( let* ) = Result.bind
+
+(* The end of every subcommand body: bad input is one line on stderr
+   and exit status 1, never an uncaught exception. *)
+let exit_code = function
+  | Ok code -> code
+  | Error (`Msg m) ->
+      prerr_endline m;
+      1
+
+let require cond msg = if cond then Ok () else Error (`Msg msg)
+
+let check_scale scale =
+  require
+    (Float.is_finite scale && scale > 0.)
+    (Printf.sprintf "--scale must be a positive number, not %g" scale)
+
+(* The workload, collector and heap every simulating subcommand takes,
+   range-checked before anything is built from them. *)
+let setup ~workload ~mode ~card ~young ~scale =
+  let* profile = parse_workload workload in
+  let* () =
+    require
+      (card >= 16 && card <= 4096 && card land (card - 1) = 0)
+      (Printf.sprintf "--card must be a power of two in 16..4096, not %d" card)
+  in
+  let* () =
+    require (young >= 1)
+      (Printf.sprintf "--young must be at least 1 KiB, not %d" young)
+  in
+  let* () = check_scale scale in
+  let* gc = parse_mode ~young mode in
+  Ok (profile, gc, { Driver.default_heap with Heap.card_size = card })
+
+let check_mutators = function
+  | None -> Ok ()
+  | Some n ->
+      require (n >= 1) (Printf.sprintf "--mutators must be at least 1, not %d" n)
+
+let check_gc_workers ~substrate n =
+  let cores = Domain.recommended_domain_count () in
+  let* () =
+    require
+      (n >= 1 && n <= cores)
+      (Printf.sprintf
+         "--gc-workers must be in 1..%d (the recommended domain count), not %d"
+         cores n)
+  in
+  require
+    (n = 1 || substrate = Otfgc_sched.Substrate.Domains)
+    "--gc-workers > 1 requires --substrate domains"
 
 let telemetry_arg =
   let doc =
@@ -197,6 +249,27 @@ let write_trace rt ~workload path =
   warn_if_flight_dropped rt;
   Printf.printf "trace written to %s\n" path
 
+(* The run summary: every report of a finished run projects this one
+   end-of-run snapshot. *)
+let summary rt = Metrics_snapshot.take (Otfgc.Runtime.state rt)
+
+(* The JSON summary: the snapshot led by the run's identity and, when
+   the flight recorder was armed, its contention profile. *)
+let summary_json ~workload rt =
+  let fr = Otfgc.Runtime.recorder rt in
+  let cfg = (Otfgc.Runtime.state rt).Otfgc.State.cfg in
+  let contention =
+    if Otfgc.Flight_recorder.armed fr then
+      [ ("contention", Contention.to_json (Contention.of_flight fr)) ]
+    else []
+  in
+  Metrics_snapshot.to_json
+    ~run:
+      (("workload", Json.String workload)
+      :: ("mode", Json.String (Gc_config.mode_name cfg.Gc_config.mode))
+      :: contention)
+    (summary rt)
+
 (* ------------------------------------------------------------------ *)
 (* gcsim list                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -258,100 +331,77 @@ let run_cmd =
   let run workload mode card young scale seed substrate mutators gc_workers
       trace telemetry trace_out sample_every metrics_every_ms metrics_out live
       =
-    match parse_workload workload with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok profile -> (
-        match parse_mode ~young mode with
-        | Error (`Msg m) -> prerr_endline m; 1
-        | Ok gc -> (
-          match parse_substrate substrate with
-          | Error (`Msg m) -> prerr_endline m; 1
-          | Ok substrate ->
-            if gc_workers > 1 && substrate <> Otfgc_sched.Substrate.Domains
-            then begin
-              prerr_endline "--gc-workers > 1 requires --substrate domains";
-              1
-            end
-            else if
-              (metrics_every_ms > 0. || live)
-              && substrate <> Otfgc_sched.Substrate.Domains
-            then begin
-              prerr_endline
-                "--metrics-every-ms / --live require --substrate domains";
-              1
-            end
-            else begin
-            let heap = heap_of_card card in
-            let observer =
-              if metrics_every_ms > 0. || live then
-                Some
-                  (Observer.create
-                     {
-                       Observer.every_ms =
-                         (if metrics_every_ms > 0. then metrics_every_ms
-                          else 200.);
-                       om_path = Some (metrics_out ^ ".om");
-                       jsonl_path = Some (metrics_out ^ ".jsonl");
-                       live;
-                       labels =
-                         [
-                           ("workload", workload);
-                           ("mode", mode);
-                           ("substrate", "domains");
-                           ("seed", string_of_int seed);
-                         ];
-                     })
-              else None
-            in
-            let t0 = Unix.gettimeofday () in
-            let r, rt =
-              Driver.run_rt ~heap ~seed ~scale ~substrate ?threads:mutators
-                ~gc_workers
-                ~instrument:
-                  (instrument_for ~trace ~telemetry:(telemetry || live)
-                     ~trace_out ~sample_every)
-                ?observer ~gc profile
-            in
-            (match observer with
-            | Some o ->
-                Printf.printf
-                  "metrics: %d snapshot(s) -> %s.om (OpenMetrics), %s.jsonl\n"
-                  (List.length (Observer.snapshots o))
-                  metrics_out metrics_out
-            | None -> ());
-            if substrate = Otfgc_sched.Substrate.Domains then
-              Printf.printf
-                "domains substrate: %.2f s wall, %d mutator domain(s) + \
-                 %d collector worker(s)\n"
-                (Unix.gettimeofday () -. t0)
-                (match mutators with
-                | Some n -> n
-                | None -> profile.Profile.threads)
-                gc_workers;
-            Format.printf "%a@." Run_result.pp r;
-            if telemetry then begin
-              print_newline ();
-              Telemetry_report.print
-                (Telemetry_report.of_runtime ~workload:profile.Profile.name rt);
-              let fr = Otfgc.Runtime.recorder rt in
-              if Otfgc.Flight_recorder.armed fr then
-                Otfgc_metrics.Contention.print
-                  (Otfgc_metrics.Contention.of_flight fr)
-            end;
-            if trace then
-              Format.printf "@.phase timeline (elapsed work units):@.%a@?"
-                Otfgc.Event_log.pp_timeline (Otfgc.Runtime.events rt);
-            if sample_every > 0 then
-              Printf.printf
-                "observatory: %d census rows sampled (export with 'gcsim \
-                 census' or render with 'gcsim report')\n"
-                (Timeseries.length
-                   (Otfgc.Sampler.series (Otfgc.Runtime.sampler rt)));
-            Option.iter
-              (write_trace rt ~workload:profile.Profile.name)
-              trace_out;
-            0
-            end))
+    exit_code
+    @@
+    let* profile, gc, heap = setup ~workload ~mode ~card ~young ~scale in
+    let* substrate = parse_substrate substrate in
+    let* () = check_mutators mutators in
+    let* () = check_gc_workers ~substrate gc_workers in
+    let* () =
+      require
+        ((metrics_every_ms <= 0. && not live)
+        || substrate = Otfgc_sched.Substrate.Domains)
+        "--metrics-every-ms / --live require --substrate domains"
+    in
+    let observer =
+      if metrics_every_ms > 0. || live then
+        Some
+          (Observer.create
+             {
+               Observer.every_ms =
+                 (if metrics_every_ms > 0. then metrics_every_ms else 200.);
+               om_path = Some (metrics_out ^ ".om");
+               jsonl_path = Some (metrics_out ^ ".jsonl");
+               live;
+               labels =
+                 [
+                   ("workload", workload);
+                   ("mode", mode);
+                   ("substrate", "domains");
+                   ("seed", string_of_int seed);
+                 ];
+             })
+      else None
+    in
+    let t0 = Unix.gettimeofday () in
+    let r, rt =
+      Driver.run_rt ~heap ~seed ~scale ~substrate ?threads:mutators ~gc_workers
+        ~instrument:
+          (instrument_for ~trace ~telemetry:(telemetry || live) ~trace_out
+             ~sample_every)
+        ?observer ~gc profile
+    in
+    (match observer with
+    | Some o ->
+        Printf.printf "metrics: %d snapshot(s) -> %s.om (OpenMetrics), %s.jsonl\n"
+          (List.length (Observer.snapshots o))
+          metrics_out metrics_out
+    | None -> ());
+    if substrate = Otfgc_sched.Substrate.Domains then
+      Printf.printf
+        "domains substrate: %.2f s wall, %d mutator domain(s) + %d collector \
+         worker(s)\n"
+        (Unix.gettimeofday () -. t0)
+        (Option.value mutators ~default:profile.Profile.threads)
+        gc_workers;
+    Format.printf "%a@." Run_result.pp r;
+    if telemetry then begin
+      print_newline ();
+      Metrics_snapshot.print (summary rt);
+      let fr = Otfgc.Runtime.recorder rt in
+      if Otfgc.Flight_recorder.armed fr then
+        Contention.print (Contention.of_flight fr)
+    end;
+    if trace then
+      Format.printf "@.phase timeline (elapsed work units):@.%a@?"
+        Otfgc.Event_log.pp_timeline (Otfgc.Runtime.events rt);
+    if sample_every > 0 then
+      Printf.printf
+        "observatory: %d census rows sampled (export with 'gcsim census' or \
+         render with 'gcsim report')\n"
+        (Timeseries.length (Otfgc.Sampler.series (Otfgc.Runtime.sampler rt)));
+    Option.iter (write_trace rt ~workload:profile.Profile.name) trace_out;
+    Ok 0
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under one collector and print its summary.")
@@ -368,45 +418,33 @@ let run_cmd =
 
 let compare_cmd =
   let run workload mode card young scale seed telemetry trace_out =
-    match parse_workload workload with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok profile -> (
-        match parse_mode ~young mode with
-        | Error (`Msg m) -> prerr_endline m; 1
-        | Ok gc ->
-            let heap = heap_of_card card in
-            let instrument =
-              instrument_for ~trace:false ~telemetry ~trace_out
-            in
-            let cand, cand_rt =
-              Driver.run_rt ~heap ~seed ~scale ~instrument ~gc profile
-            in
-            let base, base_rt =
-              Driver.run_rt ~heap ~seed ~scale ~instrument
-                ~gc:{ gc with Gc_config.mode = Gc_config.Non_generational }
-                profile
-            in
-            let report title (r : Run_result.t) rt =
-              Format.printf "--- %s ---@.%a@.@." title Run_result.pp r;
-              if telemetry then begin
-                Telemetry_report.print
-                  (Telemetry_report.of_runtime ~workload:profile.Profile.name
-                     rt);
-                print_newline ()
-              end
-            in
-            report cand.Run_result.mode cand cand_rt;
-            report ("baseline (" ^ base.Run_result.mode ^ ")") base base_rt;
-            Format.printf
-              "improvement: %.1f%% (multiprocessor), %.1f%% (uniprocessor)@."
-              (Run_result.improvement_pct ~baseline:base cand ~multiprocessor:true)
-              (Run_result.improvement_pct ~baseline:base cand
-                 ~multiprocessor:false);
-            (* the candidate's trace; the baseline run is for the numbers *)
-            Option.iter
-              (write_trace cand_rt ~workload:profile.Profile.name)
-              trace_out;
-            0)
+    exit_code
+    @@
+    let* profile, gc, heap = setup ~workload ~mode ~card ~young ~scale in
+    let instrument = instrument_for ~trace:false ~telemetry ~trace_out in
+    let cand, cand_rt =
+      Driver.run_rt ~heap ~seed ~scale ~instrument ~gc profile
+    in
+    let base, base_rt =
+      Driver.run_rt ~heap ~seed ~scale ~instrument
+        ~gc:{ gc with Gc_config.mode = Gc_config.Non_generational }
+        profile
+    in
+    let report title (r : Run_result.t) rt =
+      Format.printf "--- %s ---@.%a@.@." title Run_result.pp r;
+      if telemetry then begin
+        Metrics_snapshot.print (summary rt);
+        print_newline ()
+      end
+    in
+    report cand.Run_result.mode cand cand_rt;
+    report ("baseline (" ^ base.Run_result.mode ^ ")") base base_rt;
+    Format.printf "improvement: %.1f%% (multiprocessor), %.1f%% (uniprocessor)@."
+      (Run_result.improvement_pct ~baseline:base cand ~multiprocessor:true)
+      (Run_result.improvement_pct ~baseline:base cand ~multiprocessor:false);
+    (* the candidate's trace; the baseline run is for the numbers *)
+    Option.iter (write_trace cand_rt ~workload:profile.Profile.name) trace_out;
+    Ok 0
   in
   Cmd.v
     (Cmd.info "compare"
@@ -431,72 +469,37 @@ let stats_cmd =
   in
   let run workload mode card young scale seed substrate mutators gc_workers
       format =
-    match parse_workload workload with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok profile -> (
-        match parse_mode ~young mode with
-        | Error (`Msg m) -> prerr_endline m; 1
-        | Ok gc -> (
-            match parse_substrate substrate with
-            | Error (`Msg m) -> prerr_endline m; 1
-            | Ok substrate ->
-                if gc_workers > 1 && substrate <> Otfgc_sched.Substrate.Domains
-                then begin
-                  prerr_endline "--gc-workers > 1 requires --substrate domains";
-                  1
-                end
-                else begin
-                  let _, rt =
-                    Driver.run_rt ~heap:(heap_of_card card) ~seed ~scale
-                      ~substrate ?threads:mutators ~gc_workers
-                      ~instrument:(fun rt ->
-                        (* the event log too, so the events-logged/dropped
-                           counters report the ring's real load; under
-                           domains the flight recorder adds wall-clock
-                           handshake/stall latencies and the contention
-                           profile *)
-                        Otfgc.Event_log.set_enabled (Otfgc.Runtime.events rt)
-                          true;
-                        Otfgc.Telemetry.set_enabled
-                          (Otfgc.Runtime.telemetry rt) true;
-                        Otfgc.Runtime.arm_recorder rt)
-                      ~gc profile
-                  in
-                  let s =
-                    Telemetry_report.of_runtime ~workload:profile.Profile.name
-                      rt
-                  in
-                  let fr = Otfgc.Runtime.recorder rt in
-                  let flight = Otfgc.Flight_recorder.armed fr in
-                  (match format with
-                  | `Text ->
-                      Telemetry_report.print s;
-                      if flight then
-                        Otfgc_metrics.Contention.print
-                          (Otfgc_metrics.Contention.of_flight fr)
-                  | `Json ->
-                      let doc = Telemetry_report.to_json s in
-                      let doc =
-                        if flight then
-                          match doc with
-                          | Json.Obj kvs ->
-                              Json.Obj
-                                (kvs
-                                @ [
-                                    ( "contention",
-                                      Otfgc_metrics.Contention.to_json
-                                        (Otfgc_metrics.Contention.of_flight fr)
-                                    );
-                                  ])
-                          | j -> j
-                        else doc
-                      in
-                      print_endline (Json.to_string doc)
-                  | `Csv -> print_string (Telemetry_report.to_csv s));
-                  warn_if_dropped rt;
-                  warn_if_flight_dropped rt;
-                  0
-                end))
+    exit_code
+    @@
+    let* profile, gc, heap = setup ~workload ~mode ~card ~young ~scale in
+    let* substrate = parse_substrate substrate in
+    let* () = check_mutators mutators in
+    let* () = check_gc_workers ~substrate gc_workers in
+    let _, rt =
+      Driver.run_rt ~heap ~seed ~scale ~substrate ?threads:mutators ~gc_workers
+        ~instrument:(fun rt ->
+          (* the event log too, so the events-logged/dropped counters
+             report the ring's real load; under domains the flight
+             recorder adds wall-clock handshake/stall latencies and the
+             contention profile *)
+          Otfgc.Event_log.set_enabled (Otfgc.Runtime.events rt) true;
+          Otfgc.Telemetry.set_enabled (Otfgc.Runtime.telemetry rt) true;
+          Otfgc.Runtime.arm_recorder rt)
+        ~gc profile
+    in
+    let workload = profile.Profile.name in
+    (match format with
+    | `Text ->
+        Metrics_snapshot.print (summary rt);
+        let fr = Otfgc.Runtime.recorder rt in
+        if Otfgc.Flight_recorder.armed fr then
+          Contention.print (Contention.of_flight fr)
+    | `Json -> print_endline (Json.to_string (summary_json ~workload rt))
+    | `Csv ->
+        print_string (Metrics_snapshot.csv_of_json (summary_json ~workload rt)));
+    warn_if_dropped rt;
+    warn_if_flight_dropped rt;
+    Ok 0
   in
   Cmd.v
     (Cmd.info "stats"
@@ -560,44 +563,36 @@ let census_cmd =
       & info [ "format" ] ~doc)
   in
   let run workload mode card young scale seed sample_every format out =
-    match parse_workload workload with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok profile -> (
-        match parse_mode ~young mode with
-        | Error (`Msg m) -> prerr_endline m; 1
-        | Ok gc ->
-            if sample_every <= 0 then begin
-              prerr_endline "--sample-every must be positive for a census";
-              1
-            end
-            else begin
-              let _, rt =
-                Driver.run_rt ~heap:(heap_of_card card) ~seed ~scale
-                  ~instrument:
-                    (instrument_for ~trace:false ~telemetry:false
-                       ~trace_out:None ~sample_every)
-                  ~gc profile
-              in
-              (* close the series with the end-of-run heap state *)
-              Otfgc.Observatory.sample_now (Otfgc.Runtime.state rt);
-              let series =
-                Otfgc.Sampler.series (Otfgc.Runtime.sampler rt)
-              in
-              let contents =
-                match format with
-                | `Csv -> Timeseries.to_csv series
-                | `Json -> Json.to_string (Timeseries.to_json series) ^ "\n"
-              in
-              (match out with
-              | None -> print_string contents
-              | Some path ->
-                  let oc = open_out path in
-                  output_string oc contents;
-                  close_out oc;
-                  Printf.printf "census written to %s (%d samples)\n" path
-                    (Timeseries.length series));
-              0
-            end)
+    exit_code
+    @@
+    let* profile, gc, heap = setup ~workload ~mode ~card ~young ~scale in
+    let* () =
+      require (sample_every > 0) "--sample-every must be positive for a census"
+    in
+    let _, rt =
+      Driver.run_rt ~heap ~seed ~scale
+        ~instrument:
+          (instrument_for ~trace:false ~telemetry:false ~trace_out:None
+             ~sample_every)
+        ~gc profile
+    in
+    (* close the series with the end-of-run heap state *)
+    Otfgc.Observatory.sample_now (Otfgc.Runtime.state rt);
+    let series = Otfgc.Sampler.series (Otfgc.Runtime.sampler rt) in
+    let contents =
+      match format with
+      | `Csv -> Timeseries.to_csv series
+      | `Json -> Json.to_string (Timeseries.to_json series) ^ "\n"
+    in
+    (match out with
+    | None -> print_string contents
+    | Some path ->
+        let oc = open_out path in
+        output_string oc contents;
+        close_out oc;
+        Printf.printf "census written to %s (%d samples)\n" path
+          (Timeseries.length series));
+    Ok 0
   in
   Cmd.v
     (Cmd.info "census"
@@ -623,35 +618,30 @@ let report_cmd =
       value & opt string "report.html" & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
   let run workload mode card young scale seed sample_every out =
-    match parse_workload workload with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok profile -> (
-        match parse_mode ~young mode with
-        | Error (`Msg m) -> prerr_endline m; 1
-        | Ok gc ->
-            if sample_every <= 0 then begin
-              prerr_endline "--sample-every must be positive for a report";
-              1
-            end
-            else begin
-              let _, rt =
-                Driver.run_rt ~heap:(heap_of_card card) ~seed ~scale
-                  ~instrument:
-                    (instrument_for ~trace:true ~telemetry:true
-                       ~trace_out:None ~sample_every)
-                  ~gc profile
-              in
-              Otfgc.Observatory.sample_now (Otfgc.Runtime.state rt);
-              match Report.of_runtime ~workload:profile.Profile.name rt with
-              | Error e -> prerr_endline e; 1
-              | Ok html ->
-                  write_file out html;
-                  warn_if_dropped rt;
-                  Printf.printf "report written to %s (%d samples)\n" out
-                    (Timeseries.length
-                       (Otfgc.Sampler.series (Otfgc.Runtime.sampler rt)));
-                  0
-            end)
+    exit_code
+    @@
+    let* profile, gc, heap = setup ~workload ~mode ~card ~young ~scale in
+    let* () =
+      require (sample_every > 0) "--sample-every must be positive for a report"
+    in
+    let _, rt =
+      Driver.run_rt ~heap ~seed ~scale
+        ~instrument:
+          (instrument_for ~trace:true ~telemetry:true ~trace_out:None
+             ~sample_every)
+        ~gc profile
+    in
+    Otfgc.Observatory.sample_now (Otfgc.Runtime.state rt);
+    let* html =
+      Result.map_error
+        (fun e -> `Msg e)
+        (Report.of_runtime ~workload:profile.Profile.name rt)
+    in
+    write_file out html;
+    warn_if_dropped rt;
+    Printf.printf "report written to %s (%d samples)\n" out
+      (Timeseries.length (Otfgc.Sampler.series (Otfgc.Runtime.sampler rt)));
+    Ok 0
   in
   Cmd.v
     (Cmd.info "report"
@@ -756,6 +746,9 @@ let fig_cmd =
       & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let run ids scale seed jobs no_cache json_out =
+    exit_code
+    @@
+    let* () = check_scale scale in
     let entries =
       if ids = [] then Registry.all
       else
@@ -791,7 +784,7 @@ let fig_cmd =
     let c = Lab.counters lab in
     Printf.eprintf "cache: %d runs simulated, %d disk hits\n" c.Lab.computed
       c.Lab.disk_hits;
-    0
+    Ok 0
   in
   Cmd.v
     (Cmd.info "fig" ~doc:"Reproduce paper figures (see EXPERIMENTS.md).")

@@ -1,6 +1,19 @@
 module Json = Otfgc_support.Json
 module Histogram = Otfgc_support.Histogram
+module Textable = Otfgc_support.Textable
 open Otfgc
+
+type hist = {
+  count : int;
+  total : int;
+  min : int;
+  max : int;
+  mean : float;
+  p50 : int;
+  p90 : int;
+  p99 : int;
+  p999 : int;
+}
 
 type t = {
   seq : int;
@@ -16,10 +29,15 @@ type t = {
   steals : int;
   steal_failures : int;
   lock_waits : int;
+  lock_waits_by_class : (int * int) list;
+  trace_workers : int;
+  events_logged : int;
+  events_dropped : int;
   mutator_work : int;
   collector_work : int;
   stall_work : int;
   phase_work : (string * int) list;
+  category_work : (string * int) list;
   cycles_partial : int;
   cycles_full : int;
   cycles_non_gen : int;
@@ -38,70 +56,79 @@ type t = {
   freelist_stale : int;
   flight_drops : int;
   active_mutators : int;
-  p99_handshake : int;
+  time_unit : string;
+  handshake_latency : (string * hist) list;
+  stall_latency : hist;
+  cycle_progress : hist;
+  slo_handshake : hist;
 }
 
-(* Sum a counter over the shared ledger plus every registered mutator's
-   own ledger (domains substrate; [own_*] is [None] under the
-   simulator).  Retired mutators keep their slots and ledgers, so the
-   sum never loses a retiree's contribution. *)
-let tel_sum (st : State.t) f =
-  let acc = ref (f st.State.telemetry) in
-  State.iter_mutators st (fun m ->
-      match Mutator.own_telemetry m with
-      | Some tl -> acc := !acc + f tl
-      | None -> ());
-  !acc
-
-let cost_sum (st : State.t) f =
-  let acc = ref (f st.State.cost) in
-  State.iter_mutators st (fun m ->
-      match Mutator.own_cost m with
-      | Some c -> acc := !acc + f c
-      | None -> ());
-  !acc
+let hist_of h =
+  {
+    count = Histogram.count h;
+    total = Histogram.total h;
+    min = Histogram.min_value h;
+    max = Histogram.max_value h;
+    mean = Histogram.mean h;
+    p50 = Histogram.percentile h 50.;
+    p90 = Histogram.percentile h 90.;
+    p99 = Histogram.percentile h 99.;
+    p999 = Histogram.percentile h 99.9;
+  }
 
 let metric_name_of_phase p =
   String.map (fun c -> if c = '-' then '_' else c) (Cost.phase_name p)
 
+let handshake_statuses = [ Status.Sync1; Status.Sync2; Status.Async ]
+
 let take ?(seq = 0) ?(at_ms = 0.) (st : State.t) =
+  (* Fold the shared ledgers plus every registered mutator's own ledger
+     (domains substrate; [own_*] is [None] under the simulator) into
+     fresh ones.  Retired mutators keep their slots and ledgers, so the
+     sum never loses a retiree's contribution.  Racy reads of plain ints
+     and histogram buckets: bounded-stale, never torn or out of
+     bounds. *)
+  let cost = Cost.create () and tel = Telemetry.create () in
+  Cost.merge_into ~src:st.State.cost ~dst:cost;
+  Telemetry.merge_into ~src:st.State.telemetry ~dst:tel;
+  State.iter_mutators st (fun m ->
+      Option.iter (fun c -> Cost.merge_into ~src:c ~dst:cost) (Mutator.own_cost m);
+      Option.iter
+        (fun tl -> Telemetry.merge_into ~src:tl ~dst:tel)
+        (Mutator.own_telemetry m));
   let heap = st.State.heap in
   let stats = st.State.stats in
-  let p99_handshake =
-    if Telemetry.enabled st.State.telemetry then begin
-      (* racy bucket reads: bounded-stale, never out of bounds *)
-      let h = Histogram.create () in
-      List.iter
-        (fun s ->
-          Histogram.add_into
-            ~src:(Telemetry.handshake_latency st.State.telemetry s)
-            ~dst:h)
-        [ Status.Sync1; Status.Sync2; Status.Async ];
-      Histogram.percentile h 99.
-    end
-    else 0
-  in
+  let handshakes = List.map (Telemetry.handshake_latency tel) handshake_statuses in
   {
     seq;
     at_ms;
-    barrier_updates = tel_sum st Telemetry.barrier_updates;
-    yellow_fires = tel_sum st Telemetry.yellow_fires;
-    promotions = tel_sum st Telemetry.promotions;
-    dirty_card_finds = tel_sum st Telemetry.dirty_card_finds;
-    handshake_acks = tel_sum st Telemetry.handshake_acks;
-    stalls = tel_sum st Telemetry.stalls;
-    card_marks = tel_sum st Telemetry.card_marks;
-    remset_records = tel_sum st Telemetry.remset_records;
-    steals = tel_sum st Telemetry.steals;
-    steal_failures = tel_sum st Telemetry.steal_failures;
-    lock_waits = tel_sum st Telemetry.lock_waits_total;
-    mutator_work = cost_sum st Cost.mutator_work;
-    collector_work = cost_sum st Cost.collector_work;
-    stall_work = cost_sum st Cost.stall_work;
+    barrier_updates = Telemetry.barrier_updates tel;
+    yellow_fires = Telemetry.yellow_fires tel;
+    promotions = Telemetry.promotions tel;
+    dirty_card_finds = Telemetry.dirty_card_finds tel;
+    handshake_acks = Telemetry.handshake_acks tel;
+    stalls = Telemetry.stalls tel;
+    card_marks = Telemetry.card_marks tel;
+    remset_records = Telemetry.remset_records tel;
+    steals = Telemetry.steals tel;
+    steal_failures = Telemetry.steal_failures tel;
+    lock_waits = Telemetry.lock_waits_total tel;
+    lock_waits_by_class =
+      Array.to_list (Telemetry.lock_waits tel)
+      |> List.mapi (fun cls n -> (cls, n))
+      |> List.filter (fun (_, n) -> n > 0);
+    trace_workers = Telemetry.trace_workers tel;
+    events_logged = Event_log.length st.State.events;
+    events_dropped = Event_log.dropped st.State.events;
+    mutator_work = Cost.mutator_work cost;
+    collector_work = Cost.collector_work cost;
+    stall_work = Cost.stall_work cost;
     phase_work =
+      List.map (fun p -> (metric_name_of_phase p, Cost.phase_work cost p)) Cost.phases;
+    category_work =
       List.map
-        (fun p -> (metric_name_of_phase p, cost_sum st (fun c -> Cost.phase_work c p)))
-        Cost.phases;
+        (fun c -> (Cost.category_name c, Cost.category_work cost c))
+        Cost.categories;
     cycles_partial = Gc_stats.n_completed_of stats Gc_stats.Partial;
     cycles_full = Gc_stats.n_completed_of stats Gc_stats.Full;
     cycles_non_gen = Gc_stats.n_completed_of stats Gc_stats.Non_gen;
@@ -125,12 +152,19 @@ let take ?(seq = 0) ?(at_ms = 0.) (st : State.t) =
          Flight_recorder.dropped st.State.recorder
        else 0);
     active_mutators = State.count_active_mutators st;
-    p99_handshake;
+    time_unit = (if st.State.parallel then "us" else "units");
+    handshake_latency =
+      List.map2
+        (fun s h -> (Status.to_string s, hist_of h))
+        handshake_statuses handshakes;
+    stall_latency = hist_of (Telemetry.stall_latency tel);
+    cycle_progress = hist_of (Telemetry.cycle_progress tel);
+    slo_handshake =
+      hist_of (List.fold_left Histogram.merge (Histogram.create ()) handshakes);
   }
 
-(* The single source of truth for field order: the OpenMetrics emitter,
-   the delta arithmetic and the JSON round-trip all walk these lists,
-   so output ordering is deterministic by construction. *)
+(* The single source of truth for the order of the OpenMetrics families
+   and of the JSON object's scalar head. *)
 let counters t =
   [
     ("barrier_updates", t.barrier_updates);
@@ -171,153 +205,167 @@ let gauges t =
     ("freelist_stale", t.freelist_stale);
     ("flight_drops", t.flight_drops);
     ("active_mutators", t.active_mutators);
-    ("p99_handshake", t.p99_handshake);
+    ("p99_handshake", t.slo_handshake.p99);
   ]
 
-let delta ~earlier ~later =
-  {
-    later with
-    barrier_updates = later.barrier_updates - earlier.barrier_updates;
-    yellow_fires = later.yellow_fires - earlier.yellow_fires;
-    promotions = later.promotions - earlier.promotions;
-    dirty_card_finds = later.dirty_card_finds - earlier.dirty_card_finds;
-    handshake_acks = later.handshake_acks - earlier.handshake_acks;
-    stalls = later.stalls - earlier.stalls;
-    card_marks = later.card_marks - earlier.card_marks;
-    remset_records = later.remset_records - earlier.remset_records;
-    steals = later.steals - earlier.steals;
-    steal_failures = later.steal_failures - earlier.steal_failures;
-    lock_waits = later.lock_waits - earlier.lock_waits;
-    mutator_work = later.mutator_work - earlier.mutator_work;
-    collector_work = later.collector_work - earlier.collector_work;
-    stall_work = later.stall_work - earlier.stall_work;
-    phase_work =
-      List.map
-        (fun (p, w) ->
-          (p, w - Option.value ~default:0 (List.assoc_opt p earlier.phase_work)))
-        later.phase_work;
-    cycles_partial = later.cycles_partial - earlier.cycles_partial;
-    cycles_full = later.cycles_full - earlier.cycles_full;
-    cycles_non_gen = later.cycles_non_gen - earlier.cycles_non_gen;
-    gc_bytes_freed = later.gc_bytes_freed - earlier.gc_bytes_freed;
-    gc_objects_freed = later.gc_objects_freed - earlier.gc_objects_freed;
-    gc_promotions = later.gc_promotions - earlier.gc_promotions;
-    total_alloc_bytes = later.total_alloc_bytes - earlier.total_alloc_bytes;
-    total_alloc_objects =
-      later.total_alloc_objects - earlier.total_alloc_objects;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* JSON round-trip (one object per JSONL line)                         *)
+(* JSON and CSV                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let to_json t =
+let hist_to_json h =
   Json.Obj
-    ([
-       ("seq", Json.Int t.seq);
-       ("at_ms", Json.Float t.at_ms);
-       ("phase", Json.String t.phase);
-     ]
-    @ List.map (fun (k, v) -> (k, Json.Int v)) (counters t)
-    @ List.map (fun (k, v) -> (k, Json.Int v)) (gauges t))
+    [
+      ("count", Json.Int h.count);
+      ("total", Json.Int h.total);
+      ("min", Json.Int h.min);
+      ("max", Json.Int h.max);
+      ("mean", Json.Float h.mean);
+      ("p50", Json.Int h.p50);
+      ("p90", Json.Int h.p90);
+      ("p99", Json.Int h.p99);
+      ("p999", Json.Int h.p999);
+    ]
 
-let ( let* ) = Result.bind
+let ints kvs = List.map (fun (k, v) -> (k, Json.Int v)) kvs
 
-let int_field name j =
-  match Option.bind (Json.member name j) Json.as_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "snapshot: missing or mistyped %S" name)
+let to_json ?(run = []) t =
+  Json.Obj
+    (run
+    @ [
+        ("seq", Json.Int t.seq);
+        ("at_ms", Json.Float t.at_ms);
+        ("phase", Json.String t.phase);
+      ]
+    @ ints (counters t)
+    @ ints (gauges t)
+    @ [
+        ("category_work", Json.Obj (ints t.category_work));
+        ( "lock_waits_by_class",
+          Json.Obj
+            (List.map
+               (fun (cls, n) -> (string_of_int cls, Json.Int n))
+               t.lock_waits_by_class) );
+        ("trace_workers", Json.Int t.trace_workers);
+        ("events_logged", Json.Int t.events_logged);
+        ("events_dropped", Json.Int t.events_dropped);
+        ("time_unit", Json.String t.time_unit);
+        ( "handshake_latency",
+          Json.Obj
+            (List.map (fun (k, h) -> (k, hist_to_json h)) t.handshake_latency)
+        );
+        ("stall_latency", hist_to_json t.stall_latency);
+        ("cycle_progress", hist_to_json t.cycle_progress);
+        ("slo_handshake", hist_to_json t.slo_handshake);
+      ])
 
-let of_json j =
-  let* seq = int_field "seq" j in
-  let* at_ms =
-    match Option.bind (Json.member "at_ms" j) Json.as_float with
-    | Some v -> Ok v
-    | None -> Error "snapshot: missing or mistyped \"at_ms\""
+let csv_of_json doc =
+  let b = Buffer.create 4096 in
+  let line k v = Printf.bprintf b "%s,%s\n" k v in
+  let rec leaf key = function
+    | Json.Obj kvs ->
+        List.iter
+          (fun (k, v) -> leaf (if key = "" then k else key ^ "." ^ k) v)
+          kvs
+    | Json.List items ->
+        List.iteri (fun i v -> leaf (key ^ "." ^ string_of_int i) v) items
+    | Json.String s -> line key s
+    | v -> line key (Json.to_string v)
   in
-  let* phase =
-    match Option.bind (Json.member "phase" j) Json.as_string with
-    | Some v -> Ok v
-    | None -> Error "snapshot: missing or mistyped \"phase\""
+  line "metric" "value";
+  leaf "" doc;
+  Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
+(* Text tables                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let pct part whole =
+  if whole = 0 then "0.0"
+  else Textable.fmt_f1 (float_of_int part /. float_of_int whole *. 100.)
+
+let work_table t =
+  let tbl =
+    Textable.create ~title:"work attribution (units)"
+      [ "ledger"; "class"; "units"; "% of ledger" ]
   in
-  let* barrier_updates = int_field "barrier_updates" j in
-  let* yellow_fires = int_field "yellow_fires" j in
-  let* promotions = int_field "promotions" j in
-  let* dirty_card_finds = int_field "dirty_card_finds" j in
-  let* handshake_acks = int_field "handshake_acks" j in
-  let* stalls = int_field "stalls" j in
-  let* card_marks = int_field "card_marks" j in
-  let* remset_records = int_field "remset_records" j in
-  let* steals = int_field "steals" j in
-  let* steal_failures = int_field "steal_failures" j in
-  let* lock_waits = int_field "lock_waits" j in
-  let* mutator_work = int_field "mutator_work" j in
-  let* collector_work = int_field "collector_work" j in
-  let* stall_work = int_field "stall_work" j in
-  let* phase_work =
-    List.fold_left
-      (fun acc p ->
-        let* acc = acc in
-        let name = metric_name_of_phase p in
-        let* w = int_field ("work_" ^ name) j in
-        Ok ((name, w) :: acc))
-      (Ok []) Cost.phases
-    |> Result.map List.rev
+  let row ledger name units whole =
+    Textable.add_row tbl [ ledger; name; string_of_int units; pct units whole ]
   in
-  let* cycles_partial = int_field "cycles_partial" j in
-  let* cycles_full = int_field "cycles_full" j in
-  let* cycles_non_gen = int_field "cycles_non_gen" j in
-  let* gc_bytes_freed = int_field "gc_bytes_freed" j in
-  let* gc_objects_freed = int_field "gc_objects_freed" j in
-  let* gc_promotions = int_field "gc_promotions" j in
-  let* heap_capacity = int_field "heap_capacity_bytes" j in
-  let* heap_allocated_bytes = int_field "heap_allocated_bytes" j in
-  let* total_alloc_bytes = int_field "total_alloc_bytes" j in
-  let* total_alloc_objects = int_field "total_alloc_objects" j in
-  let* young_bytes = int_field "young_bytes" j in
-  let* dirty_cards = int_field "dirty_cards" j in
-  let* gray_depth = int_field "gray_depth" j in
-  let* freelist_entries = int_field "freelist_entries" j in
-  let* freelist_stale = int_field "freelist_stale" j in
-  let* flight_drops = int_field "flight_drops" j in
-  let* active_mutators = int_field "active_mutators" j in
-  let* p99_handshake = int_field "p99_handshake" j in
-  Ok
-    {
-      seq;
-      at_ms;
-      barrier_updates;
-      yellow_fires;
-      promotions;
-      dirty_card_finds;
-      handshake_acks;
-      stalls;
-      card_marks;
-      remset_records;
-      steals;
-      steal_failures;
-      lock_waits;
-      mutator_work;
-      collector_work;
-      stall_work;
-      phase_work;
-      cycles_partial;
-      cycles_full;
-      cycles_non_gen;
-      gc_bytes_freed;
-      gc_objects_freed;
-      gc_promotions;
-      phase;
-      heap_capacity;
-      heap_allocated_bytes;
-      total_alloc_bytes;
-      total_alloc_objects;
-      young_bytes;
-      dirty_cards;
-      gray_depth;
-      freelist_entries;
-      freelist_stale;
-      flight_drops;
-      active_mutators;
-      p99_handshake;
-    }
+  List.iter2
+    (fun p (_, units) -> row "collector" (Cost.phase_name p) units t.collector_work)
+    Cost.phases t.phase_work;
+  Textable.add_row tbl
+    [ "collector"; "total"; string_of_int t.collector_work; "100.0" ];
+  List.iter
+    (fun (name, units) -> row "mutator" name units t.mutator_work)
+    t.category_work;
+  Textable.add_row tbl
+    [ "mutator"; "total"; string_of_int t.mutator_work; "100.0" ];
+  Textable.add_row tbl [ "stall"; "total"; string_of_int t.stall_work; "" ];
+  tbl
+
+let counter_table t =
+  let tbl = Textable.create ~title:"event counters" [ "counter"; "count" ] in
+  List.iter
+    (fun (name, v) -> Textable.add_row tbl [ name; string_of_int v ])
+    [
+      ("barrier updates", t.barrier_updates);
+      ("yellow-exception fires", t.yellow_fires);
+      ("promotions", t.promotions);
+      ("dirty cards found", t.dirty_card_finds);
+      ("handshake acks", t.handshake_acks);
+      ("allocation stalls", t.stalls);
+      ("card marks", t.card_marks);
+      ("remset records", t.remset_records);
+      ("gray steals", t.steals);
+      ("gray steal failures", t.steal_failures);
+      ("alloc lock waits", t.lock_waits);
+      ("trace workers (max)", t.trace_workers);
+      ("events logged", t.events_logged);
+      ("events dropped", t.events_dropped);
+    ];
+  tbl
+
+let latency_table t =
+  let tbl =
+    Textable.create
+      ~title:(Printf.sprintf "latency histograms (%s)" t.time_unit)
+      [
+        "instrument"; "count"; "min"; "mean"; "p50"; "p90"; "p99"; "p99.9";
+        "max";
+      ]
+  in
+  let row name h =
+    Textable.add_row tbl
+      (name :: string_of_int h.count :: string_of_int h.min
+      :: Textable.fmt_f1 h.mean
+      :: List.map string_of_int [ h.p50; h.p90; h.p99; h.p999; h.max ])
+  in
+  List.iter
+    (fun (status, h) -> row ("handshake " ^ status) h)
+    t.handshake_latency;
+  row "alloc stall" t.stall_latency;
+  row "cycle progress" t.cycle_progress;
+  tbl
+
+(* The SLO view: one merged handshake distribution plus the stall
+   distribution, tail percentiles first — wall-clock microseconds under
+   the domains substrate, simulated units otherwise. *)
+let slo_table t =
+  let tbl =
+    Textable.create
+      ~title:(Printf.sprintf "SLO latency (%s)" t.time_unit)
+      [ "slo"; "count"; "p50"; "p90"; "p99"; "p99.9"; "max" ]
+  in
+  let row name h =
+    Textable.add_row tbl
+      (name
+      :: List.map string_of_int [ h.count; h.p50; h.p90; h.p99; h.p999; h.max ])
+  in
+  row "handshake (all)" t.slo_handshake;
+  row "alloc stall" t.stall_latency;
+  tbl
+
+let print t =
+  List.iter Textable.print
+    [ work_table t; counter_table t; latency_table t; slo_table t ]

@@ -84,7 +84,7 @@ let render_live t (s : Metrics_snapshot.t) prev =
   Printf.printf
     "\r\x1b[K[live] young %d KiB  dirty %d  gray %d  cycles %d  p99 hs %d us  \
      snap #%d\n"
-    (s.young_bytes / 1024) s.dirty_cards s.gray_depth cycles s.p99_handshake
+    (s.young_bytes / 1024) s.dirty_cards s.gray_depth cycles s.slo_handshake.p99
     s.seq;
   t.live_primed <- true;
   flush stdout
@@ -158,9 +158,9 @@ let stop t =
     t.stopped <- true;
     Atomic.set t.stop_flag true;
     (match t.domain with Some d -> Domain.join d | None -> ());
-    (* the final snapshot: taken at quiescence, before the driver folds
-       the per-mutator ledgers, so its counters are the run's exact
-       totals.  Zero-cadence-tick runs still get this one record. *)
+    (* the final snapshot: taken at quiescence, so its counters are the
+       run's exact totals.  Zero-cadence-tick runs still get this one
+       record. *)
     (match t.st with Some st -> emit t (take t st) | None -> ());
     (match t.jsonl with
     | Some oc ->

@@ -19,12 +19,9 @@
 
     {!stop} always takes one final snapshot after the observer domain
     has joined, so even a run shorter than one cadence period emits a
-    single exact record.  The caller must invoke {!stop} while the
-    per-mutator ledgers are still registered in the state — i.e. after
-    the parallel run reaches quiescence but before [Driver] folds the
-    own-ledgers into the shared ones — so the final snapshot equals
-    the post-run [Gc_stats]/[Telemetry] totals without
-    double-counting. *)
+    single exact record.  Call {!stop} once the parallel run has
+    reached quiescence, so the final snapshot equals the post-run
+    [Gc_stats]/[Telemetry] totals. *)
 
 type config = {
   every_ms : float;  (** snapshot cadence; must be positive *)

@@ -167,19 +167,23 @@ let run_domains ~heap ~seed ~scale ~instrument ~observer ~gc ~gc_workers
   done;
   Parallel.run par;
   Substrate.set_current Substrate.Sim;
-  (* Stop the observer at quiescence, BEFORE folding the per-mutator
-     ledgers below: its snapshots sum shared + own ledgers, so a final
-     snapshot after the fold would double-count every mutator's work. *)
   (match observer with Some o -> Observer.stop o | None -> ());
-  (* Fold the per-mutator ledgers into the shared ones so Run_result sees
-     whole-program work, as it does under the simulator. *)
+  (* Move the per-mutator ledgers into the shared ones, so Run_result
+     sees whole-program work as it does under the simulator, and a
+     [Metrics_snapshot.take] (shared plus own ledgers) still counts each
+     unit once.  [Gc_par.merge_ledgers] does the same for the crew's
+     helpers at every cycle end. *)
   List.iter
     (fun m ->
       (match Mutator.own_cost m with
-      | Some c -> Cost.merge_into ~src:c ~dst:(Runtime.cost rt)
+      | Some c ->
+          Cost.merge_into ~src:c ~dst:(Runtime.cost rt);
+          Cost.reset c
       | None -> ());
       match Mutator.own_telemetry m with
-      | Some tl -> Telemetry.merge_into ~src:tl ~dst:(Runtime.telemetry rt)
+      | Some tl ->
+          Telemetry.merge_into ~src:tl ~dst:(Runtime.telemetry rt);
+          Telemetry.reset tl
       | None -> ())
     !muts;
   (Run_result.of_runtime ~workload:profile.Profile.name rt, rt)

@@ -50,10 +50,12 @@ val run_rt :
     selects the execution substrate (default [Sim]); [gc_workers]
     (default 1) is the collection crew's width; more than 1 worker is
     domains substrate only ([Invalid_argument] on [Sim]).  [observer], domains
-    only, is launched right after [instrument] and stopped at quiescence
-    — after the parallel run, before the per-mutator ledgers are folded
-    into the shared ones — so its final snapshot equals the post-run
-    totals exactly (see {!Otfgc_metrics.Observer}).  Note the warmup
+    only, is launched right after [instrument] and stopped at quiescence,
+    so its final snapshot equals the post-run totals exactly (see
+    {!Otfgc_metrics.Observer}).  A domains run ends by moving each
+    mutator's own cost and telemetry ledgers into the shared ones
+    (merged, then reset), so {!Otfgc_metrics.Metrics_snapshot.take} on
+    the returned runtime equals the observer's final snapshot.  Note the warmup
     reset happens mid-run: observer counters are monotone only from the
     first post-warmup snapshot on. *)
 

@@ -8,7 +8,6 @@ module Fr = Otfgc.Flight_recorder
 module Runtime = Otfgc.Runtime
 module Histogram = Otfgc_support.Histogram
 module Json = Otfgc_support.Json
-module Telemetry_report = Otfgc_metrics.Telemetry
 module Trace_export = Otfgc_metrics.Trace_export
 module Driver = Otfgc_workloads.Driver
 module Profile = Otfgc_workloads.Profile
@@ -133,29 +132,6 @@ let test_percentile_edges () =
     [ 0.; 50.; 99.; 99.9; 100. ];
   check_int "single-sample count" 1 (Histogram.count h)
 
-let test_of_json_rejects_malformed () =
-  check "empty object rejected" true
-    (Result.is_error (Telemetry_report.of_json (Json.Obj [])));
-  check "wrong top-level type rejected" true
-    (Result.is_error (Telemetry_report.of_json (Json.List [])));
-  check "truncated document rejected" true
-    (Result.is_error (Json.of_string {|{"workload": "x", "mode"|}));
-  (* a syntactically valid summary with one histogram field mistyped *)
-  let rt = Runtime.create () in
-  let good = Telemetry_report.to_json (Telemetry_report.of_runtime rt) in
-  let corrupted =
-    match good with
-    | Json.Obj fields ->
-        Json.Obj
-          (List.map
-             (fun (k, v) ->
-               if k = "slo_handshake" then (k, Json.String "oops") else (k, v))
-             fields)
-    | _ -> Alcotest.fail "summary did not serialise to an object"
-  in
-  check "mistyped histogram field rejected" true
-    (Result.is_error (Telemetry_report.of_json corrupted))
-
 let suites =
   [
     ( "flight.recorder",
@@ -175,7 +151,5 @@ let suites =
       [
         Alcotest.test_case "percentile edge cases" `Quick
           test_percentile_edges;
-        Alcotest.test_case "of_json rejects malformed input" `Quick
-          test_of_json_rejects_malformed;
       ] );
   ]

@@ -26,6 +26,8 @@ module Oracle = Otfgc.Oracle
 module Runtime = Otfgc.Runtime
 module Mutator = Otfgc.Mutator
 module Gc_stats = Otfgc.Gc_stats
+module Gc_par = Otfgc.Gc_par
+module Status = Otfgc.Status
 module Run_result = Otfgc_metrics.Run_result
 
 let total_promotions rt =
@@ -37,12 +39,12 @@ let total_promotions rt =
    substrates and check every cross-substrate invariant.  [gc_workers]
    applies to the domains side only (the simulator always runs the
    width-1 crew) — the invariants must hold for any crew width. *)
-let check_config ~name ~profile ~gc ~threads ~seed ~scale ?(gc_workers = 1) ()
-    =
+let check_config ~name ~profile ~gc ~threads ~seed ~scale ?(gc_workers = 1)
+    ?instrument () =
   let sim_res, sim_rt = Driver.run_rt ~seed ~scale ~threads ~gc profile in
   let dom_res, dom_rt =
     Driver.run_rt ~seed ~scale ~substrate:Substrate.Domains ~threads
-      ~gc_workers ~gc profile
+      ~gc_workers ?instrument ~gc profile
   in
   Alcotest.(check int)
     (name ^ ": total_alloc_bytes equal across substrates")
@@ -130,8 +132,9 @@ let console = Unix.dup Unix.stderr
    interrupted from outside — its domains sleep in their wait loops, and
    the caller sits in [Domain.join] — so a watchdog domain reports [what]
    and exits the test process with a failure status once the deadline
-   passes, instead of letting the suite hang. *)
-let with_deadline ~seconds ~what f =
+   passes, instead of letting the suite hang.  [dump] describes the
+   hung run's state for the report. *)
+let with_deadline ?(dump = fun () -> "") ~seconds ~what f =
   let finished = Atomic.make false in
   let watchdog =
     Domain.spawn (fun () ->
@@ -141,8 +144,8 @@ let with_deadline ~seconds ~what f =
         done;
         if not (Atomic.get finished) then begin
           let msg =
-            Printf.sprintf "%s: still running after the %g s deadline\n" what
-              seconds
+            Printf.sprintf "%s: still running after the %g s deadline\n%s"
+              what seconds (dump ())
           in
           prerr_string msg;
           flush stderr;
@@ -158,6 +161,31 @@ let with_deadline ~seconds ~what f =
    more than ten minutes. *)
 let jitter_deadline_s = 120.0
 
+(* The handshake and crew state of a domains run, read racily from the
+   watchdog: enough to tell which side a hung run waits on. *)
+let dump_domains rt =
+  let st = Runtime.state rt in
+  let b = Buffer.create 256 in
+  Printf.bprintf b "  posted status %s, collecting %b\n"
+    (Status.to_string (Atomic.get st.State.status_c))
+    (Atomic.get st.State.collecting);
+  State.iter_mutators st (fun m ->
+      Printf.bprintf b "  mutator %s: %s%s\n" (Mutator.name m)
+        (Status.to_string (Mutator.status m))
+        (if Mutator.active m then "" else " (retired)"));
+  let par = st.State.par in
+  Printf.bprintf b "  crew phase %s, epoch %d, idle %d, done %d of %d helpers\n"
+    (match par.Gc_par.phase with
+    | Gc_par.Idle -> "idle"
+    | Cards -> "cards"
+    | Trace -> "trace"
+    | Sweep -> "sweep")
+    (Atomic.get par.Gc_par.epoch)
+    (Atomic.get par.Gc_par.idle)
+    (Atomic.get par.Gc_par.done_count)
+    (par.Gc_par.n_workers - 1);
+  Buffer.contents b
+
 (* Stress: arm the substrate's jitter hook so every yield point may burn
    a random spin — this perturbs the interleaving at exactly the
    barrier/handshake-sensitive program points.  The invariants must hold
@@ -170,9 +198,17 @@ let stress_jitter () =
         (fun seed ->
           Substrate.set_jitter ~seed ~prob:0.05 ~max_spin:400;
           let name = Printf.sprintf "jitter seed %d" seed in
-          with_deadline ~seconds:jitter_deadline_s ~what:name (fun () ->
+          let rt = Atomic.make None in
+          let dump () =
+            match Atomic.get rt with
+            | Some rt -> dump_domains rt
+            | None -> "  the domains run had not started\n"
+          in
+          with_deadline ~dump ~seconds:jitter_deadline_s ~what:name (fun () ->
               check_config ~name ~profile:Profile.anagram ~gc ~threads:2 ~seed
-                ~scale:0.03 ()))
+                ~scale:0.03
+                ~instrument:(fun r -> Atomic.set rt (Some r))
+                ()))
         [ 1; 2; 3 ])
 
 (* One mutator, the collector and [gc_workers - 1] crew helpers on real

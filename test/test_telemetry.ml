@@ -6,13 +6,14 @@ open Otfgc
 module Histogram = Otfgc_support.Histogram
 module Json = Otfgc_support.Json
 module Run_result = Otfgc_metrics.Run_result
-module Telemetry_report = Otfgc_metrics.Telemetry
+module Metrics_snapshot = Otfgc_metrics.Metrics_snapshot
 module Trace_export = Otfgc_metrics.Trace_export
 module Driver = Otfgc_workloads.Driver
 module Profile = Otfgc_workloads.Profile
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_str = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                           *)
@@ -404,85 +405,29 @@ let test_report_summary () =
     instrumented_run ~seed:42 ~gc:(Gc_config.generational ())
       (Profile.anagram)
   in
-  let s = Telemetry_report.of_runtime ~workload:"anagram" rt in
-  let phase_sum = List.fold_left (fun a (_, v) -> a + v) 0 s.Telemetry_report.phase_work in
-  check_int "report phase sum" s.Telemetry_report.collector_work phase_sum;
-  let cat_sum =
-    List.fold_left (fun a (_, v) -> a + v) 0 s.Telemetry_report.category_work
-  in
-  check_int "report category sum" s.Telemetry_report.mutator_work cat_sum;
-  check "barriers counted" true (s.Telemetry_report.barrier_updates > 0);
-  check "acks counted" true (s.Telemetry_report.handshake_acks > 0);
+  let s = Metrics_snapshot.take (Runtime.state rt) in
+  let sum kvs = List.fold_left (fun a (_, v) -> a + v) 0 kvs in
+  check_int "report phase sum" s.Metrics_snapshot.collector_work
+    (sum s.Metrics_snapshot.phase_work);
+  check_int "report category sum" s.Metrics_snapshot.mutator_work
+    (sum s.Metrics_snapshot.category_work);
+  check "barriers counted" true (s.Metrics_snapshot.barrier_updates > 0);
+  check "acks counted" true (s.Metrics_snapshot.handshake_acks > 0);
   (* export forms *)
-  let j = Telemetry_report.to_json s in
+  let j =
+    Metrics_snapshot.to_json ~run:[ ("workload", Json.String "anagram") ] s
+  in
   check "json reparses" true
-    (Result.is_ok (Json.of_string (Json.to_string j)));
-  let csv = Telemetry_report.to_csv s in
-  check "csv header" true
-    (String.length csv > 13 && String.sub csv 0 13 = "metric,value\n");
-  check "csv has phases" true
-    (List.exists
-       (fun line ->
-         String.length line > 6 && String.sub line 0 6 = "phase.")
-       (String.split_on_char '\n' csv))
-
-(* Full summary JSON round-trip: [of_json (to_json s)] restores every
-   field exactly, including the new crew counters.  One real run and one
-   synthetic summary with the parallel-only fields nonzero (serial runs
-   keep steals/lock_waits at 0, which would leave those paths untested). *)
-let test_report_json_roundtrip () =
-  let _, rt =
-    instrumented_run ~seed:42 ~gc:(Gc_config.generational ())
-      (Profile.anagram)
-  in
-  let s = Telemetry_report.of_runtime ~workload:"anagram" rt in
-  (match Json.of_string (Json.to_string (Telemetry_report.to_json s)) with
-  | Error e -> Alcotest.failf "summary json does not reparse: %s" e
-  | Ok j -> (
-      match Telemetry_report.of_json j with
-      | Error e -> Alcotest.failf "summary of_json failed: %s" e
-      | Ok s' -> check "real summary round-trips" true (s = s')));
-  let synthetic =
-    {
-      s with
-      Telemetry_report.steals = 123;
-      steal_failures = 45;
-      lock_waits = 17;
-      lock_waits_by_class = [ (0, 3); (7, 12); (64, 2) ];
-      trace_workers = 4;
-    }
-  in
-  match
-    Json.of_string (Json.to_string (Telemetry_report.to_json synthetic))
-  with
-  | Error e -> Alcotest.failf "synthetic summary does not reparse: %s" e
-  | Ok j -> (
-      match Telemetry_report.of_json j with
-      | Error e -> Alcotest.failf "synthetic of_json failed: %s" e
-      | Ok s' -> check "crew counters round-trip" true (synthetic = s'))
-
-let test_report_of_json_rejects () =
-  let s =
-    Telemetry_report.of_runtime ~workload:"x"
-      (snd
-         (instrumented_run ~seed:1 ~gc:(Gc_config.generational ())
-            (Profile.anagram)))
-  in
-  (match Telemetry_report.to_json s with
-  | Json.Obj kvs ->
-      (* dropping any one field must produce a descriptive error *)
-      let without k = Json.Obj (List.remove_assoc k kvs) in
-      List.iter
-        (fun k ->
-          match Telemetry_report.of_json (without k) with
-          | Ok _ -> Alcotest.failf "of_json accepted summary missing %S" k
-          | Error _ -> ())
-        [ "workload"; "steals"; "lock_waits_by_class"; "trace_workers";
-          "stall_latency" ]
-  | _ -> Alcotest.fail "to_json did not produce an object");
-  match Telemetry_report.of_json (Json.String "nope") with
-  | Ok _ -> Alcotest.fail "of_json accepted a non-object"
-  | Error _ -> ()
+    (Json.of_string (Json.to_string j) = Ok j);
+  let csv = String.split_on_char '\n' (Metrics_snapshot.csv_of_json j) in
+  check_str "csv header" "metric,value" (List.hd csv);
+  check_str "csv leads with the run identity" "workload,anagram"
+    (List.nth csv 1);
+  check "csv flattens nested histograms" true
+    (List.mem
+       (Printf.sprintf "slo_handshake.count,%d"
+          s.Metrics_snapshot.slo_handshake.Metrics_snapshot.count)
+       csv)
 
 (* ------------------------------------------------------------------ *)
 (* Perfetto trace export                                               *)
@@ -670,10 +615,6 @@ let suites =
     ( "telemetry.report",
       [
         Alcotest.test_case "summary" `Quick test_report_summary;
-        Alcotest.test_case "json round-trip" `Quick
-          test_report_json_roundtrip;
-        Alcotest.test_case "of_json rejects malformed" `Quick
-          test_report_of_json_rejects;
       ] );
     ( "telemetry.trace",
       [
