@@ -444,6 +444,75 @@ module Micro = struct
                   Runtime.retire_mutator rt m));
            Sched.run sched))
 
+  (* The same full cycle over a 4 MB heap packed with 48 B objects, the
+     sweep-bound regime: the sweep's per-block free and merge dominate.
+     Packing the heap costs about as much as the cycle, and a Bechamel
+     run cannot leave it out, so these two are timed by hand around
+     [Sched.run] alone and reported per swept block (the median of
+     [reps] fresh heaps).  No mutator runs: a waiting mutator spins
+     through a fiber switch at each collector yield, which would swamp
+     the sweep; the process that asks for the cycle parks instead.
+     [live_every = 0] leaves nothing reachable, so every block is freed
+     and merged into its predecessor; [live_every = 2] keeps every other
+     block, chained from a global root, so every other block is freed
+     and no merge happens. *)
+  let sweep_heap = 4 * 1024 * kb
+
+  let sweep_cycle_ns ~live_every =
+    let rt =
+      Runtime.create
+        ~heap_config:{ Heap.initial_bytes = sweep_heap; max_bytes = sweep_heap; card_size = 16 }
+        ~gc_config:(Gc_config.generational ()) ()
+    in
+    Runtime.set_fine_grained rt false;
+    let heap = Runtime.heap rt in
+    let color = Collector.allocation_color (Runtime.state rt) in
+    let blocks = ref 0 and live = ref 0 and chain = ref Heap.nil in
+    (try
+       while true do
+         match Heap.alloc heap ~size:48 ~n_slots:1 ~color with
+         | None -> raise Exit
+         | Some a ->
+             if live_every > 0 && !blocks mod live_every = 0 then begin
+               Heap.set_slot heap a 0 !chain;
+               chain := a;
+               incr live
+             end;
+             incr blocks
+       done
+     with Exit -> ());
+    if !chain <> Heap.nil then Runtime.add_global rt !chain;
+    let sched = Sched.create ~policy:Sched.round_robin () in
+    ignore (Runtime.spawn_collector rt sched);
+    ignore
+      (Sched.spawn sched ~name:"gc" (fun () ->
+           Runtime.request_collection rt ~full:true;
+           Sched.wait_until (fun () -> Gc_stats.n_completed (Runtime.stats rt) > 0)));
+    Gc.full_major ();
+    let t0 = Otfgc_support.Monotonic_clock.now_ns () in
+    Sched.run sched;
+    let ns = Otfgc_support.Monotonic_clock.now_ns () - t0 in
+    (* the cycle must have freed exactly the unreachable blocks *)
+    assert (Heap.object_count heap = !live);
+    (* the heap's tail left over by the 48 B packing is swept too *)
+    float_of_int ns /. float_of_int (!blocks + 1)
+
+  let sweep_micros =
+    [
+      ("collector: full cycle, 4MB heap of 48B, all dead", 0);
+      ("collector: full cycle, 4MB heap of 48B, every other live", 2);
+    ]
+
+  let run_sweep_micros ~quick =
+    let reps = if quick then 3 else 11 in
+    List.iter
+      (fun (name, live_every) ->
+        let samples = Array.init reps (fun _ -> sweep_cycle_ns ~live_every) in
+        Array.sort compare samples;
+        Printf.printf "  %-45s %12.1f ns/swept block\n" ("otfgc " ^ name)
+          samples.(reps / 2))
+      sweep_micros
+
   (* word-level dirty-card scan over a mostly-clean table: 4 MB of heap
      at 16-byte cards = 256K mark bytes, 1 card in 1024 dirty — the
      Section 8.5.3 regime where scanning clean cards dominates *)
@@ -638,6 +707,7 @@ module Micro = struct
         | Some [ est ] -> Printf.printf "  %-45s %12.1f ns\n" name est
         | _ -> Printf.printf "  %-45s (no estimate)\n" name)
       results;
+    run_sweep_micros ~quick;
     print_newline ()
 end
 

@@ -802,7 +802,7 @@ let sweep st (w : Gc_par.worker) =
           w.Gc_par.bytes_freed <- w.Gc_par.bytes_freed + size;
           (* the free-list link is written into the block itself *)
           Page_set.touch_range pages x Layout.granule;
-          Heap.free heap x;
+          Heap.unsafe_free heap x;
           if x > lo then ignore (Heap.merge_free_prev heap x : int);
           incr unannounced
         end

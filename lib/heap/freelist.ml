@@ -44,9 +44,11 @@ let push_class t cls addr =
   t.n_entries <- t.n_entries + 1;
   if cls < n_exact then t.occupancy <- t.occupancy lor (1 lsl cls)
 
-let push_raw t addr =
-  let cls = class_of_granules (Space.block_size t.space addr / Layout.granule) in
-  push_class t cls addr
+(* [addr] must be a free block start: the checks are the caller's. *)
+let unsafe_push t addr =
+  push_class t
+    (class_of_granules (Space.unsafe_size t.space addr / Layout.granule))
+    addr
 
 let create space =
   let t =
@@ -60,13 +62,13 @@ let create space =
     }
   in
   Space.iter_blocks space (fun addr kind _size ->
-      if kind = Space.Free then push_raw t addr);
+      if kind = Space.Free then unsafe_push t addr);
   t
 
 let push t addr =
   if Space.kind_of t.space addr <> Space.Free then
     invalid_arg "Freelist.push: block is not free";
-  push_raw t addr
+  unsafe_push t addr
 
 (* An entry is stale when coalescing absorbed its block (no longer a free
    block start) or changed its size class. *)
@@ -173,7 +175,7 @@ let pop t ~bytes_wanted =
     let addr = if !found >= 0 then !found else pop_large t ~granules:want_g in
     if addr >= 0 && Space.block_size t.space addr > want_b then begin
       let rest = Space.split t.space addr ~first_bytes:want_b in
-      push_raw t rest
+      unsafe_push t rest
     end;
     addr
   end
@@ -183,7 +185,7 @@ let rebuild t =
   t.occupancy <- 0;
   t.n_entries <- 0;
   Space.iter_blocks t.space (fun addr kind _size ->
-      if kind = Space.Free then push_raw t addr)
+      if kind = Space.Free then unsafe_push t addr)
 
 let entry_count t = t.n_entries
 let stale_entries t = t.stale_drops

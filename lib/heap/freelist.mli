@@ -23,6 +23,10 @@ val create : Space.t -> t
 val push : t -> int -> unit
 (** [push t addr] registers the free block starting at [addr]. *)
 
+val unsafe_push : t -> int -> unit
+(** {!push} without checking that [addr] starts a free block, which the
+    caller guarantees (the sweep's free and merge kernels in [Heap]). *)
+
 val pop : t -> bytes_wanted:int -> int
 (** [pop t ~bytes_wanted] removes and returns the address of a free block
     resized to exactly [bytes_wanted] (granule-rounded): an exact-class

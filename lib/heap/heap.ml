@@ -206,26 +206,32 @@ let add_alloc_stats t ~bytes ~objects =
   t.total_alloc_bytes <- t.total_alloc_bytes + bytes;
   t.total_alloc_objects <- t.total_alloc_objects + objects
 
-let free t addr =
-  if not (is_object t addr) then
-    invalid_arg (Printf.sprintf "Heap.free: %d is not an allocated object" addr);
-  set_color t addr Color.Blue;
-  t.mem.(word addr) <- 0;
+let unsafe_free t addr =
+  Bytes.unsafe_set t.colors (gi addr) (Color.to_byte Color.Blue);
+  Array.unsafe_set t.mem (word addr) 0;
   (* drop the remembered-set dedup flag, or a new object reusing this
      granule could never be recorded again *)
   Remset.forget t.remset addr;
-  Space.set_kind t.space addr Space.Free;
-  Freelist.push t.freelist addr
+  Space.unsafe_free t.space addr;
+  Freelist.unsafe_push t.freelist addr
 
+let free t addr =
+  if not (is_object t addr) then
+    invalid_arg (Printf.sprintf "Heap.free: %d is not an allocated object" addr);
+  unsafe_free t addr
+
+(* Every merge pushes the merged block, even though the merged block of
+   a run is pushed again at each later merge in the run and only the
+   last entry stays valid: a stale entry can become valid again once the
+   block is split back to that size, so the pushes and their order are
+   part of the allocation decisions the digests pin. *)
 let merge_free_prev t addr =
-  if Space.kind_of t.space addr <> Space.Free then
-    invalid_arg "Heap.merge_free_prev: block is not free";
-  match Space.prev_block t.space addr with
-  | Some p when Space.kind_of t.space p = Space.Free ->
-      ignore (Space.coalesce_with_next t.space p : bool);
-      Freelist.push t.freelist p;
-      p
-  | _ -> addr
+  let p = Space.unsafe_merge_prev t.space addr in
+  if p < 0 then addr
+  else begin
+    Freelist.unsafe_push t.freelist p;
+    p
+  end
 
 let grow t ~want_bytes =
   match Space.grow t.space ~want_bytes with

@@ -70,6 +70,11 @@ val free : t -> int -> unit
     zero its header word and return its block to the free lists.  Does not
     coalesce — sweep does, via {!merge_free_prev}. *)
 
+val unsafe_free : t -> int -> unit
+(** {!free} without checking that the address is an allocated object,
+    which the caller guarantees: the sweep, whose header-to-header walk
+    reaches only block starts and frees only allocated ones. *)
+
 (** {2 Reserved blocks (real-domains allocation caches)}
 
     A reserved block is claimed by one mutator's domain-local cache but
@@ -109,7 +114,9 @@ val merge_free_prev : t -> int -> int
     block's start (and pushing it to the free lists); otherwise returns
     [addr] unchanged.  Sweep calls this on every free block it passes, so
     runs of free blocks coalesce leftward without ever disturbing block
-    boundaries ahead of the sweep cursor. *)
+    boundaries ahead of the sweep cursor.  No check: [addr] {e must} be a
+    free block start below the capacity, as the sweep's header-to-header
+    walk guarantees. *)
 
 val grow : t -> want_bytes:int -> bool
 (** Extend the heap towards [max_bytes]; [false] if already at maximum. *)

@@ -133,6 +133,12 @@ let set_kind t addr kind =
   | _ -> ());
   Bytes.set t.kinds i (match kind with Free -> free_start | Allocated -> alloc_start)
 
+let unsafe_free t addr =
+  let i = addr lsr g_shift in
+  t.allocated_g <- t.allocated_g - Array.unsafe_get t.sizes i;
+  t.allocated_blocks <- t.allocated_blocks - 1;
+  Bytes.unsafe_set t.kinds i free_start
+
 let split t addr ~first_bytes =
   let i = gi addr in
   if Bytes.get t.kinds i <> free_start then
@@ -163,30 +169,45 @@ let prev_block t addr =
     let footer = t.sizes.(i - 1) in
     Some ((i - footer) * g)
 
+(* Absorb the free block at granule [nj] into the free block at granule
+   [i] that ends right before it. *)
+let absorb_next t i nj =
+  let merged = Array.unsafe_get t.sizes i + Array.unsafe_get t.sizes nj in
+  (* Erase the old header of the absorbed block before rewriting tags. *)
+  Bytes.unsafe_set t.kinds nj interior;
+  set_tags t i merged free_start;
+  (* The absorbed header may have been the first start of its card; the
+     next start in that card — if any — can only be the block following
+     the merged one, since everything in between is now interior. *)
+  let c = nj lsr t.card_shift in
+  if Array.unsafe_get t.card_first c = nj then begin
+    let following = i + merged in
+    Array.unsafe_set t.card_first c
+      (if following < t.cur_granules && following lsr t.card_shift = c then
+         following
+       else -1)
+  end
+
 let coalesce_with_next t addr =
   let i = gi addr in
   if Bytes.get t.kinds i <> free_start then
     invalid_arg "Space.coalesce_with_next: not a free block";
   match next_block t addr with
   | Some nxt when Bytes.get t.kinds (gi nxt) = free_start ->
-      let nj = gi nxt in
-      let merged = t.sizes.(i) + t.sizes.(nj) in
-      (* Erase the old header of the absorbed block before rewriting tags. *)
-      Bytes.set t.kinds nj interior;
-      set_tags t i merged free_start;
-      (* The absorbed header may have been the first start of its card; the
-         next start in that card — if any — can only be the block following
-         the merged one, since everything in between is now interior. *)
-      let c = nj lsr t.card_shift in
-      if t.card_first.(c) = nj then begin
-        let following = i + merged in
-        t.card_first.(c) <-
-          (if following < t.cur_granules && following lsr t.card_shift = c then
-             following
-           else -1)
-      end;
+      absorb_next t i (gi nxt);
       true
   | _ -> false
+
+let unsafe_merge_prev t addr =
+  let nj = addr lsr g_shift in
+  if nj = 0 then -1
+  else
+    let i = nj - Array.unsafe_get t.sizes (nj - 1) in
+    if Bytes.unsafe_get t.kinds i <> free_start then -1
+    else begin
+      absorb_next t i nj;
+      i lsl g_shift
+    end
 
 let grow t ~want_bytes =
   if t.cur_granules >= t.max_granules then None

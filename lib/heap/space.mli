@@ -71,6 +71,10 @@ val find_block_start : t -> int -> int
 val set_kind : t -> int -> kind -> unit
 (** Flip a block between allocated and free without changing its extent. *)
 
+val unsafe_free : t -> int -> unit
+(** [set_kind t addr Free] with no check: [addr] {e must} be an allocated
+    block start below the current capacity (the sweep's walk). *)
+
 val split : t -> int -> first_bytes:int -> int
 (** [split t addr ~first_bytes] splits the free block at [addr] so that the
     first part has exactly [first_bytes] (granule-rounded) bytes; returns
@@ -82,6 +86,15 @@ val coalesce_with_next : t -> int -> bool
     successor if that successor exists and is free.  Returns whether a
     merge happened.  The successor's block identity disappears; callers
     maintaining free lists must tolerate stale entries. *)
+
+val unsafe_merge_prev : t -> int -> int
+(** [unsafe_merge_prev t addr] merges the free block at [addr] into its
+    predecessor if that predecessor is free, and returns the merged
+    block's start; it returns [-1], changing nothing, when [addr] is 0 or
+    the predecessor is allocated.  [coalesce_with_next] of the preceding
+    block, without the options and re-validation: [addr] {e must} be a
+    free block start below the current capacity, as the sweep's
+    header-to-header walk guarantees. *)
 
 val next_block : t -> int -> int option
 (** Start of the block following the one at the given address, or [None]

@@ -120,11 +120,20 @@ let of_string s =
                | 't' -> Buffer.add_char b '\t'; incr pos
                | 'u' ->
                    if !pos + 4 >= n then fail "truncated \\u escape";
-                   let hex = String.sub s (!pos + 1) 4 in
-                   let code =
-                     try int_of_string ("0x" ^ hex)
-                     with _ -> fail "bad \\u escape"
+                   (* exactly four hex digits: [int_of_string] would
+                      also take underscores and signs *)
+                   let digit c =
+                     match c with
+                     | '0' .. '9' -> Char.code c - Char.code '0'
+                     | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+                     | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+                     | _ -> fail "bad \\u escape"
                    in
+                   let code = ref 0 in
+                   for k = 1 to 4 do
+                     code := (!code lsl 4) lor digit s.[!pos + k]
+                   done;
+                   let code = !code in
                    (* Encode the code point as UTF-8 (BMP only). *)
                    if code < 0x80 then Buffer.add_char b (Char.chr code)
                    else if code < 0x800 then begin

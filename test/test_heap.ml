@@ -653,6 +653,110 @@ let prop_heap_matches_old_model =
       (* reserved blocks are blue, which [Heap.check] rejects *)
       !ok && (!reserved <> [] || Heap.check ~check_slots:false h = Ok ()))
 
+(* [Heap.merge_free_prev] is the sweep's option-free merge kernel, and
+   [Heap.free] pushes through the same unchecked [Freelist.unsafe_push].
+   [Old_heap] is the reference: the checked path they replaced, on a
+   space and free lists of its own ([Space.prev_block],
+   [Space.coalesce_with_next], [Freelist.push]).  Every push must match,
+   the ones that go stale included, since a stale entry can turn valid
+   again and the order of entries decides what later pops return. *)
+type merge_op = M_alloc of int | M_free of int | M_merge of int | M_grow of int
+
+let gen_merge_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (* up to 80 granules, so the large class takes part *)
+        (5, map (fun g -> M_alloc g) (int_range 1 80));
+        (4, map (fun k -> M_free k) nat);
+        (4, map (fun k -> M_merge k) nat);
+        (1, map (fun k -> M_grow k) (int_range 1 4));
+      ]
+  in
+  list_size (int_range 1 150) op
+
+let print_merge_op = function
+  | M_alloc g -> Printf.sprintf "alloc %d" g
+  | M_free k -> Printf.sprintf "free %d" k
+  | M_merge k -> Printf.sprintf "merge %d" k
+  | M_grow k -> Printf.sprintf "grow %dK" k
+
+(* Everything of a space and its free lists that a merge can change. *)
+let space_view space fl =
+  let blocks = ref [] in
+  Space.iter_blocks space (fun a k sz -> blocks := (a, k, sz) :: !blocks);
+  let n_cards = Space.max_capacity space / 16 in
+  let cards =
+    List.init n_cards (fun c ->
+        let starts = ref [] in
+        Space.iter_block_starts_on_card space c (fun a _ _ -> starts := a :: !starts);
+        !starts)
+  in
+  (Space.check space, !blocks, cards, Freelist.entry_count fl, Freelist.stale_entries fl)
+
+let prop_merge_kernel_matches_reference =
+  QCheck.Test.make ~name:"merge kernel pushes what the checked merge pushes"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_merge_op) gen_merge_ops)
+    (fun ops ->
+      let h = mk_heap ~initial:(4 * kb) ~max:(16 * kb) () in
+      let o = Old_heap.create ~initial:(4 * kb) ~max:(16 * kb) in
+      let live = ref [] and freed = ref [] in
+      let ok = ref true in
+      let same a b = if a <> b then ok := false in
+      let nth l k = List.nth l (k mod List.length l) in
+      let agree () =
+        same
+          (space_view (Heap.space h) (Heap.freelist h))
+          (space_view o.Old_heap.space o.Old_heap.freelist)
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | M_alloc g ->
+              let size = 16 * g in
+              let a = Heap.alloc h ~size ~n_slots:0 ~color:Color.C0 in
+              same a (Old_heap.alloc o ~size ~n_slots:0);
+              Option.iter (fun a -> live := a :: !live) a
+          | M_free k when !live <> [] ->
+              let x = nth !live k in
+              Heap.free h x;
+              Old_heap.free o x;
+              live := List.filter (( <> ) x) !live;
+              freed := x :: !freed
+          | M_merge k ->
+              let s = Heap.space h in
+              let free_starts =
+                List.filter
+                  (fun x -> Space.is_block_start s x && Space.kind_of s x = Space.Free)
+                  !freed
+              in
+              if free_starts <> [] then begin
+                let x = nth free_starts k in
+                same (Heap.merge_free_prev h x) (Old_heap.merge_free_prev o x)
+              end
+          | M_grow k ->
+              same (Heap.grow h ~want_bytes:(k * kb)) (Old_heap.grow o ~want_bytes:(k * kb))
+          | M_free _ -> ());
+          agree ())
+        ops;
+      (* drain both free lists: the same blocks, in the same order *)
+      let rec pops acc sizes pop =
+        match sizes with
+        | [] -> List.rev acc
+        | size :: rest -> (
+            match pop size with
+            | None -> pops acc rest pop
+            | Some a -> pops (a :: acc) sizes pop)
+      in
+      let sizes = [ 48; 16; 1024; 160; 32 ] in
+      same
+        (pops [] sizes (fun size -> Heap.alloc h ~size ~n_slots:0 ~color:Color.C0))
+        (pops [] sizes (fun size -> Old_heap.alloc o ~size ~n_slots:0));
+      agree ();
+      !ok && Space.check (Heap.space h) = Ok ())
+
 (* Allocating, storing and freeing in a warm heap allocates nothing on
    the host, however many rounds run. *)
 let test_heap_rounds_allocate_nothing () =
@@ -992,6 +1096,7 @@ let suites =
         Alcotest.test_case "merge free prev" `Quick test_heap_merge_free_prev;
         Alcotest.test_case "accessors reject" `Quick test_heap_accessors_reject;
         QCheck_alcotest.to_alcotest prop_heap_matches_old_model;
+        QCheck_alcotest.to_alcotest prop_merge_kernel_matches_reference;
         Alcotest.test_case "rounds allocate nothing" `Quick
           test_heap_rounds_allocate_nothing;
         Alcotest.test_case "grow" `Quick test_heap_grow;

@@ -183,6 +183,15 @@ let test_json_unicode_escape () =
   | Ok (Json.String s) -> Alcotest.(check string) "utf8" "A\xc3\xa9" s
   | _ -> Alcotest.fail "unicode escape"
 
+(* A \u escape is exactly four hex digits. *)
+let test_json_u_escape_digits () =
+  (match Json.of_string {|"\u00e9"|} with
+  | Ok (Json.String s) -> Alcotest.(check string) "utf8" "\xc3\xa9" s
+  | _ -> Alcotest.fail "valid \\u escape rejected");
+  check "underscore" true (Result.is_error (Json.of_string {|"\u0_41"|}));
+  check "non-hex digit" true (Result.is_error (Json.of_string {|"\u00g1"|}));
+  check "sign" true (Result.is_error (Json.of_string {|"\u+041"|}))
+
 (* ------------------------------------------------------------------ *)
 (* Event ring                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -590,6 +599,8 @@ let suites =
           test_json_int_float_distinct;
         Alcotest.test_case "errors" `Quick test_json_errors;
         Alcotest.test_case "unicode escape" `Quick test_json_unicode_escape;
+        Alcotest.test_case "unicode escape digits" `Quick
+          test_json_u_escape_digits;
       ] );
     ( "telemetry.ring",
       [
