@@ -356,7 +356,7 @@ module Micro = struct
   (* telemetry overhead on the mutator hot loop: alloc + write barrier +
      free, with the observability layer left at its default (disabled;
      only the always-on flat counters tick) and fully enabled (counters,
-     histograms and the event ring armed).  The disabled variant is the
+     histograms and the event recorder armed).  The disabled variant is the
      zero-allocation guarantee the telemetry layer promises.  A third
      variant additionally arms the heap observatory: the barrier's cost
      charge crosses the cadence threshold every [sample_every] units and
@@ -371,7 +371,7 @@ module Micro = struct
     in
     Runtime.set_fine_grained rt false;
     if instrumented then begin
-      Otfgc.Event_log.set_enabled (Runtime.events rt) true;
+      Runtime.arm_recorder rt;
       Otfgc.Telemetry.set_enabled (Runtime.telemetry rt) true
     end;
     if sample_every > 0 then

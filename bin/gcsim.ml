@@ -195,38 +195,35 @@ let sample_every_arg ~default =
   in
   Arg.(value & opt int default & info [ "sample-every" ] ~docv:"UNITS" ~doc)
 
+let parallel rt = (Otfgc.Runtime.state rt).Otfgc.State.parallel
+
 (* Enable recording before any mutator starts; [Driver.run_rt] calls this
-   right after creating the runtime.  On the domains substrate a trace or
-   telemetry request also arms the flight recorder (wall-clock per-domain
-   rings; [Runtime.arm_recorder] is a no-op under the simulator). *)
+   right after creating the runtime.  A trace request arms the event
+   recorder on either substrate; on domains a telemetry request arms it
+   too, for the wall-clock contention profile. *)
 let instrument_for ~trace ~telemetry ~trace_out ?(sample_every = 0) rt =
-  if trace || trace_out <> None then
-    Otfgc.Event_log.set_enabled (Otfgc.Runtime.events rt) true;
   if telemetry || trace_out <> None then
     Otfgc.Telemetry.set_enabled (Otfgc.Runtime.telemetry rt) true;
-  if telemetry || trace_out <> None then Otfgc.Runtime.arm_recorder rt;
+  if trace || trace_out <> None || (telemetry && parallel rt) then
+    Otfgc.Runtime.arm_recorder rt;
   if sample_every > 0 then
     Otfgc.Sampler.configure (Otfgc.Runtime.sampler rt) ~every:sample_every
 
 let warn_if_dropped rt =
-  let d = Otfgc.Event_log.dropped (Otfgc.Runtime.events rt) in
+  let d = Otfgc.Flight_recorder.dropped (Otfgc.Runtime.recorder rt) in
   if d > 0 then
     Printf.eprintf
-      "warning: event ring overflowed — %d events dropped (oldest first); \
-       timeline-derived output is incomplete for the run's start\n"
+      "warning: event recorder ring(s) overflowed — %d events overwritten \
+       (oldest first); the trace, timeline and contention profile are \
+       incomplete for the run's start\n"
       d
 
-let warn_if_flight_dropped rt =
+(* The contention profile: domains runs with the recorder armed. *)
+let contention rt =
   let fr = Otfgc.Runtime.recorder rt in
-  if Otfgc.Flight_recorder.armed fr then begin
-    let d = Otfgc.Flight_recorder.dropped fr in
-    if d > 0 then
-      Printf.eprintf
-        "warning: flight-recorder ring(s) overflowed — %d events overwritten \
-         (oldest first); the trace and contention profile are incomplete for \
-         the run's start\n"
-        d
-  end
+  if parallel rt && Otfgc.Flight_recorder.armed fr then
+    Some (Contention.of_flight fr)
+  else None
 
 let write_file path contents =
   let oc = open_out path in
@@ -234,19 +231,16 @@ let write_file path contents =
   output_char oc '\n';
   close_out oc
 
-(* Prefer the flight recorder's wall-clock multi-track trace when it was
-   armed and recorded anything (domains runs); fall back to the event-log
-   reconstruction (simulated-time) otherwise. *)
 let write_trace rt ~workload path =
-  let fr = Otfgc.Runtime.recorder rt in
+  let mode =
+    Gc_config.mode_name (Otfgc.Runtime.state rt).Otfgc.State.cfg.Gc_config.mode
+  in
   let doc =
-    if Otfgc.Flight_recorder.armed fr && Otfgc.Flight_recorder.events fr <> []
-    then Trace_export.of_flight ~workload fr
-    else Trace_export.of_runtime ~workload rt
+    Trace_export.of_flight ~workload:(workload ^ " " ^ mode)
+      (Otfgc.Runtime.recorder rt)
   in
   write_file path (Json.to_string doc);
   warn_if_dropped rt;
-  warn_if_flight_dropped rt;
   Printf.printf "trace written to %s\n" path
 
 (* The run summary: every report of a finished run projects this one
@@ -256,12 +250,11 @@ let summary rt = Metrics_snapshot.take (Otfgc.Runtime.state rt)
 (* The JSON summary: the snapshot led by the run's identity and, when
    the flight recorder was armed, its contention profile. *)
 let summary_json ~workload rt =
-  let fr = Otfgc.Runtime.recorder rt in
   let cfg = (Otfgc.Runtime.state rt).Otfgc.State.cfg in
   let contention =
-    if Otfgc.Flight_recorder.armed fr then
-      [ ("contention", Contention.to_json (Contention.of_flight fr)) ]
-    else []
+    match contention rt with
+    | Some c -> [ ("contention", Contention.to_json c) ]
+    | None -> []
   in
   Metrics_snapshot.to_json
     ~run:
@@ -388,13 +381,12 @@ let run_cmd =
     if telemetry then begin
       print_newline ();
       Metrics_snapshot.print (summary rt);
-      let fr = Otfgc.Runtime.recorder rt in
-      if Otfgc.Flight_recorder.armed fr then
-        Contention.print (Contention.of_flight fr)
+      Option.iter Contention.print (contention rt)
     end;
     if trace then
-      Format.printf "@.phase timeline (elapsed work units):@.%a@?"
-        Otfgc.Event_log.pp_timeline (Otfgc.Runtime.events rt);
+      Format.printf "@.event timeline (%s):@.%a@?"
+        (if parallel rt then "ns" else "elapsed work units")
+        Trace_export.pp_timeline (Otfgc.Runtime.recorder rt);
     if sample_every > 0 then
       Printf.printf
         "observatory: %d census rows sampled (export with 'gcsim census' or \
@@ -478,11 +470,9 @@ let stats_cmd =
     let _, rt =
       Driver.run_rt ~heap ~seed ~scale ~substrate ?threads:mutators ~gc_workers
         ~instrument:(fun rt ->
-          (* the event log too, so the events-logged/dropped counters
-             report the ring's real load; under domains the flight
-             recorder adds wall-clock handshake/stall latencies and the
-             contention profile *)
-          Otfgc.Event_log.set_enabled (Otfgc.Runtime.events rt) true;
+          (* the event recorder too, so the events-logged/dropped
+             counters report its real load; under domains it also feeds
+             the contention profile *)
           Otfgc.Telemetry.set_enabled (Otfgc.Runtime.telemetry rt) true;
           Otfgc.Runtime.arm_recorder rt)
         ~gc profile
@@ -491,14 +481,11 @@ let stats_cmd =
     (match format with
     | `Text ->
         Metrics_snapshot.print (summary rt);
-        let fr = Otfgc.Runtime.recorder rt in
-        if Otfgc.Flight_recorder.armed fr then
-          Contention.print (Contention.of_flight fr)
+        Option.iter Contention.print (contention rt)
     | `Json -> print_endline (Json.to_string (summary_json ~workload rt))
     | `Csv ->
         print_string (Metrics_snapshot.csv_of_json (summary_json ~workload rt)));
     warn_if_dropped rt;
-    warn_if_flight_dropped rt;
     Ok 0
   in
   Cmd.v
@@ -646,7 +633,7 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Run one workload with the observatory and event log armed and \
+         "Run one workload with the observatory and event recorder armed and \
           render a self-contained HTML/SVG report: occupancy ribbons per \
           color, cycle/handshake/stall strips, promotion-rate line (the \
           paper's Figure 7-9 presentation, over simulated time).")

@@ -24,8 +24,7 @@ let () =
       ~gc_config:(Gc_config.generational ~young_bytes:(64 * 1024) ())
       ()
   in
-  let st = Runtime.state rt in
-  Event_log.set_enabled st.State.events true;
+  Runtime.arm_recorder rt;
   let sched = Sched.create ~policy:(Sched.random_policy (Rng.make 5)) () in
   ignore (Runtime.spawn_collector rt sched);
   let m = Runtime.new_mutator rt ~name:"main" () in
@@ -69,4 +68,5 @@ let () =
   Sched.run sched;
 
   print_endline "--- collector phase timeline (elapsed work units) ---";
-  Format.printf "%a@?" Event_log.pp_timeline st.State.events
+  Format.printf "%a@?" Otfgc_metrics.Trace_export.pp_timeline
+    (Runtime.recorder rt)

@@ -97,10 +97,13 @@ let pace_charge st (w0 : Gc_par.worker) k =
 
 let charge_tick st k = pace_charge st st.par.Gc_par.workers.(0) k
 
-(* Phase-transition and mutator-event log entry (no cost: observability
-   must not perturb the schedule). *)
-let emit st phase =
-  Event_log.emit st.events ~at:(Cost.elapsed_multi st.cost) phase
+(* An instant on the collector's event track (no cost: observability
+   must not perturb the schedule).  Disarmed: one option check. *)
+let note st kind ~a =
+  match Flight_recorder.collector_ring st.recorder with
+  | Some r ->
+      Flight_recorder.instant r kind ~a ~at:(Flight_recorder.ring_now r)
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* MarkCard                                                            *)
@@ -224,8 +227,8 @@ let update st m ~x ~i ~y =
 let cooperate st m =
   let cost = State.mcost st m in
   Cost.mutator_cat cost Cost.Barrier_fast Cost.c_cooperate;
-  (* Flight recorder: count the safepoint poll (armed domains runs only;
-     [ring] is [None] everywhere else, so this is one option check). *)
+  (* Event recorder: count the safepoint poll (armed runs only; [ring]
+     is [None] otherwise, so this is one option check). *)
   (match Mutator.ring m with
   | Some r -> Flight_recorder.poll r
   | None -> ());
@@ -248,14 +251,11 @@ let cooperate st m =
        poll. *)
     Mutator.set_status m target;
     Telemetry.hit_ack tel;
-    (match Mutator.ring m with
+    match Mutator.ring m with
     | Some r ->
         Flight_recorder.instant r Flight_recorder.Ack
-          ~a:(Status.index target)
-          ~at:(Flight_recorder.now_ns ())
-    | None -> ());
-    if Event_log.enabled st.events then
-      emit st (Event_log.Mutator_ack { mid = Mutator.id m; status = target })
+          ~a:(Status.index target) ~at:(Flight_recorder.ring_now r)
+    | None -> ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -298,12 +298,12 @@ let post_handshake st s =
      whatever the collector wrote before (color toggles, card clears) is
      visible to a mutator once it has adopted [s]. *)
   Atomic.set st.status_c s;
-  (* The latency sample and the event share one timestamp, so the recorded
-     latency equals the posted->complete event gap exactly. *)
+  (* On the simulator the latency sample and the recorder read the same
+     cost-unit clock with no charge between, so the recorded latency
+     equals the handshake span exactly. *)
   let at = State.now_units st in
   Telemetry.handshake_posted st.telemetry ~at;
-  Flight_recorder.note_handshake_posted st.recorder;
-  Event_log.emit st.events ~at (Event_log.Handshake_posted s)
+  Flight_recorder.note_handshake_posted st.recorder
 
 let wait_handshake st =
   Substrate.wait_until (fun () ->
@@ -313,9 +313,7 @@ let wait_handshake st =
   let at = State.now_units st in
   Telemetry.handshake_completed st.telemetry (Atomic.get st.status_c) ~at;
   Flight_recorder.note_handshake_completed st.recorder
-    ~status:(Status.index (Atomic.get st.status_c));
-  Event_log.emit st.events ~at
-    (Event_log.Handshake_complete (Atomic.get st.status_c))
+    ~status:(Status.index (Atomic.get st.status_c))
 
 let switch_allocation_clear_colors st =
   (* Two separate stores, as in Figure 3; a mutator allocating between them
@@ -324,7 +322,7 @@ let switch_allocation_clear_colors st =
   st.clear_color <- st.allocation_color;
   State.step st;
   st.allocation_color <- tmp;
-  emit st Event_log.Colors_toggled
+  note st Flight_recorder.Colors_toggled ~a:0
 
 (* ------------------------------------------------------------------ *)
 (* The collection crew                                                 *)
@@ -654,14 +652,15 @@ let trace st (w : Gc_par.worker) =
   let wid = w.Gc_par.wid in
   let gray = st.gray in
   let ring = w.Gc_par.ring in
-  (* flight-recorder timestamp, 0 when the recorder is disarmed (one
-     option check — the branch every instrumented site pays) *)
+  (* recorder timestamp, 0 when the recorder is disarmed (one option
+     check — the branch every instrumented site pays) *)
   let fnow () =
-    match ring with Some _ -> Flight_recorder.now_ns () | None -> 0
+    match ring with Some r -> Flight_recorder.ring_now r | None -> 0
   in
   let fspan kind ~a ~t0 =
     match ring with
-    | Some r -> Flight_recorder.span r kind ~a ~t0 ~t1:(Flight_recorder.now_ns ())
+    | Some r ->
+        Flight_recorder.span r kind ~a ~t0 ~t1:(Flight_recorder.ring_now r)
     | None -> ()
   in
   (* per-worker deterministic sequence over the n-1 other workers (no
@@ -902,14 +901,14 @@ let gc_worker_loop st wid =
       let phase = par.Gc_par.phase in
       let t0 =
         match w.Gc_par.ring with
-        | Some _ -> Flight_recorder.now_ns ()
+        | Some r -> Flight_recorder.ring_now r
         | None -> 0
       in
       run_share st w phase;
       (match w.Gc_par.ring with
       | Some r when phase <> Gc_par.Idle ->
           Flight_recorder.span r Flight_recorder.Phase ~a:(phase_tag phase)
-            ~t0 ~t1:(Flight_recorder.now_ns ())
+            ~t0 ~t1:(Flight_recorder.ring_now r)
       | _ -> ());
       Atomic.incr par.Gc_par.done_count
     end
@@ -964,18 +963,18 @@ let run_cycle st ~full =
   cycle.Gc_stats.total_cards <-
     Stdlib.max 1 (window_bytes / Card_table.card_size (Heap.cards st.heap));
   st.cur_cycle <- Some cycle;
-  emit st (Event_log.Cycle_start { kind; full });
-  (* Flight-recorder helpers for the collector track: cycle and phase
-     spans nest (Cycle > Phase > worker-0 Steal/Idle), which the trace
-     export's validator checks.  Disarmed: one option check each. *)
+  (* Recorder helpers for the collector track: cycle and phase spans
+     nest (Cycle > Phase > worker-0 Steal/Idle), which the trace
+     export's validator checks; each phase span carries the phase's
+     count.  Disarmed: one option check each. *)
   let frc = Flight_recorder.collector_ring st.recorder in
   let fnow () =
-    match frc with Some _ -> Flight_recorder.now_ns () | None -> 0
+    match frc with Some r -> Flight_recorder.ring_now r | None -> 0
   in
-  let fspan kind ~a t0 =
+  let fspan kind ?b ~a t0 =
     match frc with
     | Some r ->
-        Flight_recorder.span r kind ~a ~t0 ~t1:(Flight_recorder.now_ns ())
+        Flight_recorder.span r kind ?b ~a ~t0 ~t1:(Flight_recorder.ring_now r)
     | None -> ()
   in
   let cycle_t0 = fnow () in
@@ -989,19 +988,12 @@ let run_cycle st ~full =
   let clear_t0 = fnow () in
   (match mode with
   | Gc_config.Non_generational -> ()
-  | Gc_config.Generational ->
+  | _ ->
       if full then begin
-        init_full_collection st ~clear_card_marks:true;
-        emit st Event_log.Init_full_done
-      end
-  | Gc_config.Generational_aging _ | Gc_config.Generational_adaptive ->
-      if full then begin
-        init_full_collection st ~clear_card_marks:false;
-        emit st Event_log.Init_full_done
+        init_full_collection st
+          ~clear_card_marks:(mode = Gc_config.Generational);
+        fspan Flight_recorder.Phase ~a:0 clear_t0
       end);
-  (match mode with
-  | Gc_config.Non_generational -> ()
-  | _ -> if full then fspan Flight_recorder.Phase ~a:0 clear_t0);
   post_handshake st Status.Sync1;
   wait_handshake st;
   (* mark phase *)
@@ -1016,9 +1008,9 @@ let run_cycle st ~full =
       (match st.cfg.Gc_config.intergen with
       | Gc_config.Card_marking -> run_phase st cycle Gc_par.Cards
       | Gc_config.Remembered_set -> scan_remset_simple st cycle);
-      emit st
-        (Event_log.Intergen_scanned { seeds = cycle.Gc_stats.intergen_scanned });
-      switch_allocation_clear_colors st
+      switch_allocation_clear_colors st;
+      fspan Flight_recorder.Phase ~a:1 ~b:cycle.Gc_stats.intergen_scanned
+        cards_t0
   | Gc_config.Generational_aging _ | Gc_config.Generational_adaptive ->
       (* Figure 5 order: toggle first, then scan cards.  A full collection
          skips the card scan: InitFullCollection already prepared the heap
@@ -1026,15 +1018,9 @@ let run_cycle st ~full =
       switch_allocation_clear_colors st;
       if not full then begin
         run_phase st cycle Gc_par.Cards;
-        emit st
-          (Event_log.Intergen_scanned
-             { seeds = cycle.Gc_stats.intergen_scanned })
+        fspan Flight_recorder.Phase ~a:1 ~b:cycle.Gc_stats.intergen_scanned
+          cards_t0
       end);
-  (match mode with
-  | Gc_config.Non_generational -> ()
-  | Gc_config.Generational -> fspan Flight_recorder.Phase ~a:1 cards_t0
-  | Gc_config.Generational_aging _ | Gc_config.Generational_adaptive ->
-      if not full then fspan Flight_recorder.Phase ~a:1 cards_t0);
   wait_handshake st;
   census st cycle;
   Observatory.phase_sample st;
@@ -1053,10 +1039,9 @@ let run_cycle st ~full =
   (* trace *)
   cycle.Gc_stats.trace_workers <- st.par.Gc_par.n_workers;
   run_phase st cycle Gc_par.Trace;
-  fspan Flight_recorder.Phase ~a:2 trace_t0;
+  fspan Flight_recorder.Phase ~a:2 ~b:cycle.Gc_stats.objects_traced trace_t0;
   Observatory.phase_sample st;
   Telemetry.note_trace_workers st.telemetry cycle.Gc_stats.trace_workers;
-  emit st (Event_log.Trace_complete { traced = cycle.Gc_stats.objects_traced });
   (* [sweeping] is raised before [tracing] drops so the non-generational
      create color never observes a gap between the two phases (a clear
      object created in such a gap, held only in a register, would be
@@ -1067,17 +1052,11 @@ let run_cycle st ~full =
   let sweep_t0 = fnow () in
   compute_sweep_bounds st;
   run_phase st cycle Gc_par.Sweep;
-  fspan Flight_recorder.Phase ~a:3 sweep_t0;
+  fspan Flight_recorder.Phase ~a:3 ~b:cycle.Gc_stats.objects_freed sweep_t0;
   Observatory.phase_sample st;
-  emit st
-    (Event_log.Sweep_complete
-       {
-         freed = cycle.Gc_stats.objects_freed;
-         bytes = cycle.Gc_stats.bytes_freed;
-       });
   Telemetry.add_promotions st.telemetry cycle.Gc_stats.promotions;
   if cycle.Gc_stats.promotions > 0 then
-    emit st (Event_log.Promoted { count = cycle.Gc_stats.promotions });
+    note st Flight_recorder.Promoted ~a:cycle.Gc_stats.promotions;
   (match mode with
   | Gc_config.Non_generational ->
       (* Remark 5.1: swap black and white instead of re-whitening.  An
@@ -1170,10 +1149,10 @@ let run_cycle st ~full =
      let grown = Heap.grow st.heap ~want_bytes:(Stdlib.max (cap / 2) 65536) in
      State.unlock_heap st;
      if grown then
-       emit st (Event_log.Heap_grown { capacity = Heap.capacity st.heap })
+       note st Flight_recorder.Heap_grown ~a:(Heap.capacity st.heap)
    end);
-  fspan Flight_recorder.Cycle ~a:(if full then 1 else 0) cycle_t0;
-  emit st Event_log.Cycle_end;
+  fspan Flight_recorder.Cycle ~a:(Gc_stats.kind_index kind)
+    ~b:(if full then 1 else 0) cycle_t0;
   cycle
 
 let collector_loop st =

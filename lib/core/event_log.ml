@@ -1,188 +1,3 @@
-type phase =
-  | Cycle_start of { kind : Gc_stats.kind; full : bool }
-  | Init_full_done
-  | Handshake_posted of Status.t
-  | Handshake_complete of Status.t
-  | Intergen_scanned of { seeds : int }
-  | Colors_toggled
-  | Trace_complete of { traced : int }
-  | Sweep_complete of { freed : int; bytes : int }
-  | Cycle_end
-  | Heap_grown of { capacity : int }
-  | Mutator_ack of { mid : int; status : Status.t }
-  | Stall_begin of { mid : int }
-  | Stall_end of { mid : int }
-  | Promoted of { count : int }
+type t = Flight_recorder.t
 
-type event = { at : int; phase : phase }
-
-(* Events live int-encoded in a bounded ring of [stride]-int records
-   (timestamp, tag, two payload words), so an enabled log costs one array
-   store per field and a long run cannot grow without bound: once
-   [max_events] records are held, each emit overwrites the oldest. *)
-let stride = 4
-
-let tag_of = function
-  | Cycle_start _ -> 0
-  | Init_full_done -> 1
-  | Handshake_posted _ -> 2
-  | Handshake_complete _ -> 3
-  | Intergen_scanned _ -> 4
-  | Colors_toggled -> 5
-  | Trace_complete _ -> 6
-  | Sweep_complete _ -> 7
-  | Cycle_end -> 8
-  | Heap_grown _ -> 9
-  | Mutator_ack _ -> 10
-  | Stall_begin _ -> 11
-  | Stall_end _ -> 12
-  | Promoted _ -> 13
-
-let args_of = function
-  | Cycle_start { kind; full } ->
-      (Gc_stats.kind_index kind, if full then 1 else 0)
-  | Init_full_done | Colors_toggled | Cycle_end -> (0, 0)
-  | Handshake_posted s | Handshake_complete s -> (Status.index s, 0)
-  | Intergen_scanned { seeds } -> (seeds, 0)
-  | Trace_complete { traced } -> (traced, 0)
-  | Sweep_complete { freed; bytes } -> (freed, bytes)
-  | Heap_grown { capacity } -> (capacity, 0)
-  | Mutator_ack { mid; status } -> (mid, Status.index status)
-  | Stall_begin { mid } | Stall_end { mid } -> (mid, 0)
-  | Promoted { count } -> (count, 0)
-
-let decode tag a b =
-  match tag with
-  | 0 -> Cycle_start { kind = Gc_stats.kind_of_index a; full = b = 1 }
-  | 1 -> Init_full_done
-  | 2 -> Handshake_posted (Status.of_index a)
-  | 3 -> Handshake_complete (Status.of_index a)
-  | 4 -> Intergen_scanned { seeds = a }
-  | 5 -> Colors_toggled
-  | 6 -> Trace_complete { traced = a }
-  | 7 -> Sweep_complete { freed = a; bytes = b }
-  | 8 -> Cycle_end
-  | 9 -> Heap_grown { capacity = a }
-  | 10 -> Mutator_ack { mid = a; status = Status.of_index b }
-  | 11 -> Stall_begin { mid = a }
-  | 12 -> Stall_end { mid = a }
-  | 13 -> Promoted { count = a }
-  | n -> invalid_arg (Printf.sprintf "Event_log.decode: tag %d" n)
-
-type t = {
-  mutable buf : int array;
-  mutable start : int;  (* index (in events) of the oldest record *)
-  mutable len : int;    (* records held *)
-  mutable dropped : int;
-  max_events : int;
-  mutable enabled : bool;
-}
-
-let default_max_events = 1 lsl 16
-let initial_events = 64
-
-let create ?(max_events = default_max_events) () =
-  if max_events < 1 then invalid_arg "Event_log.create: max_events < 1";
-  {
-    buf = Array.make (Stdlib.min initial_events max_events * stride) 0;
-    start = 0;
-    len = 0;
-    dropped = 0;
-    max_events;
-    enabled = false;
-  }
-
-let enabled t = t.enabled
-let set_enabled t v = t.enabled <- v
-
-let capacity_events t = Array.length t.buf / stride
-
-let grow t =
-  let cap = capacity_events t in
-  let cap' = Stdlib.min t.max_events (2 * cap) in
-  let buf' = Array.make (cap' * stride) 0 in
-  (* unroll the ring so the oldest record lands at slot 0 *)
-  for i = 0 to t.len - 1 do
-    let src = (t.start + i) mod cap * stride in
-    Array.blit t.buf src buf' (i * stride) stride
-  done;
-  t.buf <- buf';
-  t.start <- 0
-
-let emit t ~at phase =
-  if t.enabled then begin
-    let cap = capacity_events t in
-    if t.len = cap && cap < t.max_events then grow t;
-    let cap = capacity_events t in
-    let slot =
-      if t.len = cap then begin
-        (* full at the bound: overwrite the oldest *)
-        let s = t.start in
-        t.start <- (t.start + 1) mod cap;
-        t.dropped <- t.dropped + 1;
-        s
-      end
-      else begin
-        let s = (t.start + t.len) mod cap in
-        t.len <- t.len + 1;
-        s
-      end
-    in
-    let base = slot * stride in
-    let a, b = args_of phase in
-    t.buf.(base) <- at;
-    t.buf.(base + 1) <- tag_of phase;
-    t.buf.(base + 2) <- a;
-    t.buf.(base + 3) <- b
-  end
-
-let nth_event t i =
-  let cap = capacity_events t in
-  let base = (t.start + i) mod cap * stride in
-  {
-    at = t.buf.(base);
-    phase = decode t.buf.(base + 1) t.buf.(base + 2) t.buf.(base + 3);
-  }
-
-let events t = List.init t.len (nth_event t)
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f (nth_event t i)
-  done
-
-let length t = t.len
-let dropped t = t.dropped
-
-let clear t =
-  t.start <- 0;
-  t.len <- 0;
-  t.dropped <- 0
-
-let pp_phase ppf = function
-  | Cycle_start { kind; full = _ } ->
-      Format.fprintf ppf "cycle start (%s)" (Gc_stats.kind_name kind)
-  | Init_full_done -> Format.pp_print_string ppf "InitFullCollection done"
-  | Handshake_posted s ->
-      Format.fprintf ppf "handshake posted: %s" (Status.to_string s)
-  | Handshake_complete s ->
-      Format.fprintf ppf "handshake complete: %s" (Status.to_string s)
-  | Intergen_scanned { seeds } ->
-      Format.fprintf ppf "inter-gen scan done (%d old objects grayed)" seeds
-  | Colors_toggled -> Format.pp_print_string ppf "allocation/clear colors toggled"
-  | Trace_complete { traced } ->
-      Format.fprintf ppf "trace complete (%d objects)" traced
-  | Sweep_complete { freed; bytes } ->
-      Format.fprintf ppf "sweep complete (%d objects / %d bytes freed)" freed bytes
-  | Cycle_end -> Format.pp_print_string ppf "cycle end"
-  | Heap_grown { capacity } ->
-      Format.fprintf ppf "heap grown to %d bytes" capacity
-  | Mutator_ack { mid; status } ->
-      Format.fprintf ppf "mutator %d acks %s" mid (Status.to_string status)
-  | Stall_begin { mid } -> Format.fprintf ppf "mutator %d stalls on allocation" mid
-  | Stall_end { mid } -> Format.fprintf ppf "mutator %d resumes" mid
-  | Promoted { count } ->
-      Format.fprintf ppf "%d objects promoted to the old generation" count
-
-let pp_timeline ppf t =
-  iter t (fun e -> Format.fprintf ppf "%10d  %a@." e.at pp_phase e.phase)
+let clear = Flight_recorder.clear

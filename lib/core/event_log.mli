@@ -1,70 +1,10 @@
-(** Structured log of collector phase transitions and mutator-side events.
+(** What remains of the simulator's former shared event log: the
+    benchmark's copy of [Driver.run_sim] still clears it at the warm-up
+    barrier through [Runtime.events].  Events are recorded by
+    {!Flight_recorder}.  ROADMAP item 2 deletes this module together with
+    that copy. *)
 
-    When enabled, the collector records each phase of every cycle — and
-    the mutators record their handshake acknowledgements and allocation
-    stalls — with a timestamp in elapsed work units: the observability a
-    production collector would expose through JFR-style events.  The log
-    is what [gcsim run --trace] prints and what the Perfetto trace export
-    consumes; tests use it to assert phase ordering (handshakes strictly
-    precede the trace, the trace precedes the sweep, ...).
-
-    Storage is a bounded ring of int-encoded records (4 ints per event):
-    an enabled log never allocates per emit beyond occasional capacity
-    doubling up to [max_events], and a long run overwrites its oldest
-    events instead of growing without bound.  Disabled (the default),
-    [emit] is a single flag test. *)
-
-type phase =
-  | Cycle_start of { kind : Gc_stats.kind; full : bool }
-  | Init_full_done
-  | Handshake_posted of Status.t
-  | Handshake_complete of Status.t
-  | Intergen_scanned of { seeds : int }
-      (** dirty-card scan or remembered-set drain finished; [seeds] = old
-          objects grayed *)
-  | Colors_toggled
-  | Trace_complete of { traced : int }
-  | Sweep_complete of { freed : int; bytes : int }
-  | Cycle_end
-  | Heap_grown of { capacity : int }
-  | Mutator_ack of { mid : int; status : Status.t }
-      (** mutator [mid] adopted the posted status (handshake response) *)
-  | Stall_begin of { mid : int }
-      (** mutator [mid] entered the allocation slow path (heap exhausted) *)
-  | Stall_end of { mid : int }  (** its allocation finally succeeded *)
-  | Promoted of { count : int }
-      (** objects promoted to the old generation by the finishing cycle *)
-
-type event = { at : int;  (** elapsed work units *) phase : phase }
-
-type t
-
-val create : ?max_events:int -> unit -> t
-(** [max_events] (default 65536) bounds the ring; beyond it the oldest
-    events are overwritten.  Raises [Invalid_argument] if < 1. *)
-
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-(** Off by default; recording costs nothing when disabled. *)
-
-val emit : t -> at:int -> phase -> unit
-
-val events : t -> event list
-(** Oldest first (decoded on demand). *)
-
-val iter : t -> (event -> unit) -> unit
-(** Oldest first, without materialising the list. *)
-
-val length : t -> int
-(** Events currently held (≤ [max_events]). *)
-
-val dropped : t -> int
-(** Events overwritten since the last {!clear} because the ring was at
-    its bound. *)
+type t = Flight_recorder.t
 
 val clear : t -> unit
-
-val pp_phase : Format.formatter -> phase -> unit
-
-val pp_timeline : Format.formatter -> t -> unit
-(** Render the whole log, one event per line, timestamps left-aligned. *)
+(** {!Flight_recorder.clear}. *)

@@ -1,20 +1,24 @@
-(* Flight recorder for the domains substrate: per-domain bounded rings
-   of monotonic-clock events, drained post-run into the Perfetto trace,
-   the contention profile and the SLO latency report.
+(* The event recorder for both substrates: per-process bounded rings of
+   timestamped events, drained post-run into the Perfetto trace, the
+   timeline, the report strips, the contention profile and the SLO
+   latency report.
 
    The protocol is deliberately primitive so the record sites cost
    almost nothing:
 
-   - every ring has exactly ONE writer (the domain it belongs to) and is
-     only read after the run, so writes need no synchronisation at all —
-     the ring is a plain int array and a plain sequence counter;
-   - an event is a fixed-stride record of four ints (start ns, duration
-     ns, kind tag, payload), written by four array stores;
+   - every ring has exactly ONE writer (the process or domain it belongs
+     to) and is only read after the run, so writes need no
+     synchronisation at all — the ring is a plain int array and a plain
+     sequence counter;
+   - an event is a fixed-stride record of five ints (start, duration,
+     kind tag, two payload words), written by five array stores;
    - a full ring overwrites its oldest entry and counts the loss
      ([dropped]), never blocking and never allocating;
-   - when the recorder is disarmed (the default, and always under the
-     simulator) every record site reduces to one option/bool check and
-     no clock read, so the sim digest guard is untouched.
+   - the clock is fixed at [arm]: simulated cost units on the simulator,
+     where recording must not perturb the schedule (reading the cost
+     ledger charges nothing), monotonic ns on domains;
+   - when the recorder is disarmed (the default) every record site
+     reduces to one option check and no clock read.
 
    Ring registration (not recording) takes a mutex: it happens a handful
    of times per run, from whichever domain creates the mutator/worker.
@@ -24,15 +28,24 @@
 module Clock = Otfgc_support.Monotonic_clock
 
 type kind =
-  | Phase  (** collector phase span; payload = [Cost.phase_index] *)
-  | Cycle  (** whole collection cycle; payload = 0 partial / 1 full *)
-  | Handshake  (** posted->complete span; payload = [Status.index] *)
-  | Ack  (** mutator adopted a posted status; payload = [Status.index] *)
-  | Poll  (** sampled safepoint poll; payload = polls so far *)
-  | Stall  (** allocation stall span; payload = mutator id *)
-  | Lock_wait  (** block-pool class lock wait; payload = size class *)
-  | Steal  (** steal attempt span; payload = 1 hit / 0 miss *)
-  | Idle  (** trace worker parked out of work; payload = 0 *)
+  | Phase
+  | Cycle
+  | Handshake
+  | Ack
+  | Poll
+  | Stall
+  | Lock_wait
+  | Steal
+  | Idle
+  | Colors_toggled
+  | Promoted
+  | Heap_grown
+
+let kinds =
+  [|
+    Phase; Cycle; Handshake; Ack; Poll; Stall; Lock_wait; Steal; Idle;
+    Colors_toggled; Promoted; Heap_grown;
+  |]
 
 let kind_tag = function
   | Phase -> 0
@@ -44,17 +57,9 @@ let kind_tag = function
   | Lock_wait -> 6
   | Steal -> 7
   | Idle -> 8
-
-let kind_of_tag = function
-  | 0 -> Phase
-  | 1 -> Cycle
-  | 2 -> Handshake
-  | 3 -> Ack
-  | 4 -> Poll
-  | 5 -> Stall
-  | 6 -> Lock_wait
-  | 7 -> Steal
-  | _ -> Idle
+  | Colors_toggled -> 9
+  | Promoted -> 10
+  | Heap_grown -> 11
 
 let kind_name = function
   | Phase -> "phase"
@@ -66,12 +71,20 @@ let kind_name = function
   | Lock_wait -> "lock-wait"
   | Steal -> "steal"
   | Idle -> "idle"
+  | Colors_toggled -> "colors-toggled"
+  | Promoted -> "promoted"
+  | Heap_grown -> "heap-grown"
 
-let stride = 4
+type clock = Ns | Units of Cost.t
+
+let read = function Ns -> Clock.now_ns () | Units c -> Cost.elapsed_multi c
+
+let stride = 5
 
 type ring = {
   track : string;
   tid : int;
+  clock : clock;
   buf : int array;
   cap : int;  (* capacity in events *)
   mutable seq : int;  (* events ever written; single writer *)
@@ -83,18 +96,23 @@ type event = {
   tid : int;
   kind : kind;
   a : int;
+  b : int;
   t0_ns : int;
   dur_ns : int;
 }
 
 type t = {
   mutable armed : bool;
+  mutable clock : clock;
   capacity : int;
   reg : Mutex.t;  (* guards ring registration, never recording *)
-  mutable rings : ring list;
+  mutable rings : ring list;  (* newest registration first *)
   mutable collector : ring option;
   mutable handshakes : ring option;
-  mutable hs_t0 : int;  (* open handshake's posted timestamp (collector) *)
+  (* the open handshake (collector only): a flag, not a zero sentinel —
+     a cost-unit clock can read 0 *)
+  mutable hs_open : bool;
+  mutable hs_t0 : int;
 }
 
 let default_capacity = 16384
@@ -102,15 +120,19 @@ let default_capacity = 16384
 let create ?(capacity = default_capacity) () =
   {
     armed = false;
+    clock = Ns;
     capacity = Stdlib.max 16 capacity;
     reg = Mutex.create ();
     rings = [];
     collector = None;
     handshakes = None;
+    hs_open = false;
     hs_t0 = 0;
   }
 
 let armed t = t.armed
+let units t = match t.clock with Units _ -> true | Ns -> false
+let ring_now (r : ring) = read r.clock
 let now_ns () = Clock.now_ns ()
 
 (* Perfetto track ids: the collector and mutators keep Trace_export's
@@ -126,6 +148,7 @@ let make_ring t ~track ~tid =
     {
       track;
       tid;
+      clock = t.clock;
       buf = Array.make (t.capacity * stride) 0;
       cap = t.capacity;
       seq = 0;
@@ -137,8 +160,9 @@ let make_ring t ~track ~tid =
   Mutex.unlock t.reg;
   r
 
-let arm t =
+let arm ?units t =
   if not t.armed then begin
+    t.clock <- (match units with Some c -> Units c | None -> Ns);
     t.collector <- Some (make_ring t ~track:"collector" ~tid:collector_tid);
     t.handshakes <- Some (make_ring t ~track:"handshakes" ~tid:handshake_tid);
     t.armed <- true
@@ -150,18 +174,19 @@ let new_ring t ~track ~tid =
 let collector_ring t = t.collector
 let handshake_ring t = t.handshakes
 
-let write r ~t0 ~dur ~tag ~a =
+let write r ~t0 ~dur kind ~a ~b =
   let i = r.seq mod r.cap * stride in
   r.buf.(i) <- t0;
   r.buf.(i + 1) <- dur;
-  r.buf.(i + 2) <- tag;
+  r.buf.(i + 2) <- kind_tag kind;
   r.buf.(i + 3) <- a;
+  r.buf.(i + 4) <- b;
   r.seq <- r.seq + 1
 
-let span r kind ~a ~t0 ~t1 =
-  write r ~t0 ~dur:(Stdlib.max 0 (t1 - t0)) ~tag:(kind_tag kind) ~a
+let span r ?(b = 0) kind ~a ~t0 ~t1 =
+  write r ~t0 ~dur:(Stdlib.max 0 (t1 - t0)) kind ~a ~b
 
-let instant r kind ~a ~at = write r ~t0:at ~dur:0 ~tag:(kind_tag kind) ~a
+let instant r ?(b = 0) kind ~a ~at = write r ~t0:at ~dur:0 kind ~a ~b
 
 (* Safepoint polls fire on every mutator operation; counting them is one
    increment, and only every [poll_sample_interval]-th poll reads the
@@ -171,36 +196,57 @@ let poll_sample_interval = 1024
 let poll r =
   r.polls <- r.polls + 1;
   if r.polls mod poll_sample_interval = 0 then
-    instant r Poll ~a:r.polls ~at:(now_ns ())
+    instant r Poll ~a:r.polls ~at:(ring_now r)
 
 (* Handshake spans live on their own track: a posted->complete interval
    can straddle collector phase spans (sync2 is posted before the card
    scan and completes after it), so nesting them on the collector track
    would violate the trace validator's containment invariant.  Only the
-   collector domain calls these, so the open-handshake cell is plain. *)
+   collector calls these, so the open-handshake cells are plain. *)
 let note_handshake_posted t =
-  match t.handshakes with Some _ -> t.hs_t0 <- now_ns () | None -> ()
+  match t.handshakes with
+  | Some r ->
+      t.hs_t0 <- ring_now r;
+      t.hs_open <- true
+  | None -> ()
 
 let note_handshake_completed t ~status =
   match t.handshakes with
-  | Some r when t.hs_t0 > 0 ->
-      span r Handshake ~a:status ~t0:t.hs_t0 ~t1:(now_ns ());
-      t.hs_t0 <- 0
+  | Some r when t.hs_open ->
+      span r Handshake ~a:status ~t0:t.hs_t0 ~t1:(ring_now r);
+      t.hs_open <- false
   | _ -> ()
+
+let rings t =
+  Mutex.lock t.reg;
+  let rs = t.rings in
+  Mutex.unlock t.reg;
+  List.rev rs
+
+let clear t =
+  List.iter
+    (fun r ->
+      r.seq <- 0;
+      r.polls <- 0)
+    (rings t);
+  t.hs_open <- false
 
 let ring_dropped r = Stdlib.max 0 (r.seq - r.cap)
 
-let ring_events r acc =
-  let n = Stdlib.min r.seq r.cap in
-  let out = ref acc in
-  for k = r.seq - n to r.seq - 1 do
+(* The ring's last [n] surviving events, oldest first. *)
+let ring_tail (r : ring) n =
+  let seq = r.seq in
+  let n = Stdlib.min n (Stdlib.min seq r.cap) in
+  let out = ref [] in
+  for k = seq - 1 downto seq - n do
     let i = k mod r.cap * stride in
     out :=
       {
         track = r.track;
         tid = r.tid;
-        kind = kind_of_tag r.buf.(i + 2);
+        kind = kinds.(r.buf.(i + 2));
         a = r.buf.(i + 3);
+        b = r.buf.(i + 4);
         t0_ns = r.buf.(i);
         dur_ns = r.buf.(i + 1);
       }
@@ -208,18 +254,17 @@ let ring_events r acc =
   done;
   !out
 
-let rings t =
-  Mutex.lock t.reg;
-  let rs = t.rings in
-  Mutex.unlock t.reg;
-  rs
+let recent t ~n = List.concat_map (fun r -> ring_tail r n) (rings t)
 
 let events t =
-  let all = List.fold_left (fun acc r -> ring_events r acc) [] (rings t) in
-  List.stable_sort (fun a b -> compare a.t0_ns b.t0_ns) all
+  List.stable_sort
+    (fun a b -> compare a.t0_ns b.t0_ns)
+    (recent t ~n:max_int)
 
-let dropped t = List.fold_left (fun acc r -> acc + ring_dropped r) 0 (rings t)
-let total_polls t = List.fold_left (fun acc r -> acc + r.polls) 0 (rings t)
+let sum f t = List.fold_left (fun acc r -> acc + f r) 0 (rings t)
+let length = sum (fun r -> Stdlib.min r.seq r.cap)
+let dropped = sum ring_dropped
+let total_polls = sum (fun r -> r.polls)
 
 let tracks t =
   List.sort

@@ -19,7 +19,7 @@ type t = {
   mutable own_cost : Cost.t option;
   mutable own_telemetry : Telemetry.t option;
   mutable ring : Flight_recorder.ring option;
-      (** flight-recorder track (domains substrate, recorder armed) *)
+      (** event-recorder track (recorder armed) *)
 }
 
 let create ~id ~name ~n_regs =

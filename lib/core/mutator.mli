@@ -47,8 +47,8 @@ val set_own_ledgers : t -> Cost.t -> Telemetry.t -> unit
     into the shared ledgers at end of run). *)
 
 val ring : t -> Flight_recorder.ring option
-(** This mutator's flight-recorder track, when the recorder is armed
-    (domains substrate only); [None] means every record site is a no-op. *)
+(** This mutator's event-recorder track, when the recorder is armed;
+    [None] means every record site is a no-op. *)
 
 val set_ring : t -> Flight_recorder.ring option -> unit
 

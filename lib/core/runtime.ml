@@ -17,7 +17,7 @@ let state t = t.st
 let heap t = t.st.heap
 let stats t = t.st.stats
 let cost t = t.st.cost
-let events t = t.st.events
+let events t = t.st.recorder
 let telemetry t = t.st.telemetry
 let sampler t = t.st.sampler
 
@@ -39,17 +39,21 @@ let set_gc_workers t n =
 
 let recorder t = t.st.recorder
 
-(* Arm the flight recorder (domains substrate only; call before any
-   process starts — instrument hooks run right after [set_parallel] and
-   [set_gc_workers] in the driver, which is the right moment).  Workers
-   configured before or after arming both end up with tracks; mutators
-   get theirs at registration. *)
+(* Arm the event recorder (call before any process starts — instrument
+   hooks run right after [set_parallel] and [set_gc_workers] in the
+   driver, which is the right moment).  Workers configured before or
+   after arming both end up with tracks; mutators get theirs at
+   registration. *)
 let arm_recorder t =
   let st = t.st in
-  if st.parallel then begin
-    Flight_recorder.arm st.recorder;
-    Gc_par.attach_rings st.par st.recorder
-  end
+  Flight_recorder.arm st.recorder
+    ?units:(if st.parallel then None else Some st.cost);
+  Gc_par.attach_rings st.par st.recorder
+
+let attach_ring st m =
+  Mutator.set_ring m
+    (Flight_recorder.new_ring st.recorder ~track:(Mutator.name m)
+       ~tid:(Flight_recorder.mutator_tid (Mutator.id m)))
 
 let gc_workers t = t.st.par.Gc_par.n_workers
 let gc_worker_loop t wid = Collector.gc_worker_loop t.st wid
@@ -78,10 +82,7 @@ let new_mutator t ~name ?(n_regs = 16) () =
         let tel = Telemetry.create () in
         Telemetry.set_enabled tel (Telemetry.enabled st.telemetry);
         Mutator.set_own_ledgers m c tel;
-        if Flight_recorder.armed st.recorder then
-          Mutator.set_ring m
-            (Flight_recorder.new_ring st.recorder ~track:name
-               ~tid:(Flight_recorder.mutator_tid (Mutator.id m)));
+        attach_ring st m;
         Mutator.set_status m (Atomic.get st.status_c);
         State.register_mutator st m;
         Mutex.unlock st.reg_lock;
@@ -97,6 +98,7 @@ let new_mutator t ~name ?(n_regs = 16) () =
     t.next_mutator_id <- t.next_mutator_id + 1;
     (* Idle collector means status_c = Async, matching the fresh mutator. *)
     Mutator.set_status m (Atomic.get st.status_c);
+    attach_ring st m;
     State.register_mutator st m;
     m
   end
@@ -234,9 +236,6 @@ let alloc_sim t m ~size ~n_slots =
       let result = ref Heap.nil in
       Telemetry.hit_stall st.telemetry;
       let stall_from = Cost.elapsed_multi st.cost in
-      if Event_log.enabled st.events then
-        Event_log.emit st.events ~at:stall_from
-          (Event_log.Stall_begin { mid = Mutator.id m });
       let baseline = ref (fulls_done st) in
       while !result = Heap.nil do
         match try_alloc t ~size ~n_slots with
@@ -262,9 +261,11 @@ let alloc_sim t m ~size ~n_slots =
       done;
       let stall_to = Cost.elapsed_multi st.cost in
       Telemetry.record_stall st.telemetry (stall_to - stall_from);
-      if Event_log.enabled st.events then
-        Event_log.emit st.events ~at:stall_to
-          (Event_log.Stall_end { mid = Mutator.id m });
+      (match Mutator.ring m with
+      | Some r ->
+          Flight_recorder.span r Flight_recorder.Stall ~a:(Mutator.id m)
+            ~t0:stall_from ~t1:stall_to
+      | None -> ());
       note_allocated st !result;
       maybe_trigger t;
       !result
@@ -328,7 +329,7 @@ let alloc_domains t m ~size ~n_slots =
         let waited = Block_pool.lock_ns st.pool ~cls in
         if waited > 0 then begin
           Telemetry.hit_lock_wait (State.mtelemetry st m) ~cls;
-          let t1 = Flight_recorder.now_ns () in
+          let t1 = Flight_recorder.ring_now r in
           Flight_recorder.span r Flight_recorder.Lock_wait ~a:cls
             ~t0:(t1 - waited) ~t1
         end);
@@ -402,7 +403,7 @@ let alloc_domains t m ~size ~n_slots =
       drain_pools t;
       let stall_ns0 =
         match Mutator.ring m with
-        | Some _ -> Flight_recorder.now_ns ()
+        | Some r -> Flight_recorder.ring_now r
         | None -> 0
       in
       let stall_from = State.now_units st in
@@ -457,7 +458,7 @@ let alloc_domains t m ~size ~n_slots =
       (match Mutator.ring m with
       | Some r ->
           Flight_recorder.span r Flight_recorder.Stall ~a:(Mutator.id m)
-            ~t0:stall_ns0 ~t1:(Flight_recorder.now_ns ())
+            ~t0:stall_ns0 ~t1:(Flight_recorder.ring_now r)
       | None -> ());
       !result
 

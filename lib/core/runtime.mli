@@ -29,7 +29,8 @@ val stats : t -> Gc_stats.t
 val cost : t -> Cost.t
 
 val events : t -> Event_log.t
-(** The phase/mutator event log (enable it to record). *)
+(** {!recorder} under its former name, for the benchmark's copy of the
+    simulator driver ({!Event_log}). *)
 
 val telemetry : t -> Telemetry.t
 (** Counters and latency histograms (see {!Telemetry}). *)
@@ -62,15 +63,16 @@ val gc_workers : t -> int
 (** Crew width ([1] unless widened). *)
 
 val recorder : t -> Flight_recorder.t
-(** The flight recorder (disarmed unless {!arm_recorder} ran). *)
+(** The event recorder (disarmed unless {!arm_recorder} ran). *)
 
 val arm_recorder : t -> unit
-(** Arm the flight recorder (domains substrate only — a no-op unless
-    {!set_parallel} came first; call before any process starts).  Every
-    domain gets its own wall-clock event ring: the collector, each
-    helper GC worker, each mutator registered afterwards, plus a
-    dedicated handshake track.  Disarmed recording costs one option
-    check per site, so the simulator's digests never move. *)
+(** Arm the event recorder (call after {!set_parallel} and before any
+    process starts).  Every process gets its own event ring: the
+    collector, each helper GC worker, each mutator registered
+    afterwards, plus a dedicated handshake track.  The clock is the
+    simulator's cost units, or wall-clock ns on domains.  Recording
+    never yields, charges or touches pages, so armed or not, the
+    simulator's results are identical. *)
 
 val gc_worker_loop : t -> int -> unit
 (** Helper worker body for worker id [wid] in [1..n-1]; spawn one daemon

@@ -33,7 +33,7 @@ type t = {
   shutdown : bool Atomic.t;
   gray : Gray_queue.t;
   stats : Gc_stats.t;
-  events : Event_log.t;
+  recorder : Flight_recorder.t;
   telemetry : Telemetry.t;
   mutable cur_cycle : Gc_stats.cycle option;
   pages : Page_set.t;
@@ -44,7 +44,6 @@ type t = {
   mutable fine_grained : bool;
   mutable collector_speed : int;
   sampler : Sampler.t;
-  recorder : Flight_recorder.t;
   (* Real-domains substrate.  [parallel] is set once by the driver before
      any process starts; the locks are never touched in simulated mode. *)
   mutable parallel : bool;
@@ -76,7 +75,6 @@ let create heap cfg =
     shutdown = Atomic.make false;
     gray = Gray_queue.create ();
     stats = Gc_stats.create ();
-    events = Event_log.create ();
     telemetry;
     cur_cycle = None;
     pages;

@@ -53,7 +53,9 @@ type t = {
   (* instrumentation *)
   gray : Gray_queue.t;
   stats : Gc_stats.t;
-  events : Event_log.t;  (** phase-transition log (off by default) *)
+  recorder : Flight_recorder.t;
+      (** per-process event rings (disarmed by default — one option
+          check per record site; armed via [Runtime.arm_recorder]) *)
   telemetry : Telemetry.t;
       (** counters and latency histograms (histograms off by default) *)
   mutable cur_cycle : Gc_stats.cycle option;
@@ -84,10 +86,6 @@ type t = {
   sampler : Sampler.t;
       (** census sampling cadence and series (off by default); driven by
           {!Observatory} from the runtime/collector sampling hooks *)
-  recorder : Flight_recorder.t;
-      (** per-domain wall-clock event rings (disarmed by default — one
-          option check per record site; armed only on the domains
-          substrate via [Runtime.arm_recorder]) *)
   (* real-domains substrate *)
   mutable parallel : bool;
       (** running on real domains; set once by the driver before any

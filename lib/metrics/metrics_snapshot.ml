@@ -118,8 +118,8 @@ let take ?(seq = 0) ?(at_ms = 0.) (st : State.t) =
       |> List.mapi (fun cls n -> (cls, n))
       |> List.filter (fun (_, n) -> n > 0);
     trace_workers = Telemetry.trace_workers tel;
-    events_logged = Event_log.length st.State.events;
-    events_dropped = Event_log.dropped st.State.events;
+    events_logged = Flight_recorder.length st.State.recorder;
+    events_dropped = Flight_recorder.dropped st.State.recorder;
     mutator_work = Cost.mutator_work cost;
     collector_work = Cost.collector_work cost;
     stall_work = Cost.stall_work cost;
@@ -147,10 +147,7 @@ let take ?(seq = 0) ?(at_ms = 0.) (st : State.t) =
       Otfgc_heap.Freelist.entry_count (Otfgc_heap.Heap.freelist heap);
     freelist_stale =
       Otfgc_heap.Freelist.stale_entries (Otfgc_heap.Heap.freelist heap);
-    flight_drops =
-      (if Flight_recorder.armed st.State.recorder then
-         Flight_recorder.dropped st.State.recorder
-       else 0);
+    flight_drops = Flight_recorder.dropped st.State.recorder;
     active_mutators = State.count_active_mutators st;
     time_unit = (if st.State.parallel then "us" else "units");
     handshake_latency =

@@ -55,7 +55,7 @@ type t = {
       (** nonzero per-size-class breakdown of [lock_waits], ascending
           class *)
   trace_workers : int;  (** widest collection crew observed (1 = serial) *)
-  events_logged : int;  (** phase-event ring occupancy *)
+  events_logged : int;  (** event-recorder occupancy, over all rings *)
   events_dropped : int;
   (* work ledger *)
   mutator_work : int;
@@ -87,7 +87,7 @@ type t = {
   gray_depth : int;
   freelist_entries : int;
   freelist_stale : int;
-  flight_drops : int;
+  flight_drops : int;  (** [events_dropped], as the live sinks' gauge *)
   active_mutators : int;
   (* latency histograms (empty while the instruments are disabled) *)
   time_unit : string;

@@ -2,8 +2,7 @@ module Svg = Otfgc_support.Svg
 module Timeseries = Otfgc_support.Timeseries
 module Runtime = Otfgc.Runtime
 module Sampler = Otfgc.Sampler
-module Event_log = Otfgc.Event_log
-module Status = Otfgc.Status
+module Fr = Otfgc.Flight_recorder
 
 (* ------------------------------------------------------------------ *)
 (* Layout                                                              *)
@@ -182,52 +181,26 @@ let occupancy_svg s =
     @ ribbons @ [ capacity ] @ legend)
 
 (* ------------------------------------------------------------------ *)
-(* Panel 2: collector-activity strips from the event log               *)
+(* Panel 2: collector-activity strips from the event recorder          *)
 (* ------------------------------------------------------------------ *)
 
 type span = { from_at : int; to_at : int }
 
-let spans_of_events events =
-  let cycles = ref []
-  and handshakes = ref []
-  and stalls = ref [] in
-  let cycle_open = ref None in
-  let hs_open = ref [] (* (status, at) assoc *)
-  and stall_open = ref [] (* (mid, at) assoc *) in
-  List.iter
-    (fun { Event_log.at; phase } ->
-      match phase with
-      | Event_log.Cycle_start _ -> cycle_open := Some at
-      | Event_log.Cycle_end ->
-          Option.iter
-            (fun t0 -> cycles := { from_at = t0; to_at = at } :: !cycles)
-            !cycle_open;
-          cycle_open := None
-      | Event_log.Handshake_posted st -> hs_open := (st, at) :: !hs_open
-      | Event_log.Handshake_complete st -> (
-          match List.assoc_opt st !hs_open with
-          | Some t0 ->
-              handshakes := { from_at = t0; to_at = at } :: !handshakes;
-              hs_open := List.remove_assoc st !hs_open
-          | None -> ())
-      | Event_log.Stall_begin { mid } -> stall_open := (mid, at) :: !stall_open
-      | Event_log.Stall_end { mid } -> (
-          match List.assoc_opt mid !stall_open with
-          | Some t0 ->
-              stalls := { from_at = t0; to_at = at } :: !stalls;
-              stall_open := List.remove_assoc mid !stall_open
-          | None -> ())
-      | _ -> ())
-    events;
-  (List.rev !cycles, List.rev !handshakes, List.rev !stalls)
+(* The recorder's spans of one kind, in cost units like the census. *)
+let spans_of kind events =
+  List.filter_map
+    (fun (e : Fr.event) ->
+      if e.kind = kind then
+        Some { from_at = e.t0_ns; to_at = e.t0_ns + e.dur_ns }
+      else None)
+    events
 
 let strips_svg s events =
   let rows =
-    let cycles, handshakes, stalls = spans_of_events events in
     [
-      ("cycles", "strip strip-cycle", cycles);
-      ("handshakes", "strip strip-handshake", handshakes);
-      ("stalls", "strip strip-stall", stalls);
+      ("cycles", "strip strip-cycle", spans_of Fr.Cycle events);
+      ("handshakes", "strip strip-handshake", spans_of Fr.Handshake events);
+      ("stalls", "strip strip-stall", spans_of Fr.Stall events);
     ]
   in
   let row_h = 26. in
@@ -331,8 +304,8 @@ let of_runtime ?(workload = "run") rt =
     let s = { ts; n; t_max } in
     let st = Runtime.state rt in
     let mode = Otfgc.Gc_config.mode_name st.Otfgc.State.cfg.Otfgc.Gc_config.mode in
-    let events = Event_log.events (Runtime.events rt) in
-    let dropped = Event_log.dropped (Runtime.events rt) in
+    let events = Fr.events (Runtime.recorder rt) in
+    let dropped = Fr.dropped (Runtime.recorder rt) in
     let buf = Buffer.create 65536 in
     let add = Buffer.add_string buf in
     add "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/><title>";

@@ -11,8 +11,8 @@
 
 val of_runtime :
   ?workload:string -> Otfgc.Runtime.t -> (string, string) result
-(** Render the runtime's census series (and, when the event log was
-    enabled, its handshake/cycle/stall strips) to a complete HTML
+(** Render the runtime's census series (and, when the event recorder
+    was armed, its handshake/cycle/stall strips) to a complete HTML
     document.  [Error] when the series holds fewer than two samples —
     run with sampling armed ([--sample-every]) first. *)
 

@@ -1,14 +1,8 @@
 module Json = Otfgc_support.Json
+module Fr = Otfgc.Flight_recorder
 open Otfgc
 
 let pid = 1
-let collector_tid = 0
-let mutator_tid mid = 1 + mid
-
-let kind_label = function
-  | Gc_stats.Partial -> "partial"
-  | Gc_stats.Full -> "full"
-  | Gc_stats.Non_gen -> "non-gen"
 
 let span ~name ~ts ~dur ~tid args =
   Json.Obj
@@ -44,165 +38,98 @@ let metadata ~name ~tid value =
       ("args", Json.Obj [ ("name", Json.String value) ]);
     ]
 
-let of_runtime ?(workload = "") rt =
-  let st = Runtime.state rt in
-  let mode = Gc_config.mode_name st.State.cfg.Gc_config.mode in
-  let acc = ref [] in
-  let push e = acc := e :: !acc in
-  let label = if workload = "" then mode else workload ^ " (" ^ mode ^ ")" in
-  push (metadata ~name:"process_name" ~tid:collector_tid ("gcsim " ^ label));
-  push (metadata ~name:"thread_name" ~tid:collector_tid "collector");
-  List.iter
-    (fun m ->
-      push
-        (metadata ~name:"thread_name" ~tid:(mutator_tid (Mutator.id m))
-           (Mutator.name m)))
-    (State.mutators st);
-  (* Slice reconstruction: cycles and handshakes are delimited by explicit
-     begin/end events; the trace and sweep spans are recovered from the
-     cycle's internal sequence (last handshake completion -> Trace_complete
-     -> Sweep_complete); stalls are per-mutator begin/end pairs. *)
-  let cycle_open = ref None in
-  let hs_open = ref None in
-  let seg_start = ref None in
-  let stall_open = Hashtbl.create 8 in
-  Event_log.iter (Runtime.events rt) (fun { Event_log.at; phase } ->
-      match phase with
-      | Event_log.Cycle_start { kind; full } ->
-          cycle_open := Some (at, kind_label kind, full)
-      | Event_log.Init_full_done -> (
-          match !cycle_open with
-          | Some (t0, _, _) ->
-              push (span ~name:"init-full" ~ts:t0 ~dur:(at - t0)
-                      ~tid:collector_tid [])
-          | None -> ())
-      | Event_log.Handshake_posted s -> hs_open := Some (at, s)
-      | Event_log.Handshake_complete s ->
-          (match !hs_open with
-          | Some (t0, s0) when Status.equal s s0 ->
-              push
-                (span ~name:("handshake " ^ Status.to_string s) ~ts:t0
-                   ~dur:(at - t0) ~tid:collector_tid [])
-          | _ -> ());
-          hs_open := None;
-          seg_start := Some at
-      | Event_log.Intergen_scanned { seeds } ->
-          push (instant ~name:"card-scan" ~ts:at ~tid:collector_tid
-                  [ ("seeds", Json.Int seeds) ])
-      | Event_log.Colors_toggled ->
-          push (instant ~name:"colors-toggled" ~ts:at ~tid:collector_tid [])
-      | Event_log.Trace_complete { traced } ->
-          (match !seg_start with
-          | Some t0 ->
-              push (span ~name:"trace" ~ts:t0 ~dur:(at - t0) ~tid:collector_tid
-                      [ ("traced", Json.Int traced) ])
-          | None -> ());
-          seg_start := Some at
-      | Event_log.Sweep_complete { freed; bytes } ->
-          (match !seg_start with
-          | Some t0 ->
-              push (span ~name:"sweep" ~ts:t0 ~dur:(at - t0) ~tid:collector_tid
-                      [ ("freed", Json.Int freed); ("bytes", Json.Int bytes) ])
-          | None -> ());
-          seg_start := None
-      | Event_log.Promoted { count } ->
-          push (instant ~name:"promoted" ~ts:at ~tid:collector_tid
-                  [ ("count", Json.Int count) ])
-      | Event_log.Heap_grown { capacity } ->
-          push (instant ~name:"heap-grown" ~ts:at ~tid:collector_tid
-                  [ ("capacity", Json.Int capacity) ])
-      | Event_log.Cycle_end ->
-          (match !cycle_open with
-          | Some (t0, kind, full) ->
-              push (span ~name:("cycle " ^ kind) ~ts:t0 ~dur:(at - t0)
-                      ~tid:collector_tid [ ("full", Json.Bool full) ])
-          | None -> ());
-          cycle_open := None;
-          seg_start := None
-      | Event_log.Mutator_ack { mid; status } ->
-          push (instant ~name:("ack " ^ Status.to_string status) ~ts:at
-                  ~tid:(mutator_tid mid) [])
-      | Event_log.Stall_begin { mid } -> Hashtbl.replace stall_open mid at
-      | Event_log.Stall_end { mid } -> (
-          match Hashtbl.find_opt stall_open mid with
-          | Some t0 ->
-              Hashtbl.remove stall_open mid;
-              push (span ~name:"alloc stall" ~ts:t0 ~dur:(at - t0)
-                      ~tid:(mutator_tid mid) [])
-          | None -> ()));
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.rev !acc));
-      ("displayTimeUnit", Json.String "ms");
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Flight-recorder export (domains substrate)                          *)
-(* ------------------------------------------------------------------ *)
-
 let status_name i =
   if i >= 0 && i <= 2 then Status.to_string (Status.of_index i)
   else "status-" ^ string_of_int i
 
-let seg_name = function
+let kind_label i =
+  if i >= 0 && i <= 2 then Gc_stats.kind_name (Gc_stats.kind_of_index i)
+  else "kind-" ^ string_of_int i
+
+let phase_name = function
   | 0 -> "clear"
   | 1 -> "cards"
   | 2 -> "trace"
   | _ -> "sweep"
 
-(* Real-nanosecond events from the per-domain rings: one track per ring
-   (collector, each GC worker, each mutator, the handshake track),
-   timestamps rebased to the first event and floored to microseconds.
-   Span ends are converted as endpoints — [us t0 + us dur] would round
-   each side down independently and could push a child slice one
-   microsecond past its parent, which [validate] rejects; flooring both
-   endpoints keeps ns-containment implying us-containment. *)
+(* The counts each collector-track phase span carries (a helper
+   worker's share records none). *)
+let phase_arg = function 1 -> "seeds" | 2 -> "traced" | 3 -> "freed" | _ -> ""
+
+let name_of (e : Fr.event) =
+  match e.kind with
+  | Fr.Phase -> phase_name e.a
+  | Fr.Cycle -> "cycle " ^ kind_label e.a
+  | Fr.Handshake -> "handshake " ^ status_name e.a
+  | Fr.Ack -> "ack " ^ status_name e.a
+  | Fr.Stall -> "alloc stall"
+  | Fr.Steal -> if e.a = 1 then "steal hit" else "steal miss"
+  | k -> Fr.kind_name k
+
+let args_of (e : Fr.event) =
+  match e.kind with
+  | Fr.Phase when e.tid = Fr.collector_tid && phase_arg e.a <> "" ->
+      [ (phase_arg e.a, Json.Int e.b) ]
+  | Fr.Cycle -> [ ("full", Json.Bool (e.b = 1)) ]
+  | Fr.Poll -> [ ("polls", Json.Int e.a) ]
+  | Fr.Lock_wait -> [ ("class", Json.Int e.a) ]
+  | Fr.Promoted -> [ ("count", Json.Int e.a) ]
+  | Fr.Heap_grown -> [ ("capacity", Json.Int e.a) ]
+  | _ -> []
+
+let is_instant = function
+  | Fr.Ack | Fr.Poll | Fr.Colors_toggled | Fr.Promoted | Fr.Heap_grown -> true
+  | _ -> false
+
+(* One track per ring (collector, handshakes, each GC worker, each
+   mutator).  On the ns clock (domains) timestamps are rebased to the
+   first event and floored to microseconds; span ends are converted as
+   endpoints — [us t0 + us dur] would round each side down independently
+   and could push a child slice one microsecond past its parent, which
+   [validate] rejects; flooring both endpoints keeps ns-containment
+   implying us-containment.  Simulator cost units are written as they
+   are, one unit per microsecond. *)
 let of_flight ?(workload = "") fr =
-  let module Fr = Otfgc.Flight_recorder in
   let events = Fr.events fr in
-  let base = match events with [] -> 0 | e :: _ -> e.Fr.t0_ns in
-  let us ns = Otfgc_support.Monotonic_clock.ns_to_us (ns - base) in
-  let acc = ref [] in
-  let push e = acc := e :: !acc in
-  let label = if workload = "" then "domains" else workload ^ " (domains)" in
-  push (metadata ~name:"process_name" ~tid:Fr.collector_tid ("gcsim " ^ label));
-  List.iter
-    (fun (track, tid) -> push (metadata ~name:"thread_name" ~tid track))
-    (Fr.tracks fr);
-  List.iter
-    (fun (e : Fr.event) ->
-      let ts = us e.Fr.t0_ns in
-      let dur = us (e.Fr.t0_ns + e.Fr.dur_ns) - ts in
-      let tid = e.Fr.tid in
-      match e.Fr.kind with
-      | Fr.Phase -> push (span ~name:(seg_name e.Fr.a) ~ts ~dur ~tid [])
-      | Fr.Cycle ->
-          push
-            (span
-               ~name:(if e.Fr.a = 1 then "cycle full" else "cycle partial")
-               ~ts ~dur ~tid [])
-      | Fr.Handshake ->
-          push (span ~name:("handshake " ^ status_name e.Fr.a) ~ts ~dur ~tid [])
-      | Fr.Ack -> push (instant ~name:("ack " ^ status_name e.Fr.a) ~ts ~tid [])
-      | Fr.Poll ->
-          push (instant ~name:"poll" ~ts ~tid [ ("polls", Json.Int e.Fr.a) ])
-      | Fr.Stall -> push (span ~name:"alloc stall" ~ts ~dur ~tid [])
-      | Fr.Lock_wait ->
-          push
-            (span ~name:"lock-wait" ~ts ~dur ~tid
-               [ ("class", Json.Int e.Fr.a) ])
-      | Fr.Steal ->
-          push
-            (span
-               ~name:(if e.Fr.a = 1 then "steal hit" else "steal miss")
-               ~ts ~dur ~tid [])
-      | Fr.Idle -> push (span ~name:"idle" ~ts ~dur ~tid []))
-    events;
+  let us =
+    if Fr.units fr then Fun.id
+    else
+      let base = match events with [] -> 0 | e :: _ -> e.Fr.t0_ns in
+      fun ns -> Otfgc_support.Monotonic_clock.ns_to_us (ns - base)
+  in
+  let substrate = if Fr.units fr then "simulator" else "domains" in
+  let label =
+    if workload = "" then substrate else workload ^ " (" ^ substrate ^ ")"
+  in
+  let meta =
+    metadata ~name:"process_name" ~tid:Fr.collector_tid ("gcsim " ^ label)
+    :: List.map
+         (fun (track, tid) -> metadata ~name:"thread_name" ~tid track)
+         (Fr.tracks fr)
+  in
+  let record (e : Fr.event) =
+    let ts = us e.t0_ns and name = name_of e and tid = e.tid in
+    if is_instant e.kind then instant ~name ~ts ~tid (args_of e)
+    else span ~name ~ts ~dur:(us (e.t0_ns + e.dur_ns) - ts) ~tid (args_of e)
+  in
   Json.Obj
     [
-      ("traceEvents", Json.List (List.rev !acc));
+      ("traceEvents", Json.List (meta @ List.map record events));
       ("displayTimeUnit", Json.String "ms");
     ]
+
+let pp_timeline ppf fr =
+  List.iter
+    (fun (e : Fr.event) ->
+      if e.kind <> Fr.Poll then begin
+        Format.fprintf ppf "%12d  %-10s %s" e.t0_ns e.track (name_of e);
+        if not (is_instant e.kind) then Format.fprintf ppf " (%d)" e.dur_ns;
+        List.iter
+          (fun (k, v) -> Format.fprintf ppf " %s=%s" k (Json.to_string v))
+          (args_of e);
+        Format.pp_print_newline ppf ()
+      end)
+    (Fr.events fr)
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)

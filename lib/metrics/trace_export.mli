@@ -1,33 +1,34 @@
-(** Chrome/Perfetto trace-event export of a run's event log.
+(** Chrome/Perfetto trace-event export of a run's event recorder, on
+    either substrate.
 
-    Converts {!Otfgc.Event_log} into the JSON trace-event format that
-    [chrome://tracing] and [ui.perfetto.dev] load directly: one timeline
-    track for the collector (cycle, handshake, trace and sweep slices,
-    plus instants for the card scan, color toggle, promotions and heap
-    growth) and one per mutator (handshake-ack instants, allocation-stall
-    slices).  Timestamps are the simulator's elapsed work units, presented
-    as microseconds.
+    Converts the {!Otfgc.Flight_recorder} rings into the JSON
+    trace-event format that [chrome://tracing] and [ui.perfetto.dev]
+    load directly: one track per ring — the collector (cycle and phase
+    slices, with instants for the colour toggle, promotions and heap
+    growth), the handshakes, each GC helper, each mutator (handshake-ack
+    instants, allocation-stall slices, sampled polls, lock waits).
+    Simulator timestamps are elapsed cost units, written as
+    microseconds; domains timestamps are wall-clock, rebased to the
+    first event and floored to microseconds.
 
-    The writer emits slices when they close, so the event array is not
-    globally sorted by timestamp — the viewers do not require it, and
-    {!validate} checks the structural invariants instead (well-formed
-    records, non-negative durations, properly nested slices per track). *)
-
-val collector_tid : int
-(** Thread id of the collector track (0; mutator [m] gets [1 + m]). *)
-
-val of_runtime : ?workload:string -> Otfgc.Runtime.t -> Otfgc_support.Json.t
-(** Build the trace document ([{"traceEvents": [...]}]) from the runtime's
-    event log.  Meaningful only if the log was enabled for the run. *)
+    The trace and the [gcsim run --trace] timeline name events the same
+    way.  {!validate} checks the structural invariants (well-formed
+    records, non-negative durations, properly nested slices per
+    track). *)
 
 val of_flight :
   ?workload:string -> Otfgc.Flight_recorder.t -> Otfgc_support.Json.t
-(** Build the trace document from the flight recorder's per-domain
-    rings (domains substrate; see {!Otfgc.Runtime.arm_recorder}): one
-    track per domain — collector, GC workers, mutators, plus the
-    dedicated handshake track — with real wall-clock timestamps,
-    rebased to the first recorded event and floored to microseconds.
-    Drain only after the run has quiesced. *)
+(** Build the trace document ([{"traceEvents": [...]}]); the process is
+    labelled with [workload] and the substrate.  Drain only after the
+    run has quiesced. *)
+
+val name_of : Otfgc.Flight_recorder.event -> string
+(** The event's slice or instant name, e.g. ["handshake sync1"]. *)
+
+val pp_timeline : Format.formatter -> Otfgc.Flight_recorder.t -> unit
+(** Every recorded event but the sampled polls, one line each in start
+    order: timestamp, track, name, duration of a span, and the trace's
+    [args]. *)
 
 val validate : Otfgc_support.Json.t -> (unit, string) result
 (** Structural check used by tests and [gcsim validate-trace]: the

@@ -28,7 +28,6 @@ let sync_point_for rt ~n ~prebuilt ~warm i m () =
     ignore (Runtime.collect_and_wait rt m ~full:true : Gc_stats.cycle);
     Gc_stats.reset (Runtime.stats rt);
     Cost.reset (Runtime.cost rt);
-    Event_log.clear (Runtime.events rt);
     Telemetry.reset (Runtime.telemetry rt);
     Sampler.reset (Runtime.sampler rt);
     Heap.reset_allocation_stats (Runtime.heap rt);
@@ -50,7 +49,12 @@ let sync_point_for rt ~n ~prebuilt ~warm i m () =
       State.iter_mutators st (fun m' ->
           ignore (Alloc_cache.take_pending (Mutator.cache m') : int * int));
       State.unlock_heap st
-    end;
+    end
+    else
+      (* The cost clock restarts, so the recorded events go too.  Under
+         domains they stay: each ring's writer is still running, and
+         only its writer may touch a ring. *)
+      Flight_recorder.clear st.State.recorder;
     Atomic.set st.State.bytes_since_gc 0;
     Atomic.set warm true
   end

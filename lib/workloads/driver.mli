@@ -41,11 +41,13 @@ val run_rt :
   Profile.t ->
   Otfgc_metrics.Run_result.t * Otfgc.Runtime.t
 (** Like {!run}, but also hands back the runtime so callers can read the
-    event log, telemetry and histograms after the fact.  [instrument] runs
-    right after the runtime is created — the place to enable the event log
-    or telemetry instruments (both off by default).  The warmup reset
-    clears the event log and telemetry along with the ledgers, so what
-    remains covers exactly the measured lap.  [threads] overrides the
+    event recorder, telemetry and histograms after the fact.  [instrument]
+    runs right after the runtime is created — the place to arm the event
+    recorder or enable the telemetry instruments (both off by default).
+    The warmup reset clears telemetry along with the ledgers, and on the
+    simulator the recorded events too, so what remains covers exactly the
+    measured lap (domains keep the warm-up lap's events: only a ring's
+    writer may touch it).  [threads] overrides the
     profile's thread count (the speedup sweeps vary it); [substrate]
     selects the execution substrate (default [Sim]); [gc_workers]
     (default 1) is the collection crew's width; more than 1 worker is

@@ -72,6 +72,18 @@ let test_merged_events_monotone () =
   check "merged stream monotone in t0_ns" true (monotone evs);
   check_int "tracks registered" 4 (List.length (Fr.tracks fr))
 
+(* Ties are common on the simulator's cost-unit clock: events with equal
+   timestamps come back in the order they were recorded. *)
+let test_equal_timestamps_keep_order () =
+  let fr = Fr.create () in
+  Fr.arm fr;
+  let r = Option.get (Fr.collector_ring fr) in
+  List.iter (fun a -> Fr.instant r Fr.Promoted ~a ~at:100) [ 1; 2; 3 ];
+  Fr.instant r Fr.Promoted ~a:0 ~at:50;
+  Alcotest.(check (list int)) "sorted by time, ties in emission order"
+    [ 0; 1; 2; 3 ]
+    (List.map (fun e -> e.Fr.a) (Fr.events fr))
+
 let test_span_duration_clamped () =
   let fr = Fr.create () in
   Fr.arm fr;
@@ -138,6 +150,8 @@ let suites =
       [
         Alcotest.test_case "disarmed recorder is inert" `Quick
           test_disarmed_is_inert;
+        Alcotest.test_case "equal timestamps keep order" `Quick
+          test_equal_timestamps_keep_order;
         Alcotest.test_case "ring records and counts drops" `Quick
           test_ring_records_and_drops;
         Alcotest.test_case "merged drain is monotone" `Quick

@@ -1,7 +1,9 @@
-(* Tests for the observability surface: the collector's phase-event log
-   and the ASCII heap renderer. *)
+(* Tests for the observability surface: the event recorder's protocol
+   stream and timeline, and the ASCII heap renderer. *)
 
 open Otfgc
+module Fr = Flight_recorder
+module Trace_export = Otfgc_metrics.Trace_export
 module Heap = Otfgc_heap.Heap
 module Color = Otfgc_heap.Color
 module Heap_render = Otfgc_heap.Heap_render
@@ -13,16 +15,15 @@ let check_int = Alcotest.(check int)
 
 let kb = 1024
 
-(* Run a short generational workload with the log enabled; return the
-   events. *)
+(* Run a short generational workload with the recorder armed; return
+   the merged event stream. *)
 let collect_events ~gc =
   let rt =
     Runtime.create
       ~heap_config:{ Heap.initial_bytes = 16 * kb; max_bytes = 64 * kb; card_size = 16 }
       ~gc_config:gc ()
   in
-  let st = Runtime.state rt in
-  Event_log.set_enabled st.State.events true;
+  Runtime.arm_recorder rt;
   let sched = Sched.create ~policy:(Sched.random_policy (Rng.make 3)) () in
   ignore (Runtime.spawn_collector rt sched);
   let m = Runtime.new_mutator rt ~name:"m" () in
@@ -37,68 +38,82 @@ let collect_events ~gc =
          ignore (Runtime.collect_and_wait rt m ~full:true);
          Runtime.retire_mutator rt m));
   Sched.run ~max_steps:50_000_000 sched;
-  Event_log.events st.State.events
+  Fr.events (Runtime.recorder rt)
 
 let index_of pred events =
   let rec go i = function
     | [] -> None
-    | e :: rest -> if pred e.Event_log.phase then Some i else go (i + 1) rest
+    | e :: rest -> if pred e then Some i else go (i + 1) rest
   in
   go 0 events
 
+let is kind ?a (e : Fr.event) =
+  e.Fr.kind = kind && match a with Some a -> e.Fr.a = a | None -> true
+
+(* Figure 2's order within the first cycle, by position in the merged
+   stream: the cycle opens, the first handshake is posted, the colours
+   toggle, the trace starts, the sweep starts, and the sweep ends before
+   the cycle does. *)
 let test_phase_ordering () =
   let events = collect_events ~gc:(Gc_config.generational ()) in
   check "events recorded" true (List.length events > 6);
-  let idx p = index_of p events in
-  let start = idx (function Event_log.Cycle_start _ -> true | _ -> false) in
-  let hs1 =
-    idx (function Event_log.Handshake_posted Status.Sync1 -> true | _ -> false)
+  let get p =
+    match index_of p events with
+    | Some i -> i
+    | None -> Alcotest.fail "missing phase"
   in
-  let toggle = idx (function Event_log.Colors_toggled -> true | _ -> false) in
-  let trace = idx (function Event_log.Trace_complete _ -> true | _ -> false) in
-  let sweep = idx (function Event_log.Sweep_complete _ -> true | _ -> false) in
-  let ends = idx (function Event_log.Cycle_end -> true | _ -> false) in
-  let get = function Some i -> i | None -> Alcotest.fail "missing phase" in
-  check "start < hs1" true (get start < get hs1);
-  check "hs1 < toggle" true (get hs1 < get toggle);
-  check "toggle < trace" true (get toggle < get trace);
-  check "trace < sweep" true (get trace < get sweep);
-  check "sweep < end" true (get sweep < get ends)
+  let start = get (is Fr.Cycle) in
+  let hs1 = get (is Fr.Handshake ~a:(Status.index Status.Sync1)) in
+  let toggle = get (is Fr.Colors_toggled) in
+  let trace = get (is Fr.Phase ~a:2) in
+  let sweep = get (is Fr.Phase ~a:3) in
+  check "start < hs1" true (start < hs1);
+  check "hs1 < toggle" true (hs1 < toggle);
+  check "toggle < trace" true (toggle < trace);
+  check "trace < sweep" true (trace < sweep);
+  let ends (e : Fr.event) = e.Fr.t0_ns + e.Fr.dur_ns in
+  check "sweep ends within the cycle" true
+    (ends (List.nth events sweep) <= ends (List.nth events start))
 
 let test_timestamps_monotonic () =
   let events = collect_events ~gc:(Gc_config.generational ()) in
   let rec mono = function
-    | a :: (b :: _ as rest) -> a.Event_log.at <= b.Event_log.at && mono rest
+    | a :: (b :: _ as rest) -> a.Fr.t0_ns <= b.Fr.t0_ns && mono rest
     | _ -> true
   in
   check "timestamps non-decreasing" true (mono events)
 
 let test_full_cycle_has_init () =
   let events = collect_events ~gc:(Gc_config.generational ()) in
-  check "InitFullCollection logged for the full cycle" true
-    (List.exists
-       (fun e -> e.Event_log.phase = Event_log.Init_full_done)
-       events)
+  check "InitFullCollection's clear phase recorded for the full cycle" true
+    (List.exists (is Fr.Phase ~a:0) events)
 
 let test_disabled_by_default () =
   let rt = Runtime.create () in
-  let st = Runtime.state rt in
-  check "off by default" false (Event_log.enabled st.State.events);
-  Event_log.emit st.State.events ~at:0 Event_log.Cycle_end;
-  check_int "disabled emit is dropped" 0
-    (List.length (Event_log.events st.State.events))
+  let fr = Runtime.recorder rt in
+  check "off by default" false (Fr.armed fr);
+  check "no collector ring" true (Fr.collector_ring fr = None);
+  Fr.note_handshake_posted fr;
+  Fr.note_handshake_completed fr ~status:0;
+  check_int "disarmed recording is dropped" 0 (List.length (Fr.events fr))
 
 let test_timeline_renders () =
-  let events_log = Event_log.create () in
-  Event_log.set_enabled events_log true;
-  Event_log.emit events_log ~at:10
-    (Event_log.Cycle_start { kind = Gc_stats.Partial; full = false });
-  Event_log.emit events_log ~at:20 (Event_log.Trace_complete { traced = 7 });
-  let s = Format.asprintf "%a" Event_log.pp_timeline events_log in
-  check "two lines" true
-    (List.length (String.split_on_char '\n' (String.trim s)) = 2);
-  Event_log.clear events_log;
-  check_int "cleared" 0 (List.length (Event_log.events events_log))
+  let fr = Fr.create () in
+  Fr.arm ~units:(Cost.create ()) fr;
+  let r = Option.get (Fr.collector_ring fr) in
+  Fr.span r Fr.Cycle ~a:(Gc_stats.kind_index Gc_stats.Partial) ~t0:10 ~t1:30;
+  Fr.span r Fr.Phase ~a:2 ~b:7 ~t0:20 ~t1:25;
+  let s = Format.asprintf "%a" Trace_export.pp_timeline fr in
+  let words l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  Alcotest.(check (list (list string)))
+    "one line per event, decoded"
+    [
+      [ "10"; "collector"; "cycle"; "partial"; "(20)"; "full=false" ];
+      [ "20"; "collector"; "trace"; "(5)"; "traced=7" ];
+    ]
+    (List.map words (String.split_on_char '\n' (String.trim s)));
+  Fr.clear fr;
+  check_int "cleared" 0 (List.length (Fr.events fr))
 
 (* ------------------------------------------------------------------ *)
 (* Heap renderer                                                       *)

@@ -131,7 +131,7 @@ let sampled_run ?(gc = default_gc) ?(card = 16) ?(seed = 42) ?(scale = 0.01)
     ~heap:{ Driver.default_heap with Heap.card_size = card }
     ~seed ~scale
     ~instrument:(fun rt ->
-      if events then Event_log.set_enabled (Runtime.events rt) true;
+      if events then Runtime.arm_recorder rt;
       Sampler.configure (Runtime.sampler rt) ~every)
     ~gc profile
 
@@ -180,9 +180,10 @@ let prop_census_sums =
       check_census_sums series = 0)
 
 (* Arming the sampler (census heap walks + reachability oracle per
-   row) must leave the simulation bit-identical: same grid as the
-   harness digest guard, Marshal digests compared between a plain and
-   a sampled run of each configuration. *)
+   row) or the event recorder must leave the simulation bit-identical:
+   same grid as the harness digest guard, Marshal digests compared
+   between a plain, a sampled and a recorded run of each
+   configuration. *)
 let grid =
   let young = 512 * 1024 in
   [
@@ -212,10 +213,21 @@ let test_sampling_is_out_of_band () =
         (Printf.sprintf "config %d sampled at least once" i)
         true
         (Timeseries.length (Sampler.series (Runtime.sampler rt)) > 0);
+      let digest r = Digest.to_hex (Digest.string (Marshal.to_string r [])) in
       check_str
         (Printf.sprintf "config %d digest unchanged by sampling" i)
-        (Digest.to_hex (Digest.string (Marshal.to_string plain [])))
-        (Digest.to_hex (Digest.string (Marshal.to_string sampled []))))
+        (digest plain) (digest sampled);
+      let recorded, rt =
+        Driver.run_rt ~heap ~seed:42 ~scale:0.05
+          ~instrument:Runtime.arm_recorder ~gc profile
+      in
+      check
+        (Printf.sprintf "config %d recorded events" i)
+        true
+        (Flight_recorder.length (Runtime.recorder rt) > 0);
+      check_str
+        (Printf.sprintf "config %d digest unchanged by the recorder" i)
+        (digest plain) (digest recorded))
     grid
 
 (* ------------------------------------------------------------------ *)

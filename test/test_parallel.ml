@@ -29,6 +29,8 @@ module Gc_stats = Otfgc.Gc_stats
 module Gc_par = Otfgc.Gc_par
 module Status = Otfgc.Status
 module Run_result = Otfgc_metrics.Run_result
+module Trace_export = Otfgc_metrics.Trace_export
+module Flight_recorder = Otfgc.Flight_recorder
 
 let total_promotions rt =
   let stats = (Runtime.state rt).State.stats in
@@ -184,6 +186,13 @@ let dump_domains rt =
     (Atomic.get par.Gc_par.idle)
     (Atomic.get par.Gc_par.done_count)
     (par.Gc_par.n_workers - 1);
+  (* the rings' tails: what each process recorded last *)
+  List.iter
+    (fun (e : Flight_recorder.event) ->
+      Printf.bprintf b "  %-12s %-14s %-18s a=%d b=%d t0=%d\n" e.track
+        (Flight_recorder.kind_name e.kind) (Trace_export.name_of e) e.a e.b
+        e.t0_ns)
+    (Flight_recorder.recent (Runtime.recorder rt) ~n:32);
   Buffer.contents b
 
 (* Stress: arm the substrate's jitter hook so every yield point may burn
@@ -207,7 +216,9 @@ let stress_jitter () =
           with_deadline ~dump ~seconds:jitter_deadline_s ~what:name (fun () ->
               check_config ~name ~profile:Profile.anagram ~gc ~threads:2 ~seed
                 ~scale:0.03
-                ~instrument:(fun r -> Atomic.set rt (Some r))
+                ~instrument:(fun r ->
+                  Runtime.arm_recorder r;
+                  Atomic.set rt (Some r))
                 ()))
         [ 1; 2; 3 ])
 

@@ -1,5 +1,5 @@
 (* Tests for the telemetry layer: the histogram and JSON support modules,
-   the bounded event ring, the phase/category attribution invariants, the
+   the event recorder's bounded ring, the phase/category attribution invariants, the
    Run_result JSON round-trip and the Perfetto trace export. *)
 
 open Otfgc
@@ -8,6 +8,7 @@ module Json = Otfgc_support.Json
 module Run_result = Otfgc_metrics.Run_result
 module Metrics_snapshot = Otfgc_metrics.Metrics_snapshot
 module Trace_export = Otfgc_metrics.Trace_export
+module Fr = Flight_recorder
 module Driver = Otfgc_workloads.Driver
 module Profile = Otfgc_workloads.Profile
 
@@ -196,59 +197,60 @@ let test_json_u_escape_digits () =
 (* Event ring                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A recorder on the simulator's clock, one ring to write into. *)
+let units_ring ?capacity () =
+  let fr = Fr.create ?capacity () in
+  Fr.arm ~units:(Cost.create ()) fr;
+  (fr, Option.get (Fr.collector_ring fr))
+
 let test_ring_bounded () =
-  let log = Event_log.create ~max_events:4 () in
-  Event_log.set_enabled log true;
-  for i = 0 to 9 do
-    Event_log.emit log ~at:i (Event_log.Trace_complete { traced = i })
+  let fr, r = units_ring ~capacity:16 () in
+  for i = 0 to 25 do
+    Fr.instant r Fr.Promoted ~a:i ~at:i
   done;
-  check_int "length capped" 4 (Event_log.length log);
-  check_int "dropped" 6 (Event_log.dropped log);
-  let ats = List.map (fun e -> e.Event_log.at) (Event_log.events log) in
-  Alcotest.(check (list int)) "oldest-first tail" [ 6; 7; 8; 9 ] ats;
-  Event_log.clear log;
-  check_int "clear resets length" 0 (Event_log.length log);
-  check_int "clear resets dropped" 0 (Event_log.dropped log);
-  check "clear keeps enabled" true (Event_log.enabled log)
+  check_int "length capped" 16 (Fr.length fr);
+  check_int "dropped" 10 (Fr.dropped fr);
+  let ats = List.map (fun e -> e.Fr.t0_ns) (Fr.events fr) in
+  Alcotest.(check (list int)) "oldest-first tail" (List.init 16 (( + ) 10)) ats;
+  Fr.clear fr;
+  check_int "clear resets length" 0 (Fr.length fr);
+  check_int "clear resets dropped" 0 (Fr.dropped fr);
+  check "clear keeps armed" true (Fr.armed fr)
 
-let test_ring_growth_preserves_order () =
-  let log = Event_log.create () in
-  Event_log.set_enabled log true;
-  (* starts at 64-event capacity; 500 emits force several doublings *)
-  for i = 0 to 499 do
-    Event_log.emit log ~at:i Event_log.Cycle_end
+let test_ring_wraparound_keeps_order () =
+  let fr, r = units_ring ~capacity:64 () in
+  (* three and a half laps of the ring *)
+  for i = 0 to 223 do
+    Fr.instant r Fr.Colors_toggled ~a:0 ~at:i
   done;
-  check_int "all kept" 500 (Event_log.length log);
-  check_int "nothing dropped" 0 (Event_log.dropped log);
-  let expected = List.init 500 (fun i -> i) in
-  Alcotest.(check (list int)) "order preserved" expected
-    (List.map (fun e -> e.Event_log.at) (Event_log.events log))
+  Alcotest.(check (list int)) "the newest lap, in order"
+    (List.init 64 (( + ) 160))
+    (List.map (fun e -> e.Fr.t0_ns) (Fr.events fr))
 
+(* Every kind, both payload words and the span endpoints survive the
+   int encoding. *)
 let test_ring_payload_roundtrip () =
-  let log = Event_log.create () in
-  Event_log.set_enabled log true;
-  let phases =
-    [
-      Event_log.Cycle_start { kind = Gc_stats.Partial; full = false };
-      Event_log.Cycle_start { kind = Gc_stats.Full; full = true };
-      Event_log.Init_full_done;
-      Event_log.Handshake_posted Status.Sync1;
-      Event_log.Handshake_complete Status.Sync2;
-      Event_log.Intergen_scanned { seeds = 17 };
-      Event_log.Colors_toggled;
-      Event_log.Trace_complete { traced = 123 };
-      Event_log.Sweep_complete { freed = 45; bytes = 678 };
-      Event_log.Cycle_end;
-      Event_log.Heap_grown { capacity = 1 lsl 20 };
-      Event_log.Mutator_ack { mid = 3; status = Status.Async };
-      Event_log.Stall_begin { mid = 2 };
-      Event_log.Stall_end { mid = 2 };
-      Event_log.Promoted { count = 9 };
-    ]
+  let fr, r = units_ring () in
+  let kinds =
+    Fr.
+      [
+        Phase; Cycle; Handshake; Ack; Poll; Stall; Lock_wait; Steal; Idle;
+        Colors_toggled; Promoted; Heap_grown;
+      ]
   in
-  List.iteri (fun i p -> Event_log.emit log ~at:i p) phases;
-  let decoded = List.map (fun e -> e.Event_log.phase) (Event_log.events log) in
-  check "payloads decode" true (decoded = phases)
+  List.iteri
+    (fun i k -> Fr.span r k ~a:(i - 3) ~b:((1 lsl 40) + i) ~t0:i ~t1:(3 * i))
+    kinds;
+  Alcotest.(check (list (list int)))
+    "payloads decode"
+    (List.mapi (fun i _ -> [ i - 3; (1 lsl 40) + i; i; 2 * i ]) kinds)
+    (List.map (fun e -> Fr.[ e.a; e.b; e.t0_ns; e.dur_ns ]) (Fr.events fr));
+  check "kinds decode" true
+    (List.map (fun e -> e.Fr.kind) (Fr.events fr) = kinds);
+  check "on the collector track" true
+    (List.for_all
+       (fun e -> e.Fr.track = "collector" && e.Fr.tid = Fr.collector_tid)
+       (Fr.events fr))
 
 (* ------------------------------------------------------------------ *)
 (* Run_result JSON round-trip                                          *)
@@ -286,7 +288,7 @@ let test_run_result_of_json_errors () =
 let instrumented_run ?(scale = 0.02) ~seed ~gc profile =
   Driver.run_rt ~seed ~scale
     ~instrument:(fun rt ->
-      Event_log.set_enabled (Runtime.events rt) true;
+      Runtime.arm_recorder rt;
       Telemetry.set_enabled (Runtime.telemetry rt) true)
     ~gc profile
 
@@ -296,30 +298,20 @@ let sum_phase cost =
 let sum_category cost =
   List.fold_left (fun acc c -> acc + Cost.category_work cost c) 0 Cost.categories
 
-(* Handshake latency gaps recomputed from the event log; [None] when a
-   ring overflow makes the log unreliable. *)
-let latency_from_events log =
-  if Event_log.dropped log > 0 then None
+(* Handshake latency gaps recomputed from the recorder's handshake
+   spans; [None] when a ring overflow makes the record incomplete. *)
+let latency_from_events fr =
+  if Fr.dropped fr > 0 then None
   else begin
-    let posted = ref None in
     let acc = Array.make 3 0 and counts = Array.make 3 0 in
-    let ordered = ref true in
-    let prev = ref min_int in
-    Event_log.iter log (fun { Event_log.at; phase } ->
-        if at < !prev then ordered := false;
-        prev := at;
-        match phase with
-        | Event_log.Handshake_posted s -> posted := Some (at, s)
-        | Event_log.Handshake_complete s ->
-            (match !posted with
-            | Some (t0, s0) when Status.equal s s0 ->
-                let i = Status.index s in
-                acc.(i) <- acc.(i) + (at - t0);
-                counts.(i) <- counts.(i) + 1
-            | _ -> ());
-            posted := None
-        | _ -> ());
-    if !ordered then Some (acc, counts) else None
+    List.iter
+      (fun e ->
+        if e.Fr.kind = Fr.Handshake then begin
+          acc.(e.Fr.a) <- acc.(e.Fr.a) + e.Fr.dur_ns;
+          counts.(e.Fr.a) <- counts.(e.Fr.a) + 1
+        end)
+      (Fr.events fr);
+    Some (acc, counts)
   end
 
 let check_invariants name (gc : Gc_config.t) seed =
@@ -335,8 +327,8 @@ let check_invariants name (gc : Gc_config.t) seed =
   check_int
     (name ^ ": ledger matches run result")
     r.Run_result.collector_work (Cost.collector_work cost);
-  (match latency_from_events (Runtime.events rt) with
-  | None -> ()
+  (match latency_from_events (Runtime.recorder rt) with
+  | None -> Alcotest.fail (name ^ ": recorder ring overflowed")
   | Some (gaps, counts) ->
       List.iter
         (fun s ->
@@ -403,7 +395,7 @@ let test_telemetry_inert () =
 let test_disabled_by_default () =
   let rt = Runtime.create () in
   check "telemetry instruments off" false (Telemetry.enabled (Runtime.telemetry rt));
-  check "event log off" false (Event_log.enabled (Runtime.events rt))
+  check "event recorder off" false (Fr.armed (Runtime.recorder rt))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry report                                                    *)
@@ -450,7 +442,7 @@ let trace_doc () =
     instrumented_run ~scale:0.05 ~seed:42 ~gc:(Gc_config.generational ())
       (Profile.anagram)
   in
-  Trace_export.of_runtime ~workload:"anagram" rt
+  Trace_export.of_flight ~workload:"anagram" (Runtime.recorder rt)
 
 let event_list doc =
   match Option.bind (Json.member "traceEvents" doc) Json.as_list with
@@ -494,9 +486,9 @@ let test_trace_golden () =
     List.filter_map (fun e -> Option.bind (Json.member "tid" e) Json.as_int) events
     |> List.sort_uniq compare
   in
-  check "collector track present" true (List.mem Trace_export.collector_tid tids);
+  check "collector track present" true (List.mem Fr.collector_tid tids);
   check "mutator track present" true
-    (List.exists (fun t -> t <> Trace_export.collector_tid) tids);
+    (List.exists (fun t -> t <> Fr.collector_tid) tids);
   (* durations non-negative and slices time-ordered per track *)
   let slices_of tid =
     List.filter_map
@@ -578,6 +570,94 @@ let test_trace_validate_rejects () =
   check "partial overlap rejected" true
     (Result.is_error (Trace_export.validate overlap))
 
+(* The validator reads untrusted files ([gcsim validate-trace]): on any
+   JSON document it answers [Ok] or [Error], never an exception.  The
+   generator is biased towards near-traces — [traceEvents] members that
+   are not objects, fields of the wrong type, [ts]/[dur] at the edges
+   of the int range — so the nesting check runs on hostile input. *)
+let gen_trace_doc =
+  let open QCheck.Gen in
+  let edge_int =
+    oneof
+      [
+        small_signed_int;
+        oneofl [ max_int; max_int - 1; min_int; 0; -1; max_int / 2 ];
+        map (fun d -> max_int - d) small_nat;
+      ]
+  in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) edge_int;
+        map (fun f -> Json.Float f) float;
+        map (fun s -> Json.String s) (oneofl [ "X"; "i"; "M"; "B"; ""; "collector" ]);
+      ]
+  in
+  let json =
+    fix
+      (fun self depth ->
+        if depth = 0 then scalar
+        else
+          frequency
+            [
+              (3, scalar);
+              (1, map (fun l -> Json.List l) (list_size (0 -- 3) (self (depth - 1))));
+              ( 1,
+                map
+                  (fun l -> Json.Obj l)
+                  (list_size (0 -- 3)
+                     (pair (oneofl [ "name"; "ph"; "args"; "x" ]) (self (depth - 1)))) );
+            ])
+      2
+  in
+  (* a well-formed slice, instant or metadata record, then maybe one
+     field dropped or replaced by arbitrary JSON *)
+  let record =
+    map
+      (fun (ph, ts, dur, tid) ->
+        [
+          ("name", Json.String "x");
+          ("ph", Json.String ph);
+          ("ts", Json.Int ts);
+          ("dur", Json.Int dur);
+          ("pid", Json.Int 1);
+          ("tid", Json.Int tid);
+          ("args", Json.Obj [ ("name", Json.String "collector") ]);
+        ])
+      (quad (oneofl [ "X"; "X"; "i"; "M" ]) edge_int edge_int (0 -- 2))
+  in
+  let damaged =
+    record >>= fun fields ->
+    oneof
+      [
+        return fields;
+        map (fun k -> List.remove_assoc k fields) (oneofl (List.map fst fields));
+        map2
+          (fun k v -> (k, v) :: List.remove_assoc k fields)
+          (oneofl (List.map fst fields))
+          json;
+      ]
+  in
+  let event =
+    frequency [ (6, map (fun l -> Json.Obj l) damaged); (1, json) ]
+  in
+  frequency
+    [
+      (1, json);
+      ( 4,
+        map
+          (fun evs -> Json.Obj [ ("traceEvents", Json.List evs) ])
+          (list_size (0 -- 6) event) );
+    ]
+
+let prop_validate_total =
+  QCheck.Test.make ~count:2000 ~name:"validate answers Ok or Error on any JSON"
+    (QCheck.make ~print:Json.to_string gen_trace_doc)
+    (fun doc ->
+      match Trace_export.validate doc with Ok () | Error _ -> true)
+
 let suites =
   [
     ( "telemetry.histogram",
@@ -605,8 +685,8 @@ let suites =
     ( "telemetry.ring",
       [
         Alcotest.test_case "bounded" `Quick test_ring_bounded;
-        Alcotest.test_case "growth preserves order" `Quick
-          test_ring_growth_preserves_order;
+        Alcotest.test_case "wraparound keeps order" `Quick
+          test_ring_wraparound_keeps_order;
         Alcotest.test_case "payload roundtrip" `Quick test_ring_payload_roundtrip;
       ] );
     ( "telemetry.run_result",
@@ -631,5 +711,6 @@ let suites =
       [
         Alcotest.test_case "golden export" `Quick test_trace_golden;
         Alcotest.test_case "validator rejects" `Quick test_trace_validate_rejects;
+        QCheck_alcotest.to_alcotest prop_validate_total;
       ] );
   ]
