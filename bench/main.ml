@@ -449,9 +449,9 @@ module Micro = struct
      Packing the heap costs about as much as the cycle, and a Bechamel
      run cannot leave it out, so these two are timed by hand around
      [Sched.run] alone and reported per swept block (the median of
-     [reps] fresh heaps).  No mutator runs: a waiting mutator spins
-     through a fiber switch at each collector yield, which would swamp
-     the sweep; the process that asks for the cycle parks instead.
+     [reps] fresh heaps).  No mutator runs: the process that asks for
+     the cycle parks on a bare predicate, where a [collect_and_wait]
+     mutator would also charge a [cooperate] at each of its steps.
      [live_every = 0] leaves nothing reachable, so every block is freed
      and merged into its predecessor; [live_every = 2] keeps every other
      block, chained from a global root, so every other block is freed
@@ -600,7 +600,8 @@ module Micro = struct
            ignore (Sched.spawn s ~name:"p" body);
            Sched.run s))
 
-  (* suspend and resume the process at every step *)
+  (* a yield that picks the yielding process itself again: the process
+     takes the step on its own fiber and is never suspended *)
   let test_sched_yield =
     sched_micro ~name:"sched: yield round trip" (fun () ->
         for _ = 2 to sched_batch do
@@ -619,9 +620,11 @@ module Micro = struct
             incr polls;
             !polls >= sched_batch))
 
-  (* two processes under [Random]: a daemon parked on a false predicate
-     and a worker napping through [sched_batch - 1] of its own picks; the
-     seed is fixed, so every run takes the same number of steps *)
+  (* The simulator's common step: two processes under [Random], a daemon
+     parked on a false predicate (the idle collector) and a worker napping
+     through [sched_batch - 1] of its own picks (a mutator in
+     [Runtime.work]); the seed is fixed, so every run takes the same
+     number of steps *)
   let random_noop () =
     let s = Sched.create ~policy:(Sched.random_policy (Rng.make 1)) () in
     let stop = ref false in
@@ -637,9 +640,29 @@ module Micro = struct
 
   let random_noop_steps = random_noop ()
 
-  let test_sched_random_noop =
-    Test.make ~name:"sched: random no-op step (2 procs)"
+  let test_sched_noop =
+    Test.make ~name:"sched: no-op step"
       (Staged.stage (fun () -> ignore (random_noop () : int)))
+
+  (* two processes under round robin that yield in turn: every step
+     suspends one process and resumes the other *)
+  let switch () =
+    let s = Sched.create ~policy:Sched.round_robin () in
+    for _ = 1 to 2 do
+      ignore
+        (Sched.spawn s ~name:"p" (fun () ->
+             for _ = 2 to sched_batch / 2 do
+               Sched.yield ()
+             done))
+    done;
+    Sched.run s;
+    Sched.steps s
+
+  let switch_steps = switch ()
+
+  let test_sched_switch =
+    Test.make ~name:"sched: process switch"
+      (Staged.stage (fun () -> ignore (switch () : int)))
 
   (* test name, scheduling steps per run *)
   let per_step =
@@ -649,7 +672,8 @@ module Micro = struct
         (test_sched_yield, sched_batch);
         (test_sched_nap, sched_batch);
         (test_sched_parked, sched_batch);
-        (test_sched_random_noop, random_noop_steps);
+        (test_sched_noop, random_noop_steps);
+        (test_sched_switch, switch_steps);
       ]
 
   let tests =
@@ -679,7 +703,8 @@ module Micro = struct
         test_sched_yield;
         test_sched_nap;
         test_sched_parked;
-        test_sched_random_noop;
+        test_sched_noop;
+        test_sched_switch;
       ]
 
   let run ?(quick = false) () =

@@ -138,19 +138,37 @@ let request_collection t ~full =
          (if full then Want_full else Want_partial)
         : bool)
 
-(* Busy-wait helper: under the simulator, cooperate-then-yield exactly as
-   the historical code did (schedules untouched); under domains, a
-   spin-then-sleep wait that still polls the handshake each iteration. *)
+(* Busy-wait helper.  Under the simulator it takes the steps of
+
+     while cond () do cooperate; yield () done
+
+   one for one, with the same [cond] and [cooperate] calls (and so the
+   same cost charges): after the first round the process parks, and the
+   scheduler evaluates the rest of the loop as the predicate.  The first
+   round is spelled out because [wait_until]'s own first check would add
+   a [cooperate].  A fine-grained run keeps the loop, since [cooperate]
+   yields there ([State.step]) and a predicate must not.  Under domains,
+   a spin-then-sleep wait that still polls the handshake each
+   iteration. *)
 let wait_while st m cond =
   if st.parallel then
     Substrate.wait_until (fun () ->
         Collector.cooperate st m;
         not (cond ()))
-  else
+  else if st.fine_grained then
     while cond () do
       Collector.cooperate st m;
       Sched.yield ()
     done
+  else if cond () then begin
+    Collector.cooperate st m;
+    Sched.yield ();
+    Sched.wait_until (fun () ->
+        (not (cond ()))
+        ||
+        (Collector.cooperate st m;
+         false))
+  end
 
 let collect_and_wait t m ~full =
   let st = t.st in

@@ -45,6 +45,8 @@ type t = {
   mutable polling : bool;  (** a [wait_until] predicate is being evaluated *)
   mutable rr_cursor : int;
   mutable step_count : int;
+  mutable drawn : int;
+      (** [Random]: the raw draw of the next pick, made one step early *)
   mutable max_steps : int;  (** of the current [run] *)
   mutable burst : int;  (** steps left to [burst_pid] in its quantum *)
   mutable burst_pid : pid;
@@ -82,6 +84,10 @@ let create ?(policy = Round_robin) ?(quantum = 1) () =
     polling = false;
     rr_cursor = 0;
     step_count = 0;
+    drawn =
+      (match policy with
+      | Random rng -> Otfgc_support.Rng.raw rng
+      | Round_robin -> 0);
     max_steps = max_int;
     burst = 0;
     burst_pid = none;
@@ -136,46 +142,37 @@ let set_on_switch t hook = t.on_switch <- hook
 let runnable t pid =
   match (Array.unsafe_get t.procs pid).state with Finished -> false | _ -> true
 
-(* The [k]-th unfinished process in spawn order. *)
+(* The [k]-th unfinished process in spawn order, once some process has
+   finished (before that it is [k] itself). *)
 let nth_runnable t k =
-  if t.unfinished = t.nprocs then k
-  else begin
-    let i = ref 0 and k = ref k in
-    while !k > 0 || not (runnable t !i) do
-      if runnable t !i then decr k;
-      incr i
-    done;
-    !i
-  end
+  let i = ref 0 and k = ref k in
+  while !k > 0 || not (runnable t !i) do
+    if runnable t !i then decr k;
+    incr i
+  done;
+  !i
 
-let pick t =
-  match t.policy with
-  | Round_robin ->
-      let n = t.nprocs in
-      let found = ref none in
-      let i = ref 0 in
-      while !found = none && !i < n do
-        let idx = (t.rr_cursor + !i) mod n in
-        if runnable t idx then begin
-          found := idx;
-          t.rr_cursor <- (idx + 1) mod n
-        end;
-        incr i
-      done;
-      !found
-  | Random rng ->
-      if t.unfinished = 0 then none
-      else nth_runnable t (Otfgc_support.Rng.int rng t.unfinished)
+let pick_round_robin t =
+  let n = t.nprocs in
+  let found = ref none in
+  let i = ref 0 in
+  while !found = none && !i < n do
+    let idx = (t.rr_cursor + !i) mod n in
+    if runnable t idx then begin
+      found := idx;
+      t.rr_cursor <- (idx + 1) mod n
+    end;
+    incr i
+  done;
+  if !found = none then
+    (* Only daemons are runnable but a non-daemon hasn't finished: that
+       non-daemon must be Running, which is impossible here. *)
+    failwith "Sched.run: non-daemon process neither runnable nor finished";
+  !found
 
-let poll t cond =
-  t.polling <- true;
-  match cond () with
-  | b ->
-      t.polling <- false;
-      b
-  | exception e ->
-      t.polling <- false;
-      raise e
+let stalled t =
+  raise
+    (Stalled (Printf.sprintf "no termination after %d scheduling steps" t.step_count))
 
 (* Take scheduling steps until one must resume a process, and return that
    process ([none] once every non-daemon has finished).  A step first
@@ -184,32 +181,51 @@ let poll t cond =
    a counter decrement or a predicate call instead of a continuation
    switch — and the pick, the step count and the hook are exactly those
    of the process resuming only to yield again.  Called by [run] and, on
-   the yielding process's own fiber, by every yield. *)
+   the yielding process's own fiber, by every yield.
+
+   This is the simulator's innermost loop (a self tail call, so a jump),
+   and a no-op step under [Random] does only: the [max_steps] check, one
+   inlined draw, the step count, [current], the hook, then the nap
+   decrement or the predicate call.  The quantum's burst is only written
+   when [quantum > 1], and the search for the [k]-th unfinished process
+   only runs once a process has finished.  Everything is re-read from [t]
+   at each step, because a hook or a predicate may [spawn].  A predicate
+   is called with no handler around it: what it raises leaves [advance]
+   with [polling] still set, and ends the run (via [hand_over] when on a
+   yielding process's fiber), whose exit clears the flag. *)
 let rec advance t =
   let pid =
-    if t.burst > 0 && runnable t t.burst_pid then t.burst_pid
+    if t.burst > 0 && runnable t t.burst_pid then begin
+      t.burst <- t.burst - 1;
+      t.burst_pid
+    end
     else if t.live = 0 then none
     else begin
-      if t.step_count >= t.max_steps then
-        raise
-          (Stalled
-             (Printf.sprintf "no termination after %d scheduling steps"
-                t.step_count));
-      let pid = pick t in
-      if pid = none then
-        (* Only daemons are runnable but a non-daemon hasn't finished:
-           that non-daemon must be Running, which is impossible here. *)
-        failwith "Sched.run: non-daemon process neither runnable nor finished";
+      if t.step_count >= t.max_steps then stalled t;
+      let pid =
+        match t.policy with
+        | Random rng ->
+            (* The next step's draw is made here, before this step
+               branches on its pick: which process a pick lands on is a
+               branch the host cannot predict, and the draw is two
+               multiplies in series, so made after the branch it would
+               restart from scratch at every misprediction. *)
+            let k = Otfgc_support.Rng.reduce t.drawn t.unfinished in
+            t.drawn <- Otfgc_support.Rng.raw rng;
+            if t.unfinished = t.nprocs then k else nth_runnable t k
+        | Round_robin -> pick_round_robin t
+      in
       t.step_count <- t.step_count + 1;
-      t.burst <- t.quantum;
-      t.burst_pid <- pid;
+      if t.quantum > 1 then begin
+        t.burst <- t.quantum - 1;
+        t.burst_pid <- pid
+      end;
       pid
     end
   in
   if pid = none then none
   else begin
     let p = Array.unsafe_get t.procs pid in
-    t.burst <- t.burst - 1;
     t.current <- pid;
     (match t.on_switch with Some f -> f p.name | None -> ());
     if p.nap > 0 then begin
@@ -217,11 +233,16 @@ let rec advance t =
       advance t
     end
     else if p.wait == ready then pid
-    else if poll t p.wait then begin
-      p.wait <- ready;
-      pid
+    else begin
+      t.polling <- true;
+      let holds = p.wait () in
+      t.polling <- false;
+      if holds then begin
+        p.wait <- ready;
+        pid
+      end
+      else advance t
     end
-    else advance t
   end
 
 (* The calling process has yielded.  Take the scheduler's following steps
@@ -249,6 +270,18 @@ let yield_n n =
     t.procs.(t.current).nap <- n - 1;
     hand_over t
   end
+
+(* The first check of a wait, made inside the waiting process: what
+   [cond] raises reaches the process, so the flag is cleared on the way. *)
+let poll t cond =
+  t.polling <- true;
+  match cond () with
+  | b ->
+      t.polling <- false;
+      b
+  | exception e ->
+      t.polling <- false;
+      raise e
 
 (* Checked once here, then at every pick of the process: it is only
    resumed once [cond] holds.  Outside a process (the spawning domain of a
@@ -306,6 +339,7 @@ let run ?(max_steps = max_int) t =
   Fun.protect
     ~finally:(fun () ->
       t.current <- none;
+      t.polling <- false;
       t.burst <- 0;
       t.next <- none;
       t.failure <- None;

@@ -9,6 +9,15 @@
     multi-threaded GC run is a pure function of its seed, and property
     tests can drive adversarial schedules at will.
 
+    Most steps of a simulation are no-ops: a pick of a process napping
+    through {!yield_n}, or of one parked in {!wait_until} whose predicate
+    is still false.  Such a step resumes nothing.  Under {!random_policy}
+    it costs one inlined draw, the {!set_on_switch} hook call (if a hook
+    is set), and then either one counter decrement or one predicate call,
+    made with no exception handler around it.  It allocates nothing.  A
+    step that resumes another process costs a continuation switch on top,
+    several times more (the [sched:] micros of [bench/main.exe micro]).
+
     Typical use:
     {[
       let s = Sched.create ~policy:(Sched.random_policy (Rng.make 42)) () in
@@ -32,10 +41,13 @@ val round_robin : policy
 
 val random_policy : Otfgc_support.Rng.t -> policy
 (** Pick uniformly among runnable processes using the given generator
-    (one [Rng.int] draw per step; O(1) and allocation-free while no
-    process has finished).  Every simulated run uses it — the
+    (one draw per step, the one [Rng.int] makes; O(1) and allocation-free
+    while no process has finished).  Every simulated run uses it — the
     workload driver, the benchmarks and the property tests — so a run's
-    interleaving is a function of its seed. *)
+    interleaving is a function of its seed.  The scheduler owns the
+    generator: {!create} makes the first step's draw, and each step
+    makes the next one, so the generator runs one draw ahead of the
+    steps taken. *)
 
 exception Stalled of string
 (** Raised by {!run} when [max_steps] is exceeded — in this simulator that

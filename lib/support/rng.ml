@@ -32,11 +32,17 @@ let split t =
   let s = bits64 t in
   of_state (Int64.mul s 0xDA942042E4DD58B5L)
 
-let int t bound =
-  if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-  (* [r >= 0], so a power-of-two bound needs no division *)
+(* [int] in two halves, inlined: the scheduler draws once per simulated
+   step, before it knows the bound. *)
+let[@inline] raw t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+
+(* [r >= 0], so a power-of-two bound needs no division *)
+let[@inline] reduce r bound =
   if bound land (bound - 1) = 0 then r land (bound - 1) else r mod bound
+
+let[@inline] int t bound =
+  if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
+  reduce (raw t) bound
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";

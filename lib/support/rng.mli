@@ -28,6 +28,14 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
+val raw : t -> int
+(** The draw {!int} makes, before it is reduced to a bound: [int t bound]
+    is [reduce (raw t) bound].  Non-negative. *)
+
+val reduce : int -> int -> int
+(** [reduce r bound] maps a {!raw} draw into [\[0, bound)].  [bound] must
+    be positive (unchecked). *)
+
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] (inclusive).
     Requires [lo <= hi]. *)

@@ -216,7 +216,30 @@ let test_yielding_predicate_rejected () =
     (raises (fun () ->
          Sched.wait_until (fun () ->
              Sched.wait_until (fun () -> true);
-             true)))
+             true)));
+  (* yielding in a check made on another process's fiber: once [busy]
+     has started, the parked waiter is never resumed again, so every
+     later check runs inside [busy]'s yields *)
+  let s = Sched.create ~policy:(Sched.random_policy (Rng.make 3)) () in
+  let busy_started = ref false and yielded = ref false in
+  ignore
+    (Sched.spawn s ~name:"waiter" (fun () ->
+         Sched.wait_until (fun () ->
+             if !busy_started then begin
+               yielded := true;
+               Sched.yield ()
+             end;
+             false)));
+  ignore
+    (Sched.spawn s ~name:"busy" (fun () ->
+         busy_started := true;
+         for _ = 1 to 1_000 do
+           Sched.yield ()
+         done));
+  check "check on another fiber" true
+    (match Sched.run ~max_steps:10_000 s with
+    | () -> false
+    | exception Invalid_argument _ -> !yielded)
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence with the scheduler that resumed every process at every  *)
@@ -343,6 +366,9 @@ type op =
   | Yield_n of int
   | Wait of int
   | Wait_raise of int  (** a wait whose predicate raises at its [k+1]-th call *)
+  | Wait_spawn of int * op list
+      (** a wait whose predicate spawns a non-daemon child running these
+          ops at its [k]-th call, and holds from the next call on *)
   | Spawn of op list  (** start a non-daemon child running these ops *)
 
 (* One process of a random program: its ops in order; a daemon repeats
@@ -359,27 +385,43 @@ type prims = {
 exception Predicate_raised of string
 
 (* [Wait k] waits for [k] ops to have completed across all processes, a
-   pure predicate over shared state that other processes advance. *)
-let rec exec prims progress log name { daemon; ops } () =
-  let children = ref 0 in
+   pure predicate over shared state that other processes advance.  Every
+   predicate call is counted in [polls], per wait: a predicate may charge
+   cost (the runtime's waits call [cooperate] in theirs), so the counts
+   must match too. *)
+let rec exec prims progress log polls name { daemon; ops } () =
+  let children = ref 0 and waits = ref 0 in
+  let spawn_child ops =
+    incr children;
+    let child = Printf.sprintf "%s.%d" name !children in
+    prims.spawn ~daemon:false ~name:child
+      (exec prims progress log polls child { daemon = false; ops })
+  in
+  let wait p =
+    incr waits;
+    let id = Printf.sprintf "%s#%d" name !waits in
+    let calls = ref 0 in
+    prims.wait_until (fun () ->
+        incr calls;
+        Hashtbl.replace polls id !calls;
+        p !calls)
+  in
   let round () =
     List.iter
       (fun op ->
         (match op with
         | Yield -> prims.yield ()
         | Yield_n k -> prims.yield_n k
-        | Wait k -> prims.wait_until (fun () -> !progress >= k)
+        | Wait k -> wait (fun _ -> !progress >= k)
         | Wait_raise k ->
-            let polls = ref 0 in
-            prims.wait_until (fun () ->
-                incr polls;
-                if !polls > k then raise (Predicate_raised name);
+            wait (fun calls ->
+                if calls > k then raise (Predicate_raised name);
                 false)
-        | Spawn ops ->
-            incr children;
-            let child = Printf.sprintf "%s.%d" name !children in
-            prims.spawn ~daemon:false ~name:child
-              (exec prims progress log child { daemon = false; ops }));
+        | Wait_spawn (k, ops) ->
+            wait (fun calls ->
+                if calls = k then spawn_child ops;
+                calls > k)
+        | Spawn ops -> spawn_child ops);
         incr progress;
         log := name :: !log)
       ops
@@ -393,15 +435,16 @@ let rec exec prims progress log name { daemon; ops } () =
 
 type outcome = Done | Stalled | Raised of string
 
-(* Switch names, steps, how the run ended, and the op completion order
-   of one run of [program]. *)
+(* How the run ended, the op completion order, and the predicate calls
+   per wait of one run of [program]. *)
 let run_program ~run prims program =
   let progress = ref 0 in
   let log = ref [] in
+  let polls = Hashtbl.create 16 in
   List.iteri
     (fun i pp ->
       let name = Printf.sprintf "p%d" i in
-      prims.spawn ~daemon:pp.daemon ~name (exec prims progress log name pp))
+      prims.spawn ~daemon:pp.daemon ~name (exec prims progress log polls name pp))
     program;
   let outcome =
     match run () with
@@ -409,7 +452,7 @@ let run_program ~run prims program =
     | exception Sched.Stalled _ -> Stalled
     | exception Predicate_raised n -> Raised n
   in
-  (outcome, List.rev !log)
+  (outcome, List.rev !log, List.sort compare (List.of_seq (Hashtbl.to_seq polls)))
 
 let run_new ~seed ~quantum ~max_steps program =
   let policy =
@@ -420,7 +463,7 @@ let run_new ~seed ~quantum ~max_steps program =
   let s = Sched.create ~policy ~quantum () in
   let switches = ref [] in
   Sched.set_on_switch s (Some (fun n -> switches := n :: !switches));
-  let outcome, log =
+  let outcome, log, polls =
     run_program
       ~run:(fun () -> Sched.run ~max_steps s)
       {
@@ -431,7 +474,7 @@ let run_new ~seed ~quantum ~max_steps program =
       }
       program
   in
-  (List.rev !switches, Sched.steps s, outcome, log)
+  (List.rev !switches, Sched.steps s, outcome, log, polls)
 
 let run_reference ~seed ~quantum ~max_steps program =
   let switches = ref [] in
@@ -439,7 +482,7 @@ let run_reference ~seed ~quantum ~max_steps program =
     Reference.create ~random:(Option.map Rng.make seed) ~quantum
       ~on_switch:(fun n -> switches := n :: !switches)
   in
-  let outcome, log =
+  let outcome, log, polls =
     run_program
       ~run:(fun () -> Reference.run ~max_steps r)
       {
@@ -450,7 +493,7 @@ let run_reference ~seed ~quantum ~max_steps program =
       }
       program
   in
-  (List.rev !switches, r.Reference.step_count, outcome, log)
+  (List.rev !switches, r.Reference.step_count, outcome, log, polls)
 
 let gen_program =
   let open QCheck.Gen in
@@ -463,8 +506,12 @@ let gen_program =
     ]
   in
   let leaf = frequency base in
+  let children = list_size (int_range 0 6) leaf in
   let op =
-    frequency ((1, map (fun ops -> Spawn ops) (list_size (int_range 0 6) leaf)) :: base)
+    frequency
+      ((1, map (fun ops -> Spawn ops) children)
+      :: (1, map2 (fun k ops -> Wait_spawn (k, ops)) (int_range 1 8) children)
+      :: base)
   in
   let proc daemon = map (fun ops -> { daemon; ops }) (list_size (int_range 0 10) op) in
   let* workers = list_size (int_range 1 4) (proc false) in
@@ -480,6 +527,8 @@ let print_program (seed, quantum, max_steps, program) =
     | Yield_n k -> Printf.sprintf "y%d" k
     | Wait k -> Printf.sprintf "w%d" k
     | Wait_raise k -> Printf.sprintf "r%d" k
+    | Wait_spawn (k, ops) ->
+        Printf.sprintf "ws%d(%s)" k (String.concat " " (List.map op ops))
     | Spawn ops -> Printf.sprintf "s(%s)" (String.concat " " (List.map op ops))
   in
   Printf.sprintf "%s q=%d max=%d %s"
