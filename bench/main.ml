@@ -71,98 +71,13 @@ module Micro = struct
            Heap.free heap a))
 
   (* ---------------------------------------------------------------- *)
-  (* Hot-path data structures, new representation vs the original      *)
-  (* list-based one (kept inline here as the benchmark baseline)       *)
+  (* Hot-path data structures: freelist, gray stack, card walk          *)
   (* ---------------------------------------------------------------- *)
 
   module Space = Otfgc_heap.Space
   module Layout = Otfgc_heap.Layout
   module Freelist = Otfgc_heap.Freelist
   module Card_table = Otfgc_heap.Card_table
-
-  (* The cons-list segregated freelist this repo used before the
-     bitmap/array rewrite — same validity rule and candidate order. *)
-  module Legacy_freelist = struct
-    let n_exact = 63
-    let n_classes = n_exact + 1
-    let class_of_granules gr = if gr <= n_exact then gr - 1 else n_exact
-
-    type t = { space : Space.t; lists : int list array }
-
-    let push_raw t addr =
-      let cls =
-        class_of_granules (Space.block_size t.space addr / Layout.granule)
-      in
-      t.lists.(cls) <- addr :: t.lists.(cls)
-
-    let create space =
-      let t = { space; lists = Array.make n_classes [] } in
-      Space.iter_blocks space (fun addr kind _size ->
-          if kind = Space.Free then push_raw t addr);
-      t
-
-    let valid t cls addr =
-      Space.is_block_start t.space addr
-      && Space.kind_of t.space addr = Space.Free
-      && class_of_granules (Space.block_size t.space addr / Layout.granule)
-         = cls
-
-    let rec pop_class t cls =
-      match t.lists.(cls) with
-      | [] -> None
-      | addr :: rest ->
-          t.lists.(cls) <- rest;
-          if valid t cls addr then Some addr else pop_class t cls
-
-    let pop_large t ~granules =
-      let rec scan acc = function
-        | [] ->
-            t.lists.(n_exact) <- List.rev acc;
-            None
-        | addr :: rest ->
-            if not (valid t n_exact addr) then scan acc rest
-            else if
-              Space.block_size t.space addr / Layout.granule >= granules
-            then begin
-              t.lists.(n_exact) <- List.rev_append acc rest;
-              Some addr
-            end
-            else scan (addr :: acc) rest
-      in
-      scan [] t.lists.(n_exact)
-
-    let pop t ~bytes_wanted =
-      let want_g = Layout.granules_of_bytes (Stdlib.max 1 bytes_wanted) in
-      let want_b = Layout.bytes_of_granules want_g in
-      let exact =
-        if want_g <= n_exact then pop_class t (want_g - 1) else None
-      in
-      match exact with
-      | Some addr -> Some addr
-      | None ->
-          let found = ref None in
-          let cls = ref (if want_g <= n_exact then want_g else n_exact) in
-          while !found = None && !cls < n_exact do
-            (match pop_class t !cls with
-            | Some addr -> found := Some addr
-            | None -> ());
-            incr cls
-          done;
-          let found =
-            match !found with
-            | Some a -> Some a
-            | None -> pop_large t ~granules:want_g
-          in
-          (match found with
-          | None -> None
-          | Some addr ->
-              let have = Space.block_size t.space addr in
-              if have > want_b then begin
-                let rest = Space.split t.space addr ~first_bytes:want_b in
-                push_raw t rest
-              end;
-              Some addr)
-  end
 
   (* exact-class steady state: after the first split the 32 B class stays
      populated, so each run is pop (bitmap probe or class head) + push *)
@@ -174,19 +89,10 @@ module Micro = struct
            let a = Freelist.pop fl ~bytes_wanted:32 in
            Freelist.push fl a))
 
-  let test_freelist_pop_exact_legacy =
-    let s = Space.create ~initial_bytes:(256 * kb) ~max_bytes:(256 * kb) () in
-    let fl = Legacy_freelist.create s in
-    Test.make ~name:"freelist: pop+push 32B exact (legacy list)"
-      (Staged.stage (fun () ->
-           let a = Option.get (Legacy_freelist.pop fl ~bytes_wanted:32) in
-           Legacy_freelist.push_raw fl a))
-
   (* split + behind-the-back coalesce + stale drop, the sweep-adjacent
      worst case.  The only donor block sits in the top exact class
      (1008 B = class 62), so every run drops a stale entry and then must
-     locate that distant class: one ctz probe on the bitmap versus the
-     legacy walk over ~60 empty classes. *)
+     locate that distant class: one ctz probe on the bitmap. *)
   let test_freelist_split_stale =
     let s = Space.create ~initial_bytes:1008 ~max_bytes:1008 () in
     let fl = Freelist.create s in
@@ -196,18 +102,9 @@ module Micro = struct
            ignore (Space.coalesce_with_next s a : bool);
            Freelist.push fl a))
 
-  let test_freelist_split_stale_legacy =
-    let s = Space.create ~initial_bytes:1008 ~max_bytes:1008 () in
-    let fl = Legacy_freelist.create s in
-    Test.make ~name:"freelist: split 1008B + coalesce + stale (legacy list)"
-      (Staged.stage (fun () ->
-           let a = Option.get (Legacy_freelist.pop fl ~bytes_wanted:32) in
-           ignore (Space.coalesce_with_next s a : bool);
-           Legacy_freelist.push_raw fl a))
-
   (* first-fit miss over a long large class: 1024 one-KB blocks (kept
      apart by allocated guards), asking for 2 KB.  The array scan touches
-     each entry once; the legacy scan also rebuilds the whole list. *)
+     each entry once. *)
   let mk_fragmented n =
     let s =
       Space.create ~initial_bytes:(n * 1040) ~max_bytes:(n * 1040) ()
@@ -228,28 +125,7 @@ module Micro = struct
       (Staged.stage (fun () ->
            assert (Freelist.pop fl ~bytes_wanted:2048 = -1)))
 
-  let test_freelist_large_miss_legacy =
-    let s = mk_fragmented 1024 in
-    let fl = Legacy_freelist.create s in
-    Test.make ~name:"freelist: large-class miss, 1024 entries (legacy list)"
-      (Staged.stage (fun () ->
-           assert (Legacy_freelist.pop fl ~bytes_wanted:2048 = None)))
-
-  (* the gray stack, array vs the original cons list *)
-  module Legacy_gray = struct
-    type t = int list ref
-
-    let create () : t = ref []
-    let push (t : t) x = t := x :: !t
-
-    let pop (t : t) =
-      match !t with
-      | [] -> None
-      | x :: rest ->
-          t := rest;
-          Some x
-  end
-
+  (* the gray stack *)
   let gray_batch = 256
 
   let test_gray_push_pop =
@@ -263,22 +139,9 @@ module Micro = struct
              ignore (Otfgc.Gray_queue.pop q : int option)
            done))
 
-  let test_gray_push_pop_legacy =
-    let q = Legacy_gray.create () in
-    Test.make ~name:"gray: push+pop x256 (legacy list)"
-      (Staged.stage (fun () ->
-           for i = 1 to gray_batch do
-             Legacy_gray.push q i
-           done;
-           for _ = 1 to gray_batch do
-             ignore (Legacy_gray.pop q : int option)
-           done))
-
   (* card-object enumeration: 512 B cards packed with 32 B objects (16
-     per card), holes punched so the walks see free blocks too.  The
-     crossing map jumps straight to the card's first block; the legacy
-     walk (the pre-rewrite Heap.objects_on_card) probes granule by
-     granule and conses a list. *)
+     per card), holes punched so the walk sees free blocks too.  The
+     crossing map jumps straight to the card's first block. *)
   let mk_card_heap () =
     let heap =
       Heap.create
@@ -295,24 +158,6 @@ module Micro = struct
     List.iteri (fun i a -> if i mod 5 = 0 then Heap.free heap a) !objs;
     heap
 
-  let legacy_objects_on_card heap card =
-    let s = Heap.space heap in
-    let first, last = Card_table.card_bounds (Heap.cards heap) card in
-    let last = Stdlib.min last (Space.capacity s) in
-    if first >= Space.capacity s then []
-    else begin
-      let acc = ref [] in
-      let a = ref first in
-      while !a < last do
-        if Space.is_block_start s !a then begin
-          if Space.kind_of s !a = Space.Allocated then acc := !a :: !acc;
-          a := !a + Space.block_size s !a
-        end
-        else a := !a + Layout.granule
-      done;
-      List.rev !acc
-    end
-
   let test_card_objects =
     let heap = mk_card_heap () in
     let acc = ref 0 in
@@ -323,18 +168,6 @@ module Micro = struct
            for card = 0 to 63 do
              Heap.iter_objects_on_card heap ~scratch card (fun x ->
                  acc := !acc + x)
-           done))
-
-  let test_card_objects_legacy =
-    let heap = mk_card_heap () in
-    let acc = ref 0 in
-    Test.make ~name:"cards: objects on 64 cards (legacy walk)"
-      (Staged.stage (fun () ->
-           acc := 0;
-           for card = 0 to 63 do
-             List.iter
-               (fun x -> acc := !acc + x)
-               (legacy_objects_on_card heap card)
            done))
 
   (* the generational write barrier outside a collection (MarkCard path) *)
@@ -349,7 +182,9 @@ module Micro = struct
     let heap = Runtime.heap rt in
     let x = Option.get (Heap.alloc heap ~size:32 ~n_slots:2 ~color:Color.C0) in
     let y = Option.get (Heap.alloc heap ~size:32 ~n_slots:0 ~color:Color.C0) in
-    let m = Otfgc.Mutator.create ~id:0 ~name:"bench" ~n_regs:4 in
+    let m =
+      Otfgc.Mutator.create ~id:0 ~name:"bench" ~n_regs:4 st.Otfgc.State.ledger
+    in
     Test.make ~name:"barrier: update (idle, card mark)"
       (Staged.stage (fun () -> Collector.update st m ~x ~i:0 ~y))
 
@@ -380,7 +215,9 @@ module Micro = struct
     let heap = Runtime.heap rt in
     let x = Option.get (Heap.alloc heap ~size:32 ~n_slots:2 ~color:Color.C0) in
     let y = Option.get (Heap.alloc heap ~size:32 ~n_slots:0 ~color:Color.C0) in
-    let m = Otfgc.Mutator.create ~id:0 ~name:"bench" ~n_regs:4 in
+    let m =
+      Otfgc.Mutator.create ~id:0 ~name:"bench" ~n_regs:4 st.Otfgc.State.ledger
+    in
     fun () ->
       let a = Option.get (Heap.alloc heap ~size:32 ~n_slots:2 ~color:Color.C0) in
       Collector.update st m ~x ~i:0 ~y;
@@ -414,7 +251,7 @@ module Micro = struct
     Test.make ~name:"collector: mark_gray + reset"
       (Staged.stage (fun () ->
            ignore
-             (Collector.mark_gray st ~tel:st.Otfgc.State.telemetry ~sync:false
+             (Collector.mark_gray st ~tel:st.Otfgc.State.ledger.tel ~sync:false
                 x
                : bool);
            Heap.set_color heap x st.Otfgc.State.clear_color;
@@ -564,7 +401,9 @@ module Micro = struct
         { Heap.initial_bytes = 1024 * kb; max_bytes = 1024 * kb; card_size = 16 }
     in
     let st = State.create heap (Gc_config.generational ()) in
-    let m = Otfgc.Mutator.create ~id:0 ~name:"bench" ~n_regs:1 in
+    let m =
+      Otfgc.Mutator.create ~id:0 ~name:"bench" ~n_regs:1 st.Otfgc.State.ledger
+    in
     State.register_mutator st m;
     let live = Array.make (1024 * kb / 32) Heap.nil in
     let n_live = ref 0 and n_alloc = ref 0 in
@@ -681,15 +520,10 @@ module Micro = struct
       [
         test_alloc_free;
         test_freelist_pop_exact;
-        test_freelist_pop_exact_legacy;
         test_freelist_split_stale;
-        test_freelist_split_stale_legacy;
         test_freelist_large_miss;
-        test_freelist_large_miss_legacy;
         test_gray_push_pop;
-        test_gray_push_pop_legacy;
         test_card_objects;
-        test_card_objects_legacy;
         test_barrier_idle;
         test_hot_loop_telemetry_off;
         test_hot_loop_telemetry_on;
@@ -1041,7 +875,8 @@ module Speedup = struct
         ~gc:(Gc_config.generational ()) profile
     in
     let wall_s = Unix.gettimeofday () -. t0 in
-    let tel = Runtime.telemetry rt in
+    (* whole-run totals: every mutator's and crew worker's ledger *)
+    let tel = (Otfgc.State.totals (Runtime.state rt)).Otfgc.Ledger.tel in
     let hs =
       (* the three handshakes share one merged latency distribution *)
       let h = Histogram.create () in

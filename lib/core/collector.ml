@@ -87,7 +87,7 @@ let charged_mark_gray st ~charge ~tel ~sync x =
    collector bumps it on every charge, and mutator domains read the
    state record on every operation. *)
 let pace_charge st (w0 : Gc_par.worker) k =
-  Cost.collector st.cost k;
+  Cost.collector st.ledger.cost k;
   Observatory.maybe_sample st;
   w0.Gc_par.pace <- w0.Gc_par.pace + k;
   if w0.Gc_par.pace >= st.collector_speed then begin
@@ -290,8 +290,8 @@ let allocation_color st =
 (* ------------------------------------------------------------------ *)
 
 let post_handshake st s =
-  Cost.set_phase st.cost Cost.Handshake;
-  Cost.collector st.cost
+  Cost.set_phase st.ledger.cost Cost.Handshake;
+  Cost.collector st.ledger.cost
     (Cost.c_handshake * (1 + State.count_active_mutators st));
   Substrate.yield ();
   (* The post is the release store every mutator's cooperate acquires:
@@ -302,7 +302,7 @@ let post_handshake st s =
      cost-unit clock with no charge between, so the recorded latency
      equals the handshake span exactly. *)
   let at = State.now_units st in
-  Telemetry.handshake_posted st.telemetry ~at;
+  Telemetry.handshake_posted st.ledger.tel ~at;
   Flight_recorder.note_handshake_posted st.recorder
 
 let wait_handshake st =
@@ -311,7 +311,7 @@ let wait_handshake st =
       State.for_all_active_mutators st (fun m ->
           Status.equal (Mutator.status m) target));
   let at = State.now_units st in
-  Telemetry.handshake_completed st.telemetry (Atomic.get st.status_c) ~at;
+  Telemetry.handshake_completed st.ledger.tel (Atomic.get st.status_c) ~at;
   Flight_recorder.note_handshake_completed st.recorder
     ~status:(Status.index (Atomic.get st.status_c))
 
@@ -331,29 +331,27 @@ let switch_allocation_clear_colors st =
 (* Card scan, trace and sweep run on the [Gc_par] crew.  Worker 0 is the
    collector process itself: alone under the simulator and, by default,
    on the domains substrate, where [--gc-workers] > 1 adds helper
-   domains.  Worker 0's ledgers and page set alias the shared ones, so
-   phase attribution is exact; helpers charge private ledgers merged at
-   cycle end.  Per-cycle statistics go to the worker's partial counters,
-   folded into the cycle record at each phase barrier.  Helper page
-   touches go to private sets unioned into the shared one at cycle end,
-   before [pages_touched] is read: the touched-page union over any
-   partition of the work equals worker 0's set at width 1, so the count
-   is exact at every crew width.  [Observatory] census sampling needs a
+   domains.  Worker 0 charges the shared ledger, so phase attribution
+   is exact; each helper charges its own, and the cycle end reads the
+   whole-program totals ([State.totals]).  Per-cycle statistics go to
+   the worker's partial counters, folded into the cycle record at each
+   phase barrier.  [Observatory] census sampling needs a
    quiescent heap walk: the simulator samples at worker 0's pacing
    charges, the domains substrate at phase boundaries
    ([Observatory.phase_sample]). *)
 
 (* Pacing charge: worker 0 charges through [charge_tick]; a helper
-   charges its private ledger (its own domain is paced by the hardware,
+   charges its own ledger (its own domain is paced by the hardware,
    and the pacing counter and census belong to the collector process). *)
 let tick st (w : Gc_par.worker) k =
-  if w.Gc_par.wid = 0 then pace_charge st w k else Cost.collector w.Gc_par.cost k
+  if w.Gc_par.wid = 0 then pace_charge st w k
+  else Cost.collector w.Gc_par.ledger.cost k
 
 (* The collector's MarkGray on worker [w]'s behalf: a shading is charged
    to the worker's ledger, outside the pacing counter. *)
 let worker_mark_gray st (w : Gc_par.worker) y =
-  if mark_gray st ~tel:w.Gc_par.tel ~sync:false y then
-    Cost.collector w.Gc_par.cost Cost.c_mark_gray
+  if mark_gray st ~tel:w.Gc_par.ledger.tel ~sync:false y then
+    Cost.collector w.Gc_par.ledger.cost Cost.c_mark_gray
 
 (* ------------------------------------------------------------------ *)
 (* ClearCards (Figure 3 and Figure 6)                                  *)
@@ -378,7 +376,7 @@ let touch_card_table_scan st pages n =
    cache refills may be splitting concurrently. *)
 let scan_card_simple st (w : Gc_par.worker) card =
   let heap = st.heap in
-  let pages = w.Gc_par.pages in
+  let pages = w.Gc_par.ledger.pages in
   Card_table.clear_card (Heap.cards heap) card;
   State.step st;
   State.lock_heap st;
@@ -393,7 +391,7 @@ let scan_card_simple st (w : Gc_par.worker) card =
         Page_set.touch_color pages x;
         Heap.set_color heap x Color.Gray;
         Gray_queue.push st.gray x;
-        Cost.collector w.Gc_par.cost Cost.c_mark_gray
+        Cost.collector w.Gc_par.ledger.cost Cost.c_mark_gray
       end);
   State.unlock_heap st
 
@@ -408,7 +406,7 @@ let scan_card_simple st (w : Gc_par.worker) card =
 let scan_card_aging st (w : Gc_par.worker) ~naive card =
   let heap = st.heap in
   let cards = Heap.cards heap in
-  let pages = w.Gc_par.pages in
+  let pages = w.Gc_par.ledger.pages in
   if not naive then begin
     (* Step 1: clear the mark before checking. *)
     Card_table.clear_card cards card;
@@ -461,7 +459,7 @@ let scan_card_aging st (w : Gc_par.worker) ~naive card =
   else if !has_young then begin
     State.step st;
     Card_table.mark_card cards card;
-    Cost.collector w.Gc_par.cost Cost.c_mark_card
+    Cost.collector w.Gc_par.ledger.cost Cost.c_mark_card
   end
 
 (* Card ownership: round-robin chunks of 64 cards (one card-table cache
@@ -474,7 +472,7 @@ let scan_card_aging st (w : Gc_par.worker) ~naive card =
 let card_chunk = 64
 
 let card_scan st (w : Gc_par.worker) =
-  Cost.set_phase w.Gc_par.cost Cost.Card_scan;
+  Cost.set_phase w.Gc_par.ledger.cost Cost.Card_scan;
   let cards = Heap.cards st.heap in
   let aging =
     match mode_of st with
@@ -483,14 +481,14 @@ let card_scan st (w : Gc_par.worker) =
   in
   let naive = st.cfg.Gc_config.naive_card_clear in
   let n = cards_covering_capacity st in
-  touch_card_table_scan st w.Gc_par.pages n;
+  touch_card_table_scan st w.Gc_par.ledger.pages n;
   let stride = card_chunk * st.par.Gc_par.n_workers in
   let first = ref (card_chunk * w.Gc_par.wid) in
   while !first < n do
     tick st w 1;
     for card = !first to Stdlib.min n (!first + card_chunk) - 1 do
       if Card_table.is_dirty cards card then begin
-        Telemetry.hit_dirty_card w.Gc_par.tel;
+        Telemetry.hit_dirty_card w.Gc_par.ledger.tel;
         w.Gc_par.dirty_cards <- w.Gc_par.dirty_cards + 1;
         tick st w Cost.c_card_visit;
         if aging then scan_card_aging st w ~naive card
@@ -510,15 +508,15 @@ let clear_cards st cycle =
    surviving inter-generational pointer becomes intra-generational at the
    coming promotion, exactly as in the simple card algorithm. *)
 let scan_remset_simple st cycle =
-  Cost.set_phase st.cost Cost.Card_scan;
+  Cost.set_phase st.ledger.cost Cost.Card_scan;
   let heap = st.heap in
   let entries = Remset.drain (Heap.remset heap) in
   cycle.Gc_stats.dirty_cards <- List.length entries;
   List.iter
     (fun x ->
-      Telemetry.hit_dirty_card st.telemetry;
+      Telemetry.hit_dirty_card st.ledger.tel;
       charge_tick st Cost.c_card_obj;
-      Page_set.touch_remset st.pages x;
+      Page_set.touch_remset st.ledger.pages x;
       State.step st;
       (* entries can be stale: the recorded object may have died in the
          previous cycle (its dedup flag was dropped at free time) *)
@@ -528,11 +526,12 @@ let scan_remset_simple st cycle =
         cycle.Gc_stats.intergen_scanned <- cycle.Gc_stats.intergen_scanned + 1;
         cycle.Gc_stats.card_scan_bytes <-
           cycle.Gc_stats.card_scan_bytes + Heap.size heap x;
-        Page_set.touch_heap_object st.pages ~addr:x ~size:(Heap.size heap x);
-        Page_set.touch_color st.pages x;
+        Page_set.touch_heap_object st.ledger.pages ~addr:x
+          ~size:(Heap.size heap x);
+        Page_set.touch_color st.ledger.pages x;
         Heap.set_color heap x Color.Gray;
         Gray_queue.push st.gray x;
-        Cost.collector st.cost Cost.c_mark_gray
+        Cost.collector st.ledger.cost Cost.c_mark_gray
       end;
       State.unlock_heap st)
     entries
@@ -554,7 +553,7 @@ let scan_remset_simple st cycle =
    stays valid across the unlock (the same argument the sweep relies
    on). *)
 let init_full_collection st ~clear_card_marks =
-  Cost.set_phase st.cost Cost.Clear;
+  Cost.set_phase st.ledger.cost Cost.Clear;
   let heap = st.heap in
   let space = Heap.space heap in
   let addr = ref 0 in
@@ -565,7 +564,7 @@ let init_full_collection st ~clear_card_marks =
        so the bounds-check-free accessors apply *)
     let size = Space.unsafe_size space !addr in
     (if Space.unsafe_kind space !addr = Space.Allocated then begin
-       Page_set.touch_color st.pages !addr;
+       Page_set.touch_color st.ledger.pages !addr;
        let c = Heap.color heap !addr in
        if Color.equal c Color.Black || Color.equal c Color.Gray then
          Heap.set_color heap !addr st.allocation_color
@@ -578,7 +577,7 @@ let init_full_collection st ~clear_card_marks =
     | Gc_config.Card_marking ->
         let cards = Heap.cards heap in
         let n = cards_covering_capacity st in
-        touch_card_table_scan st st.pages n;
+        touch_card_table_scan st st.ledger.pages n;
         charge_tick st (1 + (n / 64));
         Card_table.clear_all cards
     | Gc_config.Remembered_set ->
@@ -601,7 +600,7 @@ let trace_target st =
 let mark_black st (w : Gc_par.worker) x =
   let heap = st.heap in
   let target = trace_target st in
-  let pages = w.Gc_par.pages in
+  let pages = w.Gc_par.ledger.pages in
   if not (Color.equal (Heap.color heap x) target) then begin
     tick st w Cost.c_trace_obj;
     Page_set.touch_heap_object pages ~addr:x ~size:(Heap.size heap x);
@@ -646,7 +645,7 @@ let mark_black st (w : Gc_par.worker) x =
    marked); they ride through the sweep as gray floating garbage and are
    normalised back to the allocation color there. *)
 let trace st (w : Gc_par.worker) =
-  Cost.set_phase w.Gc_par.cost Cost.Trace;
+  Cost.set_phase w.Gc_par.ledger.cost Cost.Trace;
   let par = st.par in
   let n = par.Gc_par.n_workers in
   let wid = w.Gc_par.wid in
@@ -759,7 +758,7 @@ let compute_sweep_bounds st =
 let progress_stride = 64
 
 let sweep st (w : Gc_par.worker) =
-  Cost.set_phase w.Gc_par.cost Cost.Sweep;
+  Cost.set_phase w.Gc_par.ledger.cost Cost.Sweep;
   let heap = st.heap in
   let space = Heap.space heap in
   let ages = Heap.ages heap in
@@ -767,7 +766,7 @@ let sweep st (w : Gc_par.worker) =
   let bounds = st.par.Gc_par.sweep_bounds in
   let lo = bounds.(w.Gc_par.wid) in
   let hi = bounds.(w.Gc_par.wid + 1) in
-  let pages = w.Gc_par.pages in
+  let pages = w.Gc_par.ledger.pages in
   let addr = ref lo in
   let unannounced = ref 0 in
   while !addr < hi do
@@ -841,7 +840,7 @@ let sweep st (w : Gc_par.worker) =
                 (* never age a young object into the sentinel *)
                 if age < 254 then Age_table.incr ages x;
                 Page_set.touch_age pages x;
-                Cost.collector w.Gc_par.cost 1
+                Cost.collector w.Gc_par.ledger.cost 1
               end
         end);
     State.unlock_heap st;
@@ -978,12 +977,16 @@ let run_cycle st ~full =
     | None -> ()
   in
   let cycle_t0 = fnow () in
-  Page_set.reset st.pages;
+  (* page sets count one cycle's touches; the helpers are parked *)
+  Array.iter
+    (fun w -> Page_set.reset w.Gc_par.ledger.pages)
+    st.par.Gc_par.workers;
   Gray_queue.clear st.gray;
   Observatory.phase_sample st;
-  let work0 = Cost.collector_work st.cost in
-  let elapsed0 = Cost.elapsed_multi st.cost in
-  let mutator_work0 = Cost.mutator_work st.cost in
+  let totals0 = (State.totals st).cost in
+  let work0 = Cost.collector_work totals0 in
+  let elapsed0 = Cost.elapsed_multi totals0 in
+  let mutator_work0 = Cost.mutator_work totals0 in
   (* clear phase *)
   let clear_t0 = fnow () in
   (match mode with
@@ -1028,7 +1031,7 @@ let run_cycle st ~full =
   let trace_t0 = fnow () in
   post_handshake st Status.Async;
   (* mark global roots (attributed to the trace: they seed it) *)
-  Cost.set_phase st.cost Cost.Trace;
+  Cost.set_phase st.ledger.cost Cost.Trace;
   let w0 = st.par.Gc_par.workers.(0) in
   List.iter
     (fun g ->
@@ -1041,7 +1044,7 @@ let run_cycle st ~full =
   run_phase st cycle Gc_par.Trace;
   fspan Flight_recorder.Phase ~a:2 ~b:cycle.Gc_stats.objects_traced trace_t0;
   Observatory.phase_sample st;
-  Telemetry.note_trace_workers st.telemetry cycle.Gc_stats.trace_workers;
+  Telemetry.note_trace_workers st.ledger.tel cycle.Gc_stats.trace_workers;
   (* [sweeping] is raised before [tracing] drops so the non-generational
      create color never observes a gap between the two phases (a clear
      object created in such a gap, held only in a register, would be
@@ -1054,7 +1057,7 @@ let run_cycle st ~full =
   run_phase st cycle Gc_par.Sweep;
   fspan Flight_recorder.Phase ~a:3 ~b:cycle.Gc_stats.objects_freed sweep_t0;
   Observatory.phase_sample st;
-  Telemetry.add_promotions st.telemetry cycle.Gc_stats.promotions;
+  Telemetry.add_promotions st.ledger.tel cycle.Gc_stats.promotions;
   if cycle.Gc_stats.promotions > 0 then
     note st Flight_recorder.Promoted ~a:cycle.Gc_stats.promotions;
   (match mode with
@@ -1084,20 +1087,18 @@ let run_cycle st ~full =
           st.tenure_threshold <- st.tenure_threshold + 1
       end
   | _ -> ());
-  (* Fold the helpers' private ledgers into the shared ones before the
-     work accounting below reads them, so [cycle.work] counts every
-     worker's share; steal counters become run-level telemetry here
-     (worker partials were already drained into the cycle record). *)
-  Gc_par.merge_ledgers st.par ~cost0:st.cost ~tel0:st.telemetry;
-  Telemetry.add_steals st.telemetry cycle.Gc_stats.steals;
-  Telemetry.add_steal_failures st.telemetry cycle.Gc_stats.steal_failures;
-  cycle.Gc_stats.work <- Cost.collector_work st.cost - work0;
-  cycle.Gc_stats.active_span <- Cost.elapsed_multi st.cost - elapsed0;
-  (* Union the helpers' private page sets into the shared one (worker 0
-     already aliases it): the touched-page union over a partition of the
-     work is the same at any crew width. *)
-  Gc_par.merge_pages st.par ~dst:st.pages;
-  cycle.Gc_stats.pages_touched <- Page_set.count st.pages;
+  (* Steal counters become run-level telemetry here (worker partials
+     were already drained into the cycle record).  The cycle's work,
+     span, pages and mutator progress are read from the whole-program
+     totals: every worker's share and every mutator's work count, and
+     the touched-page union over a partition of the work is the same at
+     any crew width. *)
+  Telemetry.add_steals st.ledger.tel cycle.Gc_stats.steals;
+  Telemetry.add_steal_failures st.ledger.tel cycle.Gc_stats.steal_failures;
+  let totals = State.totals st in
+  cycle.Gc_stats.work <- Cost.collector_work totals.cost - work0;
+  cycle.Gc_stats.active_span <- Cost.elapsed_multi totals.cost - elapsed0;
+  cycle.Gc_stats.pages_touched <- Page_set.count totals.pages;
   State.lock_heap st;
   cycle.Gc_stats.live_objects_at_end <- Heap.object_count st.heap;
   cycle.Gc_stats.live_bytes_at_end <- Heap.allocated_bytes st.heap;
@@ -1116,9 +1117,9 @@ let run_cycle st ~full =
         cycle.Gc_stats.floating_bytes <-
           cycle.Gc_stats.floating_bytes + Heap.size st.heap x);
   (* Pause-free progress: mutator work performed while this cycle ran. *)
-  Telemetry.record_progress st.telemetry
-    (Cost.mutator_work st.cost - mutator_work0);
-  Cost.set_phase st.cost Cost.Idle;
+  Telemetry.record_progress st.ledger.tel
+    (Cost.mutator_work totals.cost - mutator_work0);
+  Cost.set_phase st.ledger.cost Cost.Idle;
   Gc_stats.end_cycle st.stats cycle;
   st.cur_cycle <- None;
   Atomic.set st.collecting false;

@@ -93,9 +93,9 @@ let elapsed_multi t = t.mutator_work + t.collector_work + t.stall_work
    collector, but nothing else makes progress, so stalls weigh double. *)
 let elapsed_uni t = t.mutator_work + t.collector_work + (2 * t.stall_work)
 
-(* Fold a per-mutator ledger (real-domains substrate) into the shared
-   one.  Work adds linearly, so the merged totals equal what a single
-   shared ledger would have accumulated without the races. *)
+(* Add one actor's ledger into a total.  Work adds linearly, so the sum
+   equals what a single shared ledger would have accumulated without the
+   races. *)
 let merge_into ~src ~dst =
   dst.mutator_work <- dst.mutator_work + src.mutator_work;
   dst.collector_work <- dst.collector_work + src.collector_work;

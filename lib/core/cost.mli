@@ -95,8 +95,8 @@ val reset : t -> unit
 
 val merge_into : src:t -> dst:t -> unit
 (** Add every counter of [src] into [dst] ([src] unchanged).  The
-    real-domains substrate gives each mutator its own ledger to avoid
-    racy increments and folds them into the shared one at end of run. *)
+    real-domains substrate gives each actor its own ledger to avoid racy
+    increments; [Ledger.fold] sums them into fresh totals with this. *)
 
 (** {2 Cost constants}
 

@@ -27,18 +27,14 @@
    tolerated: the late-shaded object rides through the sweep as
    floating gray and is normalised there. *)
 
-module Page_set = Otfgc_heap.Page_set
-
 type phase = Idle | Cards | Trace | Sweep
 
 type worker = {
   wid : int;
-  cost : Cost.t;
-  tel : Telemetry.t;
-  pages : Page_set.t;
-  (* worker 0 aliases the shared [State.pages]; helpers get private sets
-     the orchestrator unions in at the cycle barrier (merge_pages), so
-     [pages_touched] is exact at every crew width *)
+  (* worker 0's is the shared [State.ledger]; a helper's is its own,
+     read through [State.totals], so [cycle.work] and [pages_touched]
+     are exact at every crew width *)
+  ledger : Ledger.t;
   mutable ring : Flight_recorder.ring option;
   scratch : int array ref;
   (* per-phase partials, folded into the cycle record at the phase
@@ -67,12 +63,10 @@ type t = {
   mutable sweep_bounds : int array;
 }
 
-let make_worker ~wid ~cost ~tel ~pages =
+let make_worker ~wid ledger =
   {
     wid;
-    cost;
-    tel;
-    pages;
+    ledger;
     ring = None;
     scratch = ref (Array.make 32 0);
     dirty_cards = 0;
@@ -87,13 +81,11 @@ let make_worker ~wid ~cost ~tel ~pages =
     pace = 0;
   }
 
-(* A width-1 crew: worker 0 alone, charging the shared collector
-   ledgers and touching the shared page set (phase attribution and
-   [pages_touched] stay exact). *)
-let create ~cost0 ~tel0 ~pages0 =
+(* A width-1 crew: worker 0 alone, charging the shared ledger. *)
+let create ledger0 =
   {
     n_workers = 1;
-    workers = [| make_worker ~wid:0 ~cost:cost0 ~tel:tel0 ~pages:pages0 |];
+    workers = [| make_worker ~wid:0 ledger0 |];
     epoch = Atomic.make 0;
     phase = Idle;
     done_count = Atomic.make 0;
@@ -104,17 +96,13 @@ let create ~cost0 ~tel0 ~pages0 =
   }
 
 (* Widen the crew to [n] workers.  Worker 0 is kept; helpers get
-   private ledgers the orchestrator merges into the shared ones at each
-   cycle's end. *)
+   ledgers of their own. *)
 let configure t ~n ~layout =
   let w0 = t.workers.(0) in
   t.n_workers <- n;
   t.workers <-
     Array.init n (fun wid ->
-        if wid = 0 then w0
-        else
-          make_worker ~wid ~cost:(Cost.create ()) ~tel:(Telemetry.create ())
-            ~pages:(Page_set.create layout))
+        if wid = 0 then w0 else make_worker ~wid (Ledger.create layout))
 
 let reset_partials w =
   w.dirty_cards <- 0;
@@ -147,32 +135,6 @@ let drain_partials t (cycle : Gc_stats.cycle) =
       cycle.Gc_stats.steal_failures <-
         cycle.Gc_stats.steal_failures + w.steal_failures;
       reset_partials w)
-    t.workers
-
-(* Merge the helpers' private cost/telemetry ledgers into the shared
-   ones and reset them.  Orchestrator only, before the cycle's work
-   accounting reads the shared ledger (run_cycle's [work - work0]). *)
-let merge_ledgers t ~cost0 ~tel0 =
-  Array.iter
-    (fun w ->
-      if w.wid <> 0 then begin
-        Cost.merge_into ~src:w.cost ~dst:cost0;
-        Cost.reset w.cost;
-        Telemetry.merge_into ~src:w.tel ~dst:tel0;
-        Telemetry.reset w.tel
-      end)
-    t.workers
-
-(* Union the helpers' private page sets into the shared one and clear
-   them for the next cycle.  Orchestrator only, at the cycle barrier,
-   before [Page_set.count] reads the shared set. *)
-let merge_pages t ~dst =
-  Array.iter
-    (fun w ->
-      if w.wid <> 0 then begin
-        Page_set.merge_into ~src:w.pages ~dst;
-        Page_set.reset w.pages
-      end)
     t.workers
 
 (* Hand every helper its flight-recorder track.  Worker 0 records on the

@@ -14,11 +14,9 @@ type phase = Idle | Cards | Trace | Sweep
 
 type worker = {
   wid : int;
-  cost : Cost.t;  (** worker 0: the shared collector ledger itself *)
-  tel : Telemetry.t;
-  pages : Otfgc_heap.Page_set.t;
-      (** worker 0: the shared page set itself; helpers: private sets
-          unioned in by {!merge_pages} at the cycle barrier *)
+  ledger : Ledger.t;
+      (** worker 0: the shared ledger ([State.ledger]); helpers: their
+          own, registered in [State] and read through its fold *)
   mutable ring : Flight_recorder.ring option;
       (** flight-recorder track (armed recorder only; see
           {!attach_rings}) *)
@@ -52,28 +50,17 @@ type t = {
   mutable sweep_bounds : int array;  (** n+1 block-aligned region bounds *)
 }
 
-val create :
-  cost0:Cost.t -> tel0:Telemetry.t -> pages0:Otfgc_heap.Page_set.t -> t
-(** Width-1 crew: worker 0 alone, aliasing the shared collector ledgers
-    and page set. *)
+val create : Ledger.t -> t
+(** Width-1 crew: worker 0 alone, charging the given (shared) ledger. *)
 
 val configure : t -> n:int -> layout:Otfgc_heap.Layout.tables -> unit
 (** Widen to an [n]-worker crew (domains substrate only).  Worker 0 is
-    kept; helpers get private ledgers and page sets (merged by
-    {!merge_ledgers} and {!merge_pages}); [layout] sizes the helpers'
-    page sets. *)
+    kept; helpers get ledgers of their own, whose page sets span
+    [layout]; the caller registers them. *)
 
 val drain_partials : t -> Gc_stats.cycle -> unit
 (** Fold every worker's per-phase partial counters into the cycle
     record and zero them.  Orchestrator only, at a phase barrier. *)
-
-val merge_ledgers : t -> cost0:Cost.t -> tel0:Telemetry.t -> unit
-(** Fold helper cost/telemetry ledgers into the shared ones and reset
-    them.  Orchestrator only, before end-of-cycle work accounting. *)
-
-val merge_pages : t -> dst:Otfgc_heap.Page_set.t -> unit
-(** Union helper page sets into [dst] (the shared set) and clear them.
-    Orchestrator only, before the cycle's [Page_set.count]. *)
 
 val attach_rings : t -> Flight_recorder.t -> unit
 (** Give each helper its flight-recorder track (worker 0 records on the

@@ -13,16 +13,16 @@ type t = {
   regs : int array;
   mutable stack : int array;
   mutable sp : int;
+  ledger : Ledger.t;  (* the shared one on the simulator *)
+  own : bool;
   (* Real-domains substrate extensions; unused (and cost-free) under the
      cooperative substrate. *)
   cache : Alloc_cache.t;
-  mutable own_cost : Cost.t option;
-  mutable own_telemetry : Telemetry.t option;
   mutable ring : Flight_recorder.ring option;
       (** event-recorder track (recorder armed) *)
 }
 
-let create ~id ~name ~n_regs =
+let create ~id ~name ~n_regs ?(own = false) ledger =
   if n_regs < 0 then invalid_arg "Mutator.create: negative register count";
   {
     id;
@@ -32,9 +32,9 @@ let create ~id ~name ~n_regs =
     regs = Array.make n_regs nil;
     stack = Array.make 16 nil;
     sp = 0;
+    ledger;
+    own;
     cache = Alloc_cache.create ();
-    own_cost = None;
-    own_telemetry = None;
     ring = None;
   }
 
@@ -45,13 +45,10 @@ let set_status t s = Atomic.set t.status s
 let active t = Atomic.get t.active
 let retire t = Atomic.set t.active false
 
+let ledger t = t.ledger
+let own_cost t = if t.own then Some t.ledger.Ledger.cost else None
+let own_telemetry t = if t.own then Some t.ledger.Ledger.tel else None
 let cache t = t.cache
-let own_cost t = t.own_cost
-let own_telemetry t = t.own_telemetry
-
-let set_own_ledgers t cost telemetry =
-  t.own_cost <- Some cost;
-  t.own_telemetry <- Some telemetry
 
 let ring t = t.ring
 let set_ring t r = t.ring <- r

@@ -11,7 +11,10 @@
 
 type t
 
-val create : id:int -> name:string -> n_regs:int -> t
+val create : id:int -> name:string -> n_regs:int -> ?own:bool -> Ledger.t -> t
+(** A mutator charging the given ledger: the shared one (crew worker 0's)
+    on the simulator, a ledger of its own ([own], default [false]) on
+    the domains substrate. *)
 
 val id : t -> int
 val name : t -> string
@@ -30,21 +33,23 @@ val active : t -> bool
 
 val retire : t -> unit
 
+val ledger : t -> Ledger.t
+(** The ledger mutator-context work is charged to. *)
+
+val own_cost : t -> Cost.t option
+(** The mutator's own cost ledger: [Some] on the domains substrate,
+    [None] on the simulator, where it charges the shared ledger. *)
+
+val own_telemetry : t -> Telemetry.t option
+(** Likewise for its telemetry. *)
+
 (** {2 Real-domains substrate extensions}
 
-    Unused under the cooperative substrate: the cache stays empty and the
-    ledgers stay [None], so simulated runs are bit-identical. *)
+    Unused under the cooperative substrate: the cache stays empty, so
+    simulated runs are bit-identical. *)
 
 val cache : t -> Alloc_cache.t
 (** This mutator's domain-local allocation cache. *)
-
-val own_cost : t -> Cost.t option
-val own_telemetry : t -> Telemetry.t option
-
-val set_own_ledgers : t -> Cost.t -> Telemetry.t -> unit
-(** Give the mutator private cost/telemetry ledgers (installed by
-    [Runtime.new_mutator] when the runtime is in parallel mode; folded
-    into the shared ledgers at end of run). *)
 
 val ring : t -> Flight_recorder.ring option
 (** This mutator's event-recorder track, when the recorder is armed;

@@ -88,7 +88,7 @@ let sample st ~now =
   let fl = Heap.freelist heap in
   Timeseries.set ts Sampler.i_at now;
   Timeseries.set ts Sampler.i_phase
-    (Cost.phase_index (Cost.current_phase st.cost));
+    (Cost.phase_index (Cost.current_phase st.ledger.cost));
   Timeseries.set ts Sampler.i_collecting
     (if Atomic.get st.collecting then 1 else 0);
   Timeseries.set ts Sampler.i_capacity (Heap.capacity heap);
@@ -115,11 +115,12 @@ let sample st ~now =
   Timeseries.set ts Sampler.i_remset_entries (Remset.size (Heap.remset heap));
   Timeseries.set ts Sampler.i_floating_objects !floating_n;
   Timeseries.set ts Sampler.i_floating_bytes !floating_b;
-  Timeseries.set ts Sampler.i_promotions (Telemetry.promotions st.telemetry);
-  Timeseries.set ts Sampler.i_stalls (Telemetry.stalls st.telemetry);
+  let tel = (State.totals st).tel in
+  Timeseries.set ts Sampler.i_promotions (Telemetry.promotions tel);
+  Timeseries.set ts Sampler.i_stalls (Telemetry.stalls tel);
   Timeseries.commit ts
 
-let sample_now st = sample st ~now:(Cost.elapsed_multi st.cost)
+let sample_now st = sample st ~now:(Cost.elapsed_multi st.ledger.cost)
 
 let maybe_sample st =
   let s = st.sampler in
@@ -128,7 +129,7 @@ let maybe_sample st =
      under real domains.  Domains runs census at cycle segment
      boundaries instead ({!phase_sample}, under the heap lock). *)
   if s.Sampler.every > 0 && not st.parallel then begin
-    let now = Cost.elapsed_multi st.cost in
+    let now = Cost.elapsed_multi st.ledger.cost in
     if now >= s.Sampler.next_at then sample st ~now
   end
 

@@ -16,9 +16,9 @@ let create ?(heap_config = Heap.default_config) ?(gc_config = Gc_config.default)
 let state t = t.st
 let heap t = t.st.heap
 let stats t = t.st.stats
-let cost t = t.st.cost
+let cost t = t.st.ledger.cost
 let events t = t.st.recorder
-let telemetry t = t.st.telemetry
+let telemetry t = t.st.ledger.tel
 let sampler t = t.st.sampler
 
 let set_fine_grained t v = t.st.fine_grained <- v
@@ -31,6 +31,10 @@ let set_parallel t v = t.st.parallel <- v; Gray_queue.set_locked t.st.gray v
 let set_gc_workers t n =
   if n > 1 then begin
     Gc_par.configure t.st.par ~n ~layout:(Heap.layout t.st.heap);
+    Array.iter
+      (fun w ->
+        if w.Gc_par.wid > 0 then State.register_ledger t.st w.Gc_par.ledger)
+      t.st.par.Gc_par.workers;
     Gray_queue.set_workers t.st.gray n;
     (* a recorder armed before the widening: give the new workers tracks *)
     if Flight_recorder.armed t.st.recorder then
@@ -47,7 +51,7 @@ let recorder t = t.st.recorder
 let arm_recorder t =
   let st = t.st in
   Flight_recorder.arm st.recorder
-    ?units:(if st.parallel then None else Some st.cost);
+    ?units:(if st.parallel then None else Some st.ledger.cost);
   Gc_par.attach_rings st.par st.recorder
 
 let attach_ring st m =
@@ -76,12 +80,13 @@ let new_mutator t ~name ?(n_regs = 16) () =
       Mutex.lock st.reg_lock;
       if Atomic.get st.collecting then Mutex.unlock st.reg_lock
       else begin
-        let m = Mutator.create ~id:t.next_mutator_id ~name ~n_regs in
+        let ledger = Ledger.create (Heap.layout st.heap) in
+        Telemetry.set_enabled ledger.tel (Telemetry.enabled st.ledger.tel);
+        let m =
+          Mutator.create ~id:t.next_mutator_id ~name ~n_regs ~own:true ledger
+        in
         t.next_mutator_id <- t.next_mutator_id + 1;
-        let c = Cost.create () in
-        let tel = Telemetry.create () in
-        Telemetry.set_enabled tel (Telemetry.enabled st.telemetry);
-        Mutator.set_own_ledgers m c tel;
+        State.register_ledger st ledger;
         attach_ring st m;
         Mutator.set_status m (Atomic.get st.status_c);
         State.register_mutator st m;
@@ -94,7 +99,7 @@ let new_mutator t ~name ?(n_regs = 16) () =
   else begin
     if Atomic.get st.collecting then
       Sched.wait_until (fun () -> not (Atomic.get st.collecting));
-    let m = Mutator.create ~id:t.next_mutator_id ~name ~n_regs in
+    let m = Mutator.create ~id:t.next_mutator_id ~name ~n_regs st.ledger in
     t.next_mutator_id <- t.next_mutator_id + 1;
     (* Idle collector means status_c = Async, matching the fresh mutator. *)
     Mutator.set_status m (Atomic.get st.status_c);
@@ -237,7 +242,7 @@ let alloc_sim t m ~size ~n_slots =
   let st = t.st in
   Collector.cooperate st m;
   Sched.yield ();
-  Cost.mutator st.cost Cost.c_alloc;
+  Cost.mutator st.ledger.cost Cost.c_alloc;
   Observatory.maybe_sample st;
   match try_alloc t ~size ~n_slots with
   | Some addr ->
@@ -252,8 +257,8 @@ let alloc_sim t m ~size ~n_slots =
          the heap grow towards its maximum, and only when that too is
          exhausted is the program out of memory. *)
       let result = ref Heap.nil in
-      Telemetry.hit_stall st.telemetry;
-      let stall_from = Cost.elapsed_multi st.cost in
+      Telemetry.hit_stall st.ledger.tel;
+      let stall_from = Cost.elapsed_multi st.ledger.cost in
       let baseline = ref (fulls_done st) in
       while !result = Heap.nil do
         match try_alloc t ~size ~n_slots with
@@ -273,12 +278,12 @@ let alloc_sim t m ~size ~n_slots =
                then baseline := fulls_done st
                else raise Out_of_memory);
             Collector.cooperate st m;
-            Cost.stall st.cost Cost.c_cooperate;
+            Cost.stall st.ledger.cost Cost.c_cooperate;
             Observatory.maybe_sample st;
             Sched.yield ()
       done;
-      let stall_to = Cost.elapsed_multi st.cost in
-      Telemetry.record_stall st.telemetry (stall_to - stall_from);
+      let stall_to = Cost.elapsed_multi st.ledger.cost in
+      Telemetry.record_stall st.ledger.tel (stall_to - stall_from);
       (match Mutator.ring m with
       | Some r ->
           Flight_recorder.span r Flight_recorder.Stall ~a:(Mutator.id m)

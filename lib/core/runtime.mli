@@ -27,13 +27,16 @@ val state : t -> State.t
 val heap : t -> Otfgc_heap.Heap.t
 val stats : t -> Gc_stats.t
 val cost : t -> Cost.t
+(** The shared ledger's cost: crew worker 0's, and on the simulator
+    every mutator's too.  Whole-program totals are {!State.totals}. *)
 
 val events : t -> Event_log.t
 (** {!recorder} under its former name, for the benchmark's copy of the
     simulator driver ({!Event_log}). *)
 
 val telemetry : t -> Telemetry.t
-(** Counters and latency histograms (see {!Telemetry}). *)
+(** The shared ledger's counters and latency histograms (see
+    {!Telemetry} and {!cost}). *)
 
 val sampler : t -> Sampler.t
 (** The census sampler ({!Sampler.configure} arms it; the series fills
@@ -46,7 +49,8 @@ val set_fine_grained : t -> bool -> unit
 val set_parallel : t -> bool -> unit
 (** Select the real-domains substrate: heap/registration locks engage, the
     gray queue locks, allocation goes through per-mutator caches, and
-    mutator-context costs charge per-mutator ledgers.  Must be set before
+    each mutator registered afterwards charges a ledger of its own.  Must
+    be set before
     any process starts (the driver does this); the default [false] keeps
     the simulator's behavior bit-identical. *)
 

@@ -1,6 +1,5 @@
 module Heap = Otfgc_heap.Heap
 module Color = Otfgc_heap.Color
-module Page_set = Otfgc_heap.Page_set
 module Substrate = Otfgc_sched.Substrate
 
 type gc_request = No_request | Want_partial | Want_full
@@ -34,10 +33,9 @@ type t = {
   gray : Gray_queue.t;
   stats : Gc_stats.t;
   recorder : Flight_recorder.t;
-  telemetry : Telemetry.t;
+  ledger : Ledger.t;
+  ledgers : Ledger.t list Atomic.t;
   mutable cur_cycle : Gc_stats.cycle option;
-  pages : Page_set.t;
-  cost : Cost.t;
   card_cache : Card_cache.t;
   remset_cache : Card_cache.t;
   mutable tenure_threshold : int;
@@ -54,9 +52,7 @@ type t = {
 }
 
 let create heap cfg =
-  let pages = Page_set.create (Heap.layout heap) in
-  let cost = Cost.create () in
-  let telemetry = Telemetry.create () in
+  let ledger = Ledger.create (Heap.layout heap) in
   {
     heap;
     cfg;
@@ -75,10 +71,9 @@ let create heap cfg =
     shutdown = Atomic.make false;
     gray = Gray_queue.create ();
     stats = Gc_stats.create ();
-    telemetry;
+    ledger;
+    ledgers = Atomic.make [ ledger ];
     cur_cycle = None;
-    pages;
-    cost;
     card_cache = Card_cache.create ();
     remset_cache = Card_cache.create ();
     tenure_threshold = 1;
@@ -89,7 +84,7 @@ let create heap cfg =
     parallel = false;
     heap_lock = Mutex.create ();
     reg_lock = Mutex.create ();
-    par = Gc_par.create ~cost0:cost ~tel0:telemetry ~pages0:pages;
+    par = Gc_par.create ledger;
     pool = Block_pool.create ();
   }
 
@@ -147,18 +142,13 @@ let count_active_mutators t =
 let lock_heap t = if t.parallel then Mutex.lock t.heap_lock
 let unlock_heap t = if t.parallel then Mutex.unlock t.heap_lock
 
-(* The ledger a mutator-context charge goes to: the mutator's own under
-   real domains (merged at end of run), the shared one under the
-   simulator — where this is exactly the old behavior. *)
-let mcost t m =
-  if t.parallel then
-    match Mutator.own_cost m with Some c -> c | None -> t.cost
-  else t.cost
+(* {2 Ledgers} *)
 
-let mtelemetry t m =
-  if t.parallel then
-    match Mutator.own_telemetry m with Some tel -> tel | None -> t.telemetry
-  else t.telemetry
+let register_ledger t l = Atomic.set t.ledgers (l :: Atomic.get t.ledgers)
+let totals t = Ledger.fold (Heap.layout t.heap) (Atomic.get t.ledgers)
+let reset_ledgers t = List.iter Ledger.reset (Atomic.get t.ledgers)
+let mcost _t m = (Mutator.ledger m).Ledger.cost
+let mtelemetry _t m = (Mutator.ledger m).Ledger.tel
 
 (* Timestamp for latency instruments: simulated cost units under the
    simulator, real microseconds under domains (Monotonic_clock). *)
@@ -166,6 +156,6 @@ let now_units t =
   if t.parallel then
     Otfgc_support.Monotonic_clock.ns_to_us
       (Otfgc_support.Monotonic_clock.now_ns ())
-  else Cost.elapsed_multi t.cost
+  else Cost.elapsed_multi t.ledger.Ledger.cost
 
 let young_color _t c = not (Color.equal c Color.Black)

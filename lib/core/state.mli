@@ -3,7 +3,8 @@
     One value of this type corresponds to the process-wide state of the
     paper's JVM: the heap and its side tables, the collector's posted
     status, the two toggling color names, the "collector is tracing" flag
-    read by write barriers, the gray set, triggers, and the ledgers.
+    read by write barriers, the gray set, triggers, and the registry of
+    every actor's {!Ledger}.
 
     The record is deliberately transparent: the collectors in this library
     are the paper's Figures 1–6 transliterated, and hiding every field
@@ -56,11 +57,13 @@ type t = {
   recorder : Flight_recorder.t;
       (** per-process event rings (disarmed by default — one option
           check per record site; armed via [Runtime.arm_recorder]) *)
-  telemetry : Telemetry.t;
-      (** counters and latency histograms (histograms off by default) *)
+  ledger : Ledger.t;
+      (** the shared ledger: crew worker 0's, and on the simulator every
+          mutator's too (its cost is the simulated clock).  Telemetry
+          histograms are off by default. *)
+  ledgers : Ledger.t list Atomic.t;
+      (** every actor's ledger, read only through {!totals} *)
   mutable cur_cycle : Gc_stats.cycle option;
-  pages : Otfgc_heap.Page_set.t;
-  cost : Cost.t;
   card_cache : Card_cache.t;
   remset_cache : Card_cache.t;
       (** locality model for the remembered set's dedup-flag table *)
@@ -97,7 +100,7 @@ type t = {
       (** guards mutator registration against cycle starts *)
   par : Gc_par.t;
       (** the collection crew every phase runs on: worker 0 alone
-          (aliasing [cost], [telemetry] and [pages]) unless the driver
+          (charging [ledger]) unless the driver
           widens it with [--gc-workers] > 1 on the domains substrate *)
   pool : Block_pool.t;
       (** per-size-class pools of reserved blocks — the sharded middle
@@ -142,9 +145,22 @@ val lock_heap : t -> unit
 
 val unlock_heap : t -> unit
 
+(** {2 Ledgers} *)
+
+val register_ledger : t -> Ledger.t -> unit
+(** Add an actor's ledger to the registry.  In parallel mode callers
+    must hold [reg_lock] or run before any process starts. *)
+
+val totals : t -> Ledger.t
+(** Whole-program totals: {!Ledger.fold} over the registry — the only
+    way to read them.  On the simulator this is [ledger] itself. *)
+
+val reset_ledgers : t -> unit
+(** Zero every registered ledger (the end-of-warm-up reset). *)
+
 val mcost : t -> Mutator.t -> Cost.t
-(** The ledger mutator-context work is charged to: the shared ledger
-    under the simulator (bit-identical to the historical behavior), the
+(** The cost ledger mutator-context work is charged to
+    ({!Mutator.ledger}): the shared one under the simulator, the
     mutator's own under real domains. *)
 
 val mtelemetry : t -> Mutator.t -> Telemetry.t

@@ -69,8 +69,8 @@ let reset t =
   Histogram.clear t.cycle_progress;
   t.handshake_posted_at <- 0
 
-(* Fold a per-mutator telemetry (real-domains substrate) into the shared
-   one: counters add, histograms merge sample streams. *)
+(* Add one actor's telemetry into a total: counters add, histograms
+   merge sample streams. *)
 let merge_into ~src ~dst =
   dst.barrier_updates <- dst.barrier_updates + src.barrier_updates;
   dst.yellow_fires <- dst.yellow_fires + src.yellow_fires;

@@ -32,9 +32,8 @@ val reset : t -> unit
 
 val merge_into : src:t -> dst:t -> unit
 (** Fold [src] into [dst] ([src] unchanged): counters add, histograms
-    merge sample streams.  The real-domains substrate records into
-    per-mutator telemetry and folds it into the shared one at end of
-    run. *)
+    merge sample streams.  [Ledger.fold] sums the actors' telemetry
+    into fresh totals with this. *)
 
 (** {2 Counters} *)
 

@@ -7,9 +7,9 @@ let create tables =
 let reset t = Otfgc_support.Bitset.clear t.pages
 
 (* Per-worker page sets under a multi-worker crew: each worker records
-   its own touches, and the orchestrator unions them into the shared set
-   at the cycle barrier — the union over any partition of the work
-   equals the serial set.  Both sets must span the same layout. *)
+   its own touches, and the cycle end counts their union — the union
+   over any partition of the work equals the serial set.  Both sets must
+   span the same layout. *)
 let merge_into ~src ~dst = Otfgc_support.Bitset.union_into ~dst:dst.pages src.pages
 
 let count t = Otfgc_support.Bitset.cardinal t.pages

@@ -20,7 +20,7 @@ val count : t -> int
 val merge_into : src:t -> dst:t -> unit
 (** Union [src]'s touched pages into [dst].  Both must have been created
     from the same {!Layout.tables}.  Used by the parallel crew: workers
-    touch private sets, merged into the shared one at the cycle barrier. *)
+    touch sets of their own, and the cycle end counts their union. *)
 
 val touch_range : t -> int -> int -> unit
 (** [touch_range t addr len] records the pages covering

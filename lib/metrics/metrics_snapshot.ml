@@ -82,20 +82,7 @@ let metric_name_of_phase p =
 let handshake_statuses = [ Status.Sync1; Status.Sync2; Status.Async ]
 
 let take ?(seq = 0) ?(at_ms = 0.) (st : State.t) =
-  (* Fold the shared ledgers plus every registered mutator's own ledger
-     (domains substrate; [own_*] is [None] under the simulator) into
-     fresh ones.  Retired mutators keep their slots and ledgers, so the
-     sum never loses a retiree's contribution.  Racy reads of plain ints
-     and histogram buckets: bounded-stale, never torn or out of
-     bounds. *)
-  let cost = Cost.create () and tel = Telemetry.create () in
-  Cost.merge_into ~src:st.State.cost ~dst:cost;
-  Telemetry.merge_into ~src:st.State.telemetry ~dst:tel;
-  State.iter_mutators st (fun m ->
-      Option.iter (fun c -> Cost.merge_into ~src:c ~dst:cost) (Mutator.own_cost m);
-      Option.iter
-        (fun tl -> Telemetry.merge_into ~src:tl ~dst:tel)
-        (Mutator.own_telemetry m));
+  let { Ledger.cost; tel; _ } = State.totals st in
   let heap = st.State.heap in
   let stats = st.State.stats in
   let handshakes = List.map (Telemetry.handshake_latency tel) handshake_statuses in
@@ -135,7 +122,7 @@ let take ?(seq = 0) ?(at_ms = 0.) (st : State.t) =
     gc_bytes_freed = Gc_stats.live_bytes_freed stats;
     gc_objects_freed = Gc_stats.live_objects_freed stats;
     gc_promotions = Gc_stats.live_promotions stats;
-    phase = Cost.phase_name (Cost.current_phase st.State.cost);
+    phase = Cost.phase_name (Cost.current_phase st.State.ledger.cost);
     heap_capacity = Otfgc_heap.Heap.capacity heap;
     heap_allocated_bytes = Otfgc_heap.Heap.allocated_bytes heap;
     total_alloc_bytes = Otfgc_heap.Heap.total_allocated_bytes heap;

@@ -14,14 +14,12 @@
     at any wall-clock cadence without perturbing mutators or the
     collector.
 
-    {!take} sums the shared ledgers plus every registered mutator's own
-    ledger (domains substrate).  Under domains each racy read is
+    {!take} reads the whole-program totals, the fold over every actor's
+    ledger ([State.totals]).  Under domains each racy read is
     bounded-stale and per-location coherent, so counters are monotone
     across snapshots up to the staleness bound; at quiescence — after
-    every mutator has retired — a snapshot is exact.  [Driver] folds
-    each mutator's ledger into the shared one at the end of a run and
-    resets it, so a snapshot taken after the run is exact too, and
-    equal to the observer's final one. *)
+    every mutator has retired — a snapshot is exact, so one taken after
+    the run equals the observer's final one. *)
 
 type hist = {
   count : int;

@@ -81,7 +81,7 @@ let pct_freed_whole cycles kind =
 let of_runtime ~workload rt =
   let st = Runtime.state rt in
   let stats = Runtime.stats rt in
-  let cost = Runtime.cost rt in
+  let cost = (State.totals st).cost in
   let cycles = Gc_stats.cycles stats in
   let mean kind f = Gc_stats.mean stats kind f in
   let heap = Runtime.heap rt in

@@ -70,8 +70,9 @@ let scenario_of_result ~name ~wall_ms (r : Run_result.t) =
    attributed to the phase or counter that moved. *)
 let scenario_of_runtime ~name ~wall_ms (r : Run_result.t) rt =
   let s = scenario_of_result ~name ~wall_ms r in
-  let cost = Otfgc.Runtime.cost rt in
-  let tel = Otfgc.Runtime.telemetry rt in
+  let { Otfgc.Ledger.cost; tel; _ } =
+    Otfgc.State.totals (Otfgc.Runtime.state rt)
+  in
   let phase_metrics =
     List.map
       (fun p ->

@@ -152,23 +152,23 @@ let nth_runnable t k =
   done;
   !i
 
+(* The first runnable process at or after the cursor, wrapping once.
+   The cursor stays below [nprocs] (which only grows), so compare and
+   wrap replaces the two divisions a [mod n] step would take. *)
 let pick_round_robin t =
   let n = t.nprocs in
-  let found = ref none in
-  let i = ref 0 in
-  while !found = none && !i < n do
-    let idx = (t.rr_cursor + !i) mod n in
-    if runnable t idx then begin
-      found := idx;
-      t.rr_cursor <- (idx + 1) mod n
-    end;
-    incr i
+  let idx = ref t.rr_cursor in
+  let left = ref n in
+  while !left > 0 && not (runnable t !idx) do
+    idx := if !idx + 1 = n then 0 else !idx + 1;
+    decr left
   done;
-  if !found = none then
+  if !left = 0 then
     (* Only daemons are runnable but a non-daemon hasn't finished: that
        non-daemon must be Running, which is impossible here. *)
     failwith "Sched.run: non-daemon process neither runnable nor finished";
-  !found
+  t.rr_cursor <- (if !idx + 1 = n then 0 else !idx + 1);
+  !idx
 
 let stalled t =
   raise

@@ -130,9 +130,9 @@ let merge a b =
          t.max_v <- Stdlib.max a.max_v b.max_v);
   t
 
-(* In-place [merge]: fold [src]'s samples into [dst].  Used to combine
-   per-mutator histograms into the shared ledger at end of run without
-   replacing the destination value (telemetry holds it by field). *)
+(* In-place [merge]: fold [src]'s samples into [dst].  Used to sum the
+   actors' histograms into a whole-program total without replacing the
+   destination value (telemetry holds it by field). *)
 let add_into ~src ~dst =
   if src.count > 0 then begin
     for slot = 0 to n_slots - 1 do

@@ -54,8 +54,7 @@ val merge : t -> t -> t
 val add_into : src:t -> dst:t -> unit
 (** In-place {!merge}: fold [src]'s samples into [dst] ([src] is not
     modified).  The real-domains substrate records latencies into
-    per-mutator histograms and folds them into the shared telemetry with
-    this at end of run. *)
+    per-actor histograms; the whole-program totals sum them with this. *)
 
 val iter : t -> (lo:int -> hi:int -> count:int -> unit) -> unit
 (** Visit every non-empty bucket in increasing value order; [lo..hi] is the

@@ -27,24 +27,18 @@ let sync_point_for rt ~n ~prebuilt ~warm i m () =
         Atomic.get prebuilt = n);
     ignore (Runtime.collect_and_wait rt m ~full:true : Gc_stats.cycle);
     Gc_stats.reset (Runtime.stats rt);
-    Cost.reset (Runtime.cost rt);
-    Telemetry.reset (Runtime.telemetry rt);
+    (* The other threads are parked at this barrier (cooperating, not
+       allocating) and the crew's helpers between cycles, so every ledger
+       is quiescent enough to reset: warmup-lap work must not leak into
+       the measured lap.  On domains the cooperate polls the parked
+       threads keep issuing can lose a count or two into their freshly
+       reset ledgers — measurement noise, bounded by the barrier
+       window. *)
+    State.reset_ledgers st;
     Sampler.reset (Runtime.sampler rt);
     Heap.reset_allocation_stats (Runtime.heap rt);
     if st.State.parallel then begin
-      (* The other threads are parked at this barrier (cooperating, not
-         allocating), so their ledgers and cache counters are quiescent
-         enough to reset: warmup-lap work must not leak into the measured
-         lap.  The cooperate polls they keep issuing while parked can
-         lose a count or two into the freshly reset ledgers — measurement
-         noise, bounded by the barrier window. *)
-      State.iter_mutators st (fun m' ->
-          (match Mutator.own_cost m' with
-          | Some c -> Cost.reset c
-          | None -> ());
-          match Mutator.own_telemetry m' with
-          | Some tl -> Telemetry.reset tl
-          | None -> ());
+      (* cache counters: the same quiescence argument *)
       State.lock_heap st;
       State.iter_mutators st (fun m' ->
           ignore (Alloc_cache.take_pending (Mutator.cache m') : int * int));
@@ -157,11 +151,9 @@ let run_domains ~heap ~seed ~scale ~instrument ~observer ~gc ~gc_workers
     Parallel.spawn par ~daemon:true ~name:(Printf.sprintf "gc-worker-%d" wid)
       (fun () -> Runtime.gc_worker_loop rt wid)
   done;
-  let muts = ref [] in
   for i = 0 to n - 1 do
     let name = Printf.sprintf "%s-t%d" profile.Profile.name i in
     let m = Runtime.new_mutator rt ~name () in
-    muts := m :: !muts;
     let rng = Rng.split master in
     Parallel.spawn par ~name (fun () ->
         Engine.run_thread rt m rng ~profile ~quota
@@ -172,24 +164,6 @@ let run_domains ~heap ~seed ~scale ~instrument ~observer ~gc ~gc_workers
   Parallel.run par;
   Substrate.set_current Substrate.Sim;
   (match observer with Some o -> Observer.stop o | None -> ());
-  (* Move the per-mutator ledgers into the shared ones, so Run_result
-     sees whole-program work as it does under the simulator, and a
-     [Metrics_snapshot.take] (shared plus own ledgers) still counts each
-     unit once.  [Gc_par.merge_ledgers] does the same for the crew's
-     helpers at every cycle end. *)
-  List.iter
-    (fun m ->
-      (match Mutator.own_cost m with
-      | Some c ->
-          Cost.merge_into ~src:c ~dst:(Runtime.cost rt);
-          Cost.reset c
-      | None -> ());
-      match Mutator.own_telemetry m with
-      | Some tl ->
-          Telemetry.merge_into ~src:tl ~dst:(Runtime.telemetry rt);
-          Telemetry.reset tl
-      | None -> ())
-    !muts;
   (Run_result.of_runtime ~workload:profile.Profile.name rt, rt)
 
 let run_rt ?(heap = default_heap) ?(seed = 42) ?(scale = 1.0)

@@ -54,10 +54,11 @@ val run_rt :
     domains substrate only ([Invalid_argument] on [Sim]).  [observer], domains
     only, is launched right after [instrument] and stopped at quiescence,
     so its final snapshot equals the post-run totals exactly (see
-    {!Otfgc_metrics.Observer}).  A domains run ends by moving each
-    mutator's own cost and telemetry ledgers into the shared ones
-    (merged, then reset), so {!Otfgc_metrics.Metrics_snapshot.take} on
-    the returned runtime equals the observer's final snapshot.  Note the warmup
+    {!Otfgc_metrics.Observer}): {!Otfgc_metrics.Metrics_snapshot.take}
+    on the returned runtime reads the same fold of every actor's ledger
+    ({!Otfgc.State.totals}).  {!Otfgc.Runtime.cost} and
+    {!Otfgc.Runtime.telemetry} are crew worker 0's ledger alone, which
+    on domains leaves out the mutators' work.  Note the warmup
     reset happens mid-run: observer counters are monotone only from the
     first post-warmup snapshot on. *)
 

@@ -187,8 +187,15 @@ let test_gc_config () =
 (* Mutator                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A mutator outside any runtime still charges a ledger. *)
+let scratch_ledger () =
+  Ledger.create
+    (Heap.layout
+       (Heap.create
+          { Heap.initial_bytes = 4096; max_bytes = 4096; card_size = 16 }))
+
 let test_mutator_registers_and_stack () =
-  let m = Mutator.create ~id:3 ~name:"t" ~n_regs:4 in
+  let m = Mutator.create ~id:3 ~name:"t" ~n_regs:4 (scratch_ledger ()) in
   check_int "id" 3 (Mutator.id m);
   check_int "regs" 4 (Mutator.n_regs m);
   check_int "fresh reg is nil" Heap.nil (Mutator.get_reg m 0);
@@ -205,13 +212,13 @@ let test_mutator_registers_and_stack () =
   Mutator.clear_reg m 0;
   check_int "cleared" Heap.nil (Mutator.get_reg m 0);
   check "pop empty raises" true
-    (let m2 = Mutator.create ~id:0 ~name:"e" ~n_regs:1 in
+    (let m2 = Mutator.create ~id:0 ~name:"e" ~n_regs:1 (scratch_ledger ()) in
      match Mutator.pop m2 with
      | _ -> false
      | exception Invalid_argument _ -> true)
 
 let test_mutator_stack_growth () =
-  let m = Mutator.create ~id:0 ~name:"g" ~n_regs:1 in
+  let m = Mutator.create ~id:0 ~name:"g" ~n_regs:1 (scratch_ledger ()) in
   for i = 1 to 100 do
     Mutator.push m (i * 16)
   done;
@@ -221,7 +228,7 @@ let test_mutator_stack_growth () =
   done
 
 let test_mutator_retire () =
-  let m = Mutator.create ~id:0 ~name:"r" ~n_regs:1 in
+  let m = Mutator.create ~id:0 ~name:"r" ~n_regs:1 (scratch_ledger ()) in
   check "active" true (Mutator.active m);
   Mutator.retire m;
   check "retired" false (Mutator.active m)
@@ -235,7 +242,7 @@ let test_oracle_reachability () =
     Heap.create { Heap.initial_bytes = 4096; max_bytes = 4096; card_size = 16 }
   in
   let st = State.create heap (Gc_config.generational ()) in
-  let m = Mutator.create ~id:0 ~name:"m" ~n_regs:2 in
+  let m = Mutator.create ~id:0 ~name:"m" ~n_regs:2 st.State.ledger in
   State.register_mutator st m;
   let a = Option.get (Heap.alloc heap ~size:32 ~n_slots:1 ~color:Color.C0) in
   let b = Option.get (Heap.alloc heap ~size:32 ~n_slots:1 ~color:Color.C0) in
@@ -394,7 +401,10 @@ let build_graph g =
     (fun i s -> Array.iteri (fun j t -> Heap.set_slot heap addrs.(i) j (value t)) s)
     g.slots;
   let mutator id roots =
-    let m = Mutator.create ~id ~name:"m" ~n_regs:(max 1 (List.length roots)) in
+    let m =
+      Mutator.create ~id ~name:"m" ~n_regs:(max 1 (List.length roots))
+        st.State.ledger
+    in
     List.iteri (fun i t -> Mutator.set_reg m i (value t)) roots;
     State.register_mutator st m;
     m
@@ -434,7 +444,7 @@ let test_oracle_dangling_roots () =
       Heap.create { Heap.initial_bytes = bytes; max_bytes = bytes; card_size = 16 }
     in
     let st = State.create heap (Gc_config.generational ()) in
-    let m = Mutator.create ~id:0 ~name:"m" ~n_regs:2 in
+    let m = Mutator.create ~id:0 ~name:"m" ~n_regs:2 st.State.ledger in
     State.register_mutator st m;
     let a = Option.get (Heap.alloc heap ~size:32 ~n_slots:1 ~color:Color.C0) in
     Mutator.set_reg m 0 a;

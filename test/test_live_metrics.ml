@@ -5,8 +5,7 @@
    The load-bearing property is exactness at quiescence: the observer's
    final snapshot, taken once the domains run has quiesced, must equal
    the post-run Gc_stats/Telemetry totals exactly, and so must a
-   snapshot taken after the driver has moved the per-mutator ledgers
-   into the shared ones. *)
+   snapshot taken after the run. *)
 
 open Otfgc
 module Heap = Otfgc_heap.Heap
@@ -194,47 +193,58 @@ let run_with_observer ~every_ms =
   in
   (obs, rt, om, jsonl)
 
+(* A snapshot's whole-run totals against a hand sum, made without the
+   ledger fold: the shared ledger (crew worker 0's, the whole crew here)
+   plus each mutator's own. *)
+let check_hand_sum rt (snap : Metrics_snapshot.t) =
+  let mutators = State.mutators (Runtime.state rt) in
+  let costs = Runtime.cost rt :: List.filter_map Mutator.own_cost mutators in
+  let tels =
+    Runtime.telemetry rt :: List.filter_map Mutator.own_telemetry mutators
+  in
+  let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs in
+  let stats = Runtime.stats rt in
+  check "mutators charged ledgers of their own" true (List.length costs > 1);
+  check_int "mutator work exact" (sum Cost.mutator_work costs)
+    snap.Metrics_snapshot.mutator_work;
+  check_int "collector work exact" (sum Cost.collector_work costs)
+    snap.Metrics_snapshot.collector_work;
+  check_int "stall work exact" (sum Cost.stall_work costs)
+    snap.Metrics_snapshot.stall_work;
+  List.iter
+    (fun p ->
+      check_int
+        ("phase work exact: " ^ Cost.phase_name p)
+        (sum (fun c -> Cost.phase_work c p) costs)
+        (List.assoc
+           (Metrics_snapshot.metric_name_of_phase p)
+           snap.Metrics_snapshot.phase_work))
+    Cost.phases;
+  check_int "barrier updates exact" (sum Telemetry.barrier_updates tels)
+    snap.Metrics_snapshot.barrier_updates;
+  check_int "handshake acks exact" (sum Telemetry.handshake_acks tels)
+    snap.Metrics_snapshot.handshake_acks;
+  check_int "card marks exact" (sum Telemetry.card_marks tels)
+    snap.Metrics_snapshot.card_marks;
+  check_int "stalls exact" (sum Telemetry.stalls tels)
+    snap.Metrics_snapshot.stalls;
+  check_int "partial cycles exact"
+    (Gc_stats.n_completed_of stats Gc_stats.Partial)
+    snap.Metrics_snapshot.cycles_partial;
+  check_int "full cycles exact" (Gc_stats.n_completed_of stats Gc_stats.Full)
+    snap.Metrics_snapshot.cycles_full;
+  check_int "freed bytes exact" (Gc_stats.live_bytes_freed stats)
+    snap.Metrics_snapshot.gc_bytes_freed;
+  check_int "promotions aggregate exact" (Gc_stats.live_promotions stats)
+    snap.Metrics_snapshot.gc_promotions
+
 let test_observer_final_exact () =
   let obs, rt, om, jsonl = run_with_observer ~every_ms:5. in
   let snaps = Observer.snapshots obs in
   check "snapshots taken" true (snaps <> []);
   let final = List.nth snaps (List.length snaps - 1) in
-  (* after Driver's ledger fold the shared ledgers hold the whole-run
-     totals; the final snapshot (taken at quiescence, summing shared +
-     own) must equal them exactly *)
-  let cost = Runtime.cost rt in
-  let tel = Runtime.telemetry rt in
-  let stats = Runtime.stats rt in
-  check_int "mutator work exact" (Cost.mutator_work cost)
-    final.Metrics_snapshot.mutator_work;
-  check_int "collector work exact" (Cost.collector_work cost)
-    final.Metrics_snapshot.collector_work;
-  check_int "stall work exact" (Cost.stall_work cost)
-    final.Metrics_snapshot.stall_work;
-  List.iter
-    (fun p ->
-      check_int
-        ("phase work exact: " ^ Cost.phase_name p)
-        (Cost.phase_work cost p)
-        (List.assoc
-           (Metrics_snapshot.metric_name_of_phase p)
-           final.Metrics_snapshot.phase_work))
-    Cost.phases;
-  check_int "barrier updates exact" (Telemetry.barrier_updates tel)
-    final.Metrics_snapshot.barrier_updates;
-  check_int "handshake acks exact" (Telemetry.handshake_acks tel)
-    final.Metrics_snapshot.handshake_acks;
-  check_int "card marks exact" (Telemetry.card_marks tel)
-    final.Metrics_snapshot.card_marks;
-  check_int "partial cycles exact"
-    (Gc_stats.n_completed_of stats Gc_stats.Partial)
-    final.Metrics_snapshot.cycles_partial;
-  check_int "full cycles exact" (Gc_stats.n_completed_of stats Gc_stats.Full)
-    final.Metrics_snapshot.cycles_full;
-  check_int "freed bytes exact" (Gc_stats.live_bytes_freed stats)
-    final.Metrics_snapshot.gc_bytes_freed;
-  check_int "promotions aggregate exact" (Gc_stats.live_promotions stats)
-    final.Metrics_snapshot.gc_promotions;
+  (* the final snapshot is taken at quiescence, so it is exact *)
+  check_hand_sum rt final;
   (* seq numbering is dense *)
   List.iteri
     (fun i s -> check_int "dense seq" i s.Metrics_snapshot.seq)
@@ -256,14 +266,15 @@ let test_observer_final_exact () =
   Sys.remove om;
   Sys.remove jsonl
 
-(* Driver moves (merges, then resets) each mutator's own ledgers into
-   the shared ones after the run, so a snapshot taken then counts every
-   unit once and equals the observer's final one. *)
+(* Nothing moves or resets a ledger after the run, so a snapshot taken
+   then counts every unit once, as the hand sum does, and equals the
+   observer's final one. *)
 let test_take_after_run_exact () =
   let obs, rt, om, jsonl = run_with_observer ~every_ms:60_000. in
   let snaps = Observer.snapshots obs in
   let final = List.nth snaps (List.length snaps - 1) in
   let after = Metrics_snapshot.take (Runtime.state rt) in
+  check_hand_sum rt after;
   Alcotest.(check (list (pair string int)))
     "take after the run = the observer's final snapshot"
     (Metrics_snapshot.counters final)

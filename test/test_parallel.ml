@@ -253,7 +253,7 @@ let on_domains ?gc_config ?(gc_workers = 1) ~heap_bytes body =
   Option.get !result
 
 (* [pages_touched] must be exact, not approximate, at every crew width:
-   the per-worker touched-page sets merged at cycle end must union to the
+   the per-worker touched-page sets read at cycle end must union to the
    set worker 0 computes alone at width 1.  To compare across widths the heap
    snapshot each cycle sees must be identical, so the single mutator only
    requests collections from quiescent points — it parks in
@@ -368,8 +368,55 @@ let test_domains_out_of_memory () =
   in
   Alcotest.(check bool) "raises Out_of_memory" true raised
 
+(* ------------------------------------------------------------------ *)
+(* Whole-program totals on the domains substrate                       *)
+(* ------------------------------------------------------------------ *)
+
+(* On domains each mutator charges a ledger of its own, so a reader of
+   the shared ledger alone sees none of the mutators' work.  The
+   cycle-end progress sample and the census's [stalls] column must read
+   the fold over every ledger: progress while a cycle runs is nonzero,
+   and the census rows taken during the quiescent finale count every
+   stall the snapshot does. *)
+let test_totals_reach_cycle_and_census () =
+  let _, rt =
+    with_deadline ~seconds:120.0 ~what:"domains totals" (fun () ->
+        Driver.run_rt ~seed:42 ~scale:0.05 ~substrate:Substrate.Domains
+          ~threads:2
+          ~instrument:(fun rt ->
+            Otfgc.Telemetry.set_enabled (Runtime.telemetry rt) true;
+            Otfgc.Sampler.configure (Runtime.sampler rt) ~every:500)
+          ~gc:(Otfgc.Gc_config.generational ()) Profile.anagram)
+  in
+  let snap = Otfgc_metrics.Metrics_snapshot.take (Runtime.state rt) in
+  let progress = snap.Otfgc_metrics.Metrics_snapshot.cycle_progress in
+  Alcotest.(check bool) "cycles sampled progress" true (progress.count > 0);
+  Alcotest.(check bool) "mutators progress while a cycle runs" true
+    (progress.max > 0);
+  let ts = Otfgc.Sampler.series (Runtime.sampler rt) in
+  let census_stalls = ref 0 in
+  for row = 0 to Otfgc_support.Timeseries.length ts - 1 do
+    census_stalls :=
+      max !census_stalls
+        (Otfgc_support.Timeseries.get ts ~col:Otfgc.Sampler.i_stalls ~row)
+  done;
+  Alcotest.(check int) "census stalls reach the snapshot's"
+    snap.Otfgc_metrics.Metrics_snapshot.stalls !census_stalls;
+  (* the stall latencies are recorded on the mutators' own ledgers:
+     post-run readers of the totals (the speedup sweep's stall and SLO
+     columns) must see them *)
+  let tel = (Otfgc.State.totals (Runtime.state rt)).Otfgc.Ledger.tel in
+  if Otfgc.Telemetry.stalls tel > 0 then
+    Alcotest.(check bool) "totals carry the stall latencies" true
+      (Otfgc_support.Histogram.count (Otfgc.Telemetry.stall_latency tel) > 0)
+
 let suites =
   [
+    ( "domains.totals",
+      [
+        Alcotest.test_case "cycle progress and census stalls" `Quick
+          test_totals_reach_cycle_and_census;
+      ] );
     ( "domains.stall",
       [
         Alcotest.test_case "stalls end mid-cycle" `Quick
