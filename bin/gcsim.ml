@@ -16,11 +16,10 @@ module Lab = Otfgc_experiments.Lab
 module Registry = Otfgc_experiments.Registry
 module Textable = Otfgc_support.Textable
 module Json = Otfgc_support.Json
-module Metrics_snapshot = Otfgc_metrics.Metrics_snapshot
+module Metrics_snapshot = Otfgc.Metrics_snapshot
 module Contention = Otfgc_metrics.Contention
 module Trace_export = Otfgc_metrics.Trace_export
 module Report = Otfgc_metrics.Report
-module Timeseries = Otfgc_support.Timeseries
 module Observer = Otfgc_metrics.Observer
 module Openmetrics = Otfgc_metrics.Openmetrics
 
@@ -121,12 +120,19 @@ let parse_mode ~young s =
 
 let ( let* ) = Result.bind
 
-(* The end of every subcommand body: bad input is one line on stderr
-   and exit status 1, never an uncaught exception. *)
-let exit_code = function
+(* Every subcommand body runs under this: bad input, or a live set
+   that outgrows the heap, is one line on stderr and exit status 1,
+   never an uncaught exception. *)
+let exit_code body =
+  match body () with
   | Ok code -> code
   | Error (`Msg m) ->
       prerr_endline m;
+      1
+  | exception Otfgc.Runtime.Out_of_memory ->
+      Printf.eprintf
+        "out of memory: the live set outgrew the %d KiB heap maximum\n"
+        (Driver.default_heap.Heap.max_bytes / 1024);
       1
 
 let require cond msg = if cond then Ok () else Error (`Msg msg)
@@ -188,10 +194,11 @@ let trace_out_arg =
 
 let sample_every_arg ~default =
   let doc =
-    "Arm the heap observatory: take a census row (per-color occupancy, \
-     generation sizes, freelist/card/gray state, floating garbage) every \
-     $(docv) simulated cost units; 0 disarms.  Sampling is out of band — \
-     it charges no cost and cannot change the run."
+    "Arm the heap observatory: take a row (the run summary's counters \
+     and gauges, plus a census: per-color occupancy, generation sizes, \
+     remset size, floating garbage) every $(docv) simulated cost units; 0 \
+     disarms.  Simulator only.  Sampling is out of band — it charges no \
+     cost and cannot change the run."
   in
   Arg.(value & opt int default & info [ "sample-every" ] ~docv:"UNITS" ~doc)
 
@@ -245,7 +252,7 @@ let write_trace rt ~workload path =
 
 (* The run summary: every report of a finished run projects this one
    end-of-run snapshot. *)
-let summary rt = Metrics_snapshot.take (Otfgc.Runtime.state rt)
+let summary rt = Otfgc.Observatory.take (Otfgc.Runtime.state rt)
 
 (* The JSON summary: the snapshot led by the run's identity and, when
    the flight recorder was armed, its contention profile. *)
@@ -325,7 +332,7 @@ let run_cmd =
       trace telemetry trace_out sample_every metrics_every_ms metrics_out live
       =
     exit_code
-    @@
+    @@ fun () ->
     let* profile, gc, heap = setup ~workload ~mode ~card ~young ~scale in
     let* substrate = parse_substrate substrate in
     let* () = check_mutators mutators in
@@ -335,6 +342,12 @@ let run_cmd =
         ((metrics_every_ms <= 0. && not live)
         || substrate = Otfgc_sched.Substrate.Domains)
         "--metrics-every-ms / --live require --substrate domains"
+    in
+    let* () =
+      require
+        (sample_every <= 0 || substrate = Otfgc_sched.Substrate.Sim)
+        "--sample-every requires --substrate sim (the census walks the heap); \
+         on domains sample with --metrics-every-ms"
     in
     let observer =
       if metrics_every_ms > 0. || live then
@@ -365,9 +378,9 @@ let run_cmd =
         ?observer ~gc profile
     in
     (match observer with
-    | Some o ->
+    | Some _ ->
         Printf.printf "metrics: %d snapshot(s) -> %s.om (OpenMetrics), %s.jsonl\n"
-          (List.length (Observer.snapshots o))
+          (Otfgc.Sampler.length (Otfgc.Runtime.sampler rt))
           metrics_out metrics_out
     | None -> ());
     if substrate = Otfgc_sched.Substrate.Domains then
@@ -391,7 +404,7 @@ let run_cmd =
       Printf.printf
         "observatory: %d census rows sampled (export with 'gcsim census' or \
          render with 'gcsim report')\n"
-        (Timeseries.length (Otfgc.Sampler.series (Otfgc.Runtime.sampler rt)));
+        (Otfgc.Sampler.length (Otfgc.Runtime.sampler rt));
     Option.iter (write_trace rt ~workload:profile.Profile.name) trace_out;
     Ok 0
   in
@@ -411,7 +424,7 @@ let run_cmd =
 let compare_cmd =
   let run workload mode card young scale seed telemetry trace_out =
     exit_code
-    @@
+    @@ fun () ->
     let* profile, gc, heap = setup ~workload ~mode ~card ~young ~scale in
     let instrument = instrument_for ~trace:false ~telemetry ~trace_out in
     let cand, cand_rt =
@@ -462,7 +475,7 @@ let stats_cmd =
   let run workload mode card young scale seed substrate mutators gc_workers
       format =
     exit_code
-    @@
+    @@ fun () ->
     let* profile, gc, heap = setup ~workload ~mode ~card ~young ~scale in
     let* substrate = parse_substrate substrate in
     let* () = check_mutators mutators in
@@ -542,16 +555,9 @@ let out_arg ~what =
   Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
 
 let census_cmd =
-  let format_arg =
-    let doc = "Output format: csv (one line per sample) or json (columnar)." in
-    Arg.(
-      value
-      & opt (enum [ ("csv", `Csv); ("json", `Json) ]) `Csv
-      & info [ "format" ] ~doc)
-  in
-  let run workload mode card young scale seed sample_every format out =
+  let run workload mode card young scale seed sample_every out =
     exit_code
-    @@
+    @@ fun () ->
     let* profile, gc, heap = setup ~workload ~mode ~card ~young ~scale in
     let* () =
       require (sample_every > 0) "--sample-every must be positive for a census"
@@ -563,13 +569,14 @@ let census_cmd =
              ~sample_every)
         ~gc profile
     in
-    (* close the series with the end-of-run heap state *)
+    (* close the rows with the end-of-run heap state *)
     Otfgc.Observatory.sample_now (Otfgc.Runtime.state rt);
-    let series = Otfgc.Sampler.series (Otfgc.Runtime.sampler rt) in
+    let store = Otfgc.Runtime.sampler rt in
     let contents =
-      match format with
-      | `Csv -> Timeseries.to_csv series
-      | `Json -> Json.to_string (Timeseries.to_json series) ^ "\n"
+      String.concat ""
+        (List.map
+           (fun row -> Json.to_string (Metrics_snapshot.to_json row) ^ "\n")
+           (Otfgc.Sampler.rows store))
     in
     (match out with
     | None -> print_string contents
@@ -578,21 +585,22 @@ let census_cmd =
         output_string oc contents;
         close_out oc;
         Printf.printf "census written to %s (%d samples)\n" path
-          (Timeseries.length series));
+          (Otfgc.Sampler.length store));
     Ok 0
   in
   Cmd.v
     (Cmd.info "census"
        ~doc:
-         "Run one workload with the heap observatory armed and dump the \
-          census time series (per-color occupancy, generation sizes, \
-          freelist/card/gray state, floating garbage) as CSV or JSON.")
+         "Run one workload with the heap observatory armed and write its \
+          rows as JSONL, one per line, in the shape of the observer's \
+          .jsonl: the run summary's counters and gauges plus a census \
+          object (per-color occupancy, generation sizes, remset size, \
+          floating garbage).")
     Term.(
       const run $ workload_arg $ mode_arg $ card_arg $ young_arg $ scale_arg
       $ seed_arg
       $ sample_every_arg ~default:20_000
-      $ format_arg
-      $ out_arg ~what:"census series")
+      $ out_arg ~what:"census rows")
 
 (* ------------------------------------------------------------------ *)
 (* gcsim report                                                        *)
@@ -606,7 +614,7 @@ let report_cmd =
   in
   let run workload mode card young scale seed sample_every out =
     exit_code
-    @@
+    @@ fun () ->
     let* profile, gc, heap = setup ~workload ~mode ~card ~young ~scale in
     let* () =
       require (sample_every > 0) "--sample-every must be positive for a report"
@@ -627,7 +635,7 @@ let report_cmd =
     write_file out html;
     warn_if_dropped rt;
     Printf.printf "report written to %s (%d samples)\n" out
-      (Timeseries.length (Otfgc.Sampler.series (Otfgc.Runtime.sampler rt)));
+      (Otfgc.Sampler.length (Otfgc.Runtime.sampler rt));
     Ok 0
   in
   Cmd.v
@@ -734,7 +742,7 @@ let fig_cmd =
   in
   let run ids scale seed jobs no_cache json_out =
     exit_code
-    @@
+    @@ fun () ->
     let* () = check_scale scale in
     let entries =
       if ids = [] then Registry.all

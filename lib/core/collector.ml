@@ -336,9 +336,8 @@ let switch_allocation_clear_colors st =
    whole-program totals ([State.totals]).  Per-cycle statistics go to
    the worker's partial counters, folded into the cycle record at each
    phase barrier.  [Observatory] census sampling needs a
-   quiescent heap walk: the simulator samples at worker 0's pacing
-   charges, the domains substrate at phase boundaries
-   ([Observatory.phase_sample]). *)
+   quiescent heap walk, so only the simulator takes it, at worker 0's
+   pacing charges. *)
 
 (* Pacing charge: worker 0 charges through [charge_tick]; a helper
    charges its own ledger (its own domain is paced by the hardware,
@@ -982,7 +981,6 @@ let run_cycle st ~full =
     (fun w -> Page_set.reset w.Gc_par.ledger.pages)
     st.par.Gc_par.workers;
   Gray_queue.clear st.gray;
-  Observatory.phase_sample st;
   let totals0 = (State.totals st).cost in
   let work0 = Cost.collector_work totals0 in
   let elapsed0 = Cost.elapsed_multi totals0 in
@@ -1026,7 +1024,6 @@ let run_cycle st ~full =
       end);
   wait_handshake st;
   census st cycle;
-  Observatory.phase_sample st;
   Atomic.set st.tracing true;
   let trace_t0 = fnow () in
   post_handshake st Status.Async;
@@ -1043,7 +1040,6 @@ let run_cycle st ~full =
   cycle.Gc_stats.trace_workers <- st.par.Gc_par.n_workers;
   run_phase st cycle Gc_par.Trace;
   fspan Flight_recorder.Phase ~a:2 ~b:cycle.Gc_stats.objects_traced trace_t0;
-  Observatory.phase_sample st;
   Telemetry.note_trace_workers st.ledger.tel cycle.Gc_stats.trace_workers;
   (* [sweeping] is raised before [tracing] drops so the non-generational
      create color never observes a gap between the two phases (a clear
@@ -1056,7 +1052,6 @@ let run_cycle st ~full =
   compute_sweep_bounds st;
   run_phase st cycle Gc_par.Sweep;
   fspan Flight_recorder.Phase ~a:3 ~b:cycle.Gc_stats.objects_freed sweep_t0;
-  Observatory.phase_sample st;
   Telemetry.add_promotions st.ledger.tel cycle.Gc_stats.promotions;
   if cycle.Gc_stats.promotions > 0 then
     note st Flight_recorder.Promoted ~a:cycle.Gc_stats.promotions;

@@ -5,8 +5,79 @@ module Card_table = Otfgc_heap.Card_table
 module Age_table = Otfgc_heap.Age_table
 module Remset = Otfgc_heap.Remset
 module Freelist = Otfgc_heap.Freelist
-module Timeseries = Otfgc_support.Timeseries
+module Histogram = Otfgc_support.Histogram
 open State
+
+let handshake_statuses = [ Status.Sync1; Status.Sync2; Status.Async ]
+
+let take ?(seq = 0) ?(at_ms = 0.) st =
+  let { Ledger.cost; tel; _ } = State.totals st in
+  let heap = st.heap in
+  let stats = st.stats in
+  let fl = Heap.freelist heap in
+  let hist_of = Metrics_snapshot.hist_of in
+  let handshakes = List.map (Telemetry.handshake_latency tel) handshake_statuses in
+  {
+    Metrics_snapshot.seq;
+    at_ms;
+    barrier_updates = Telemetry.barrier_updates tel;
+    yellow_fires = Telemetry.yellow_fires tel;
+    promotions = Telemetry.promotions tel;
+    dirty_card_finds = Telemetry.dirty_card_finds tel;
+    handshake_acks = Telemetry.handshake_acks tel;
+    stalls = Telemetry.stalls tel;
+    card_marks = Telemetry.card_marks tel;
+    remset_records = Telemetry.remset_records tel;
+    steals = Telemetry.steals tel;
+    steal_failures = Telemetry.steal_failures tel;
+    lock_waits = Telemetry.lock_waits_total tel;
+    lock_waits_by_class =
+      Array.to_list (Telemetry.lock_waits tel)
+      |> List.mapi (fun cls n -> (cls, n))
+      |> List.filter (fun (_, n) -> n > 0);
+    trace_workers = Telemetry.trace_workers tel;
+    events_logged = Flight_recorder.length st.recorder;
+    events_dropped = Flight_recorder.dropped st.recorder;
+    mutator_work = Cost.mutator_work cost;
+    collector_work = Cost.collector_work cost;
+    stall_work = Cost.stall_work cost;
+    phase_work =
+      List.map
+        (fun p -> (Metrics_snapshot.metric_name_of_phase p, Cost.phase_work cost p))
+        Cost.phases;
+    category_work =
+      List.map
+        (fun c -> (Cost.category_name c, Cost.category_work cost c))
+        Cost.categories;
+    cycles_partial = Gc_stats.n_completed_of stats Gc_stats.Partial;
+    cycles_full = Gc_stats.n_completed_of stats Gc_stats.Full;
+    cycles_non_gen = Gc_stats.n_completed_of stats Gc_stats.Non_gen;
+    gc_bytes_freed = Gc_stats.live_bytes_freed stats;
+    gc_objects_freed = Gc_stats.live_objects_freed stats;
+    gc_promotions = Gc_stats.live_promotions stats;
+    phase = Cost.phase_name (Cost.current_phase st.ledger.cost);
+    heap_capacity = Heap.capacity heap;
+    heap_allocated_bytes = Heap.allocated_bytes heap;
+    total_alloc_bytes = Heap.total_allocated_bytes heap;
+    total_alloc_objects = Heap.total_allocated_objects heap;
+    young_bytes = Atomic.get st.bytes_since_gc;
+    dirty_cards = Card_table.dirty_count (Heap.cards heap);
+    gray_depth = Gray_queue.size st.gray;
+    freelist_entries = Freelist.entry_count fl;
+    freelist_stale = Freelist.stale_entries fl;
+    flight_drops = Flight_recorder.dropped st.recorder;
+    active_mutators = State.count_active_mutators st;
+    time_unit = (if st.parallel then "us" else "units");
+    handshake_latency =
+      List.map2
+        (fun s h -> (Status.to_string s, hist_of h))
+        handshake_statuses handshakes;
+    stall_latency = hist_of (Telemetry.stall_latency tel);
+    cycle_progress = hist_of (Telemetry.cycle_progress tel);
+    slo_handshake =
+      hist_of (List.fold_left Histogram.merge (Histogram.create ()) handshakes);
+    census = None;
+  }
 
 (* Generation membership for the census.  Promotion is a color-table
    fact for the simple policy (old = black, see Collector.is_old) and an
@@ -22,130 +93,62 @@ let is_old st x =
   | Gc_config.Generational_aging _ | Gc_config.Generational_adaptive ->
       Age_table.get (Heap.ages st.heap) x = 255
 
-(* One census row.  Out of band by construction: reads only — no cost
-   charges, no page touches, no scheduling points — so a run with
-   sampling armed is step-for-step identical to one without. *)
-let sample st ~now =
-  let s = st.sampler in
-  s.Sampler.next_at <- now + s.Sampler.every;
+(* One walk of the blocks, binned by colour (blue, c0, c1, gray, black),
+   by generation (young, old), plus the oracle's floating garbage. *)
+let census st =
   let heap = st.heap in
-  let space = Heap.space heap in
-  let ts = s.Sampler.series in
-  let blue_n = ref 0
-  and blue_b = ref 0
-  and c0_n = ref 0
-  and c0_b = ref 0
-  and c1_n = ref 0
-  and c1_b = ref 0
-  and gray_n = ref 0
-  and gray_b = ref 0
-  and black_n = ref 0
-  and black_b = ref 0
-  and young_n = ref 0
-  and young_b = ref 0
-  and old_n = ref 0
-  and old_b = ref 0 in
-  Space.iter_blocks space (fun addr kind size ->
+  let objects = Array.make 8 0 and bytes = Array.make 8 0 in
+  let add i size =
+    objects.(i) <- objects.(i) + 1;
+    bytes.(i) <- bytes.(i) + size
+  in
+  Space.iter_blocks (Heap.space heap) (fun addr kind size ->
       match kind with
       | Space.Free ->
           (* the color table byte under a free block's header can be a
              stale remnant of a split — the block kind is authoritative *)
-          incr blue_n;
-          blue_b := !blue_b + size
+          add 0 size
       | Space.Allocated ->
-          (match Heap.color heap addr with
-          | Color.Blue ->
-              incr blue_n;
-              blue_b := !blue_b + size
-          | Color.C0 ->
-              incr c0_n;
-              c0_b := !c0_b + size
-          | Color.C1 ->
-              incr c1_n;
-              c1_b := !c1_b + size
-          | Color.Gray ->
-              incr gray_n;
-              gray_b := !gray_b + size
-          | Color.Black ->
-              incr black_n;
-              black_b := !black_b + size);
-          if is_old st addr then begin
-            incr old_n;
-            old_b := !old_b + size
-          end
-          else begin
-            incr young_n;
-            young_b := !young_b + size
-          end);
-  let floating_n = ref 0 and floating_b = ref 0 in
-  (* no oracle under real domains: mutators keep running, so there is no
-     consistent reachability snapshot mid-run (the driver runs the
-     oracle at quiescence instead) *)
-  if s.Sampler.oracle && not st.parallel then
-    Oracle.iter_garbage st (fun x ->
-        incr floating_n;
-        floating_b := !floating_b + Heap.size heap x);
-  let fl = Heap.freelist heap in
-  Timeseries.set ts Sampler.i_at now;
-  Timeseries.set ts Sampler.i_phase
-    (Cost.phase_index (Cost.current_phase st.ledger.cost));
-  Timeseries.set ts Sampler.i_collecting
-    (if Atomic.get st.collecting then 1 else 0);
-  Timeseries.set ts Sampler.i_capacity (Heap.capacity heap);
-  Timeseries.set ts Sampler.i_allocated_bytes (Heap.allocated_bytes heap);
-  Timeseries.set ts Sampler.i_blue_blocks !blue_n;
-  Timeseries.set ts Sampler.i_blue_bytes !blue_b;
-  Timeseries.set ts Sampler.i_c0_objects !c0_n;
-  Timeseries.set ts Sampler.i_c0_bytes !c0_b;
-  Timeseries.set ts Sampler.i_c1_objects !c1_n;
-  Timeseries.set ts Sampler.i_c1_bytes !c1_b;
-  Timeseries.set ts Sampler.i_gray_objects !gray_n;
-  Timeseries.set ts Sampler.i_gray_bytes !gray_b;
-  Timeseries.set ts Sampler.i_black_objects !black_n;
-  Timeseries.set ts Sampler.i_black_bytes !black_b;
-  Timeseries.set ts Sampler.i_young_objects !young_n;
-  Timeseries.set ts Sampler.i_young_bytes !young_b;
-  Timeseries.set ts Sampler.i_old_objects !old_n;
-  Timeseries.set ts Sampler.i_old_bytes !old_b;
-  Timeseries.set ts Sampler.i_freelist_entries (Freelist.entry_count fl);
-  Timeseries.set ts Sampler.i_freelist_stale (Freelist.stale_entries fl);
-  Timeseries.set ts Sampler.i_dirty_cards
-    (Card_table.dirty_count (Heap.cards heap));
-  Timeseries.set ts Sampler.i_gray_depth (Gray_queue.size st.gray);
-  Timeseries.set ts Sampler.i_remset_entries (Remset.size (Heap.remset heap));
-  Timeseries.set ts Sampler.i_floating_objects !floating_n;
-  Timeseries.set ts Sampler.i_floating_bytes !floating_b;
-  let tel = (State.totals st).tel in
-  Timeseries.set ts Sampler.i_promotions (Telemetry.promotions tel);
-  Timeseries.set ts Sampler.i_stalls (Telemetry.stalls tel);
-  Timeseries.commit ts
+          add
+            (match Heap.color heap addr with
+            | Color.Blue -> 0
+            | Color.C0 -> 1
+            | Color.C1 -> 2
+            | Color.Gray -> 3
+            | Color.Black -> 4)
+            size;
+          add (if is_old st addr then 6 else 5) size);
+  Oracle.iter_garbage st (fun x -> add 7 (Heap.size heap x));
+  let tally i = { Metrics_snapshot.objects = objects.(i); bytes = bytes.(i) } in
+  {
+    Metrics_snapshot.blue = tally 0;
+    c0 = tally 1;
+    c1 = tally 2;
+    gray = tally 3;
+    black = tally 4;
+    young = tally 5;
+    old = tally 6;
+    remset_entries = Remset.size (Heap.remset heap);
+    floating = tally 7;
+  }
 
-let sample_now st = sample st ~now:(Cost.elapsed_multi st.ledger.cost)
+(* One row.  Out of band by construction: reads only — no cost charges,
+   no page touches, no scheduling points — so a run with sampling armed
+   is step-for-step identical to one without. *)
+let sample_now st =
+  let s = st.sampler in
+  let row = take ~seq:s.Sampler.length st in
+  Sampler.push s { row with Metrics_snapshot.census = Some (census st) }
 
 let maybe_sample st =
   let s = st.sampler in
   (* Simulator only: the census walk reads the block structure without
      synchronisation, which mutator cache refills mutate concurrently
-     under real domains.  Domains runs census at cycle segment
-     boundaries instead ({!phase_sample}, under the heap lock). *)
+     under real domains. *)
   if s.Sampler.every > 0 && not st.parallel then begin
     let now = Cost.elapsed_multi st.ledger.cost in
-    if now >= s.Sampler.next_at then sample st ~now
-  end
-
-(* Domains-substrate census: taken by the orchestrating collector at
-   cycle segment boundaries (cycle start, after cards, after trace,
-   after sweep), under the heap lock so the block walk cannot race a
-   mutator refill splitting blocks.  The cadence clock is
-   [State.now_units] — real microseconds on this substrate — so
-   [Sampler.configure]'s [every] is a wall-clock interval here. *)
-let phase_sample st =
-  let s = st.sampler in
-  if st.parallel && s.Sampler.every > 0 then begin
-    let now = State.now_units st in
     if now >= s.Sampler.next_at then begin
-      State.lock_heap st;
-      sample st ~now;
-      State.unlock_heap st
+      s.Sampler.next_at <- now + s.Sampler.every;
+      sample_now st
     end
   end

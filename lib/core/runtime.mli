@@ -39,8 +39,9 @@ val telemetry : t -> Telemetry.t
     {!Telemetry} and {!cost}). *)
 
 val sampler : t -> Sampler.t
-(** The census sampler ({!Sampler.configure} arms it; the series fills
-    via the {!Observatory} hooks). *)
+(** The sampled-row store ({!Sampler.configure} arms the simulator's
+    cadence; rows arrive via the {!Observatory} hooks, or from the
+    observer domain on domains). *)
 
 val set_fine_grained : t -> bool -> unit
 (** Disable/enable micro-step yields (see {!State.t.fine_grained}).

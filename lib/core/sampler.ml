@@ -1,89 +1,26 @@
-module Timeseries = Otfgc_support.Timeseries
-
-(* Column indices into the census series.  Kept as plain ints so the
-   census writer is a straight run of [Timeseries.set] calls with no
-   lookups on the sampling path. *)
-let i_at = 0
-let i_phase = 1
-let i_collecting = 2
-let i_capacity = 3
-let i_allocated_bytes = 4
-let i_blue_blocks = 5
-let i_blue_bytes = 6
-let i_c0_objects = 7
-let i_c0_bytes = 8
-let i_c1_objects = 9
-let i_c1_bytes = 10
-let i_gray_objects = 11
-let i_gray_bytes = 12
-let i_black_objects = 13
-let i_black_bytes = 14
-let i_young_objects = 15
-let i_young_bytes = 16
-let i_old_objects = 17
-let i_old_bytes = 18
-let i_freelist_entries = 19
-let i_freelist_stale = 20
-let i_dirty_cards = 21
-let i_gray_depth = 22
-let i_remset_entries = 23
-let i_floating_objects = 24
-let i_floating_bytes = 25
-let i_promotions = 26
-let i_stalls = 27
-
-let columns =
-  [|
-    "at";
-    "phase";
-    "collecting";
-    "capacity";
-    "allocated_bytes";
-    "blue_blocks";
-    "blue_bytes";
-    "c0_objects";
-    "c0_bytes";
-    "c1_objects";
-    "c1_bytes";
-    "gray_objects";
-    "gray_bytes";
-    "black_objects";
-    "black_bytes";
-    "young_objects";
-    "young_bytes";
-    "old_objects";
-    "old_bytes";
-    "freelist_entries";
-    "freelist_stale";
-    "dirty_cards";
-    "gray_depth";
-    "remset_entries";
-    "floating_objects";
-    "floating_bytes";
-    "promotions";
-    "stalls";
-  |]
-
 type t = {
   mutable every : int; (* cost units between samples; 0 = sampling off *)
   mutable next_at : int; (* elapsed-time threshold for the next sample *)
-  mutable oracle : bool; (* include the oracle's floating-garbage count *)
-  series : Timeseries.t;
+  mutable rows : Metrics_snapshot.t list; (* newest first *)
+  mutable length : int;
 }
 
-let create () =
-  { every = 0; next_at = 0; oracle = true; series = Timeseries.create ~columns }
+let create () = { every = 0; next_at = 0; rows = []; length = 0 }
 
-let configure ?(oracle = true) t ~every =
+let configure t ~every =
   if every < 0 then invalid_arg "Sampler.configure: negative interval";
   t.every <- every;
-  t.oracle <- oracle;
   t.next_at <- 0
 
-let enabled t = t.every > 0
-let every t = t.every
-let series t = t.series
+let push t row =
+  t.rows <- row :: t.rows;
+  t.length <- t.length + 1
+
+let rows t = List.rev t.rows
+let last t = match t.rows with row :: _ -> Some row | [] -> None
+let length t = t.length
 
 let reset t =
-  Timeseries.clear t.series;
+  t.rows <- [];
+  t.length <- 0;
   t.next_at <- 0

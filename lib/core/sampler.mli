@@ -1,13 +1,14 @@
-(** Census sampling state carried by {!State.t} — the data half of the
-    heap observatory ({!Observatory} is the logic half).
+(** The one row store of sampled {!Metrics_snapshot.t}s, and the
+    simulator's sampling cadence, carried by {!State.t}.
 
-    A sampler owns one {!Otfgc_support.Timeseries} whose columns are the
-    census schema below, plus the cadence bookkeeping the hot-path check
-    reads: sampling is armed by {!configure} with a positive interval in
-    simulated cost units, and {!Observatory.maybe_sample} fires once per
-    interval of {!Cost.elapsed_multi}.  Disabled (interval 0) by
-    default, and entirely out of band — taking a census charges no cost,
-    touches no pages and never yields, so enabling it cannot perturb a
+    Two clocks feed the store.  On the simulator, {!Observatory.maybe_sample}
+    appends a row with its heap census each time {!Cost.elapsed_multi}
+    crosses the next threshold of the interval armed by {!configure}
+    (disabled, interval 0, by default).  On the domains substrate the
+    observer domain ([Otfgc_metrics.Observer]) appends a row, without a
+    census, at each wall-clock tick: it is then the store's only
+    writer.  Sampling is out of band — taking a row charges no cost,
+    touches no pages and never yields, so arming it cannot perturb a
     run (pinned by the digest-identity tests). *)
 
 type t = {
@@ -15,70 +16,30 @@ type t = {
   mutable next_at : int;
       (** elapsed-time threshold for the next sample (maintained by
           {!Observatory}) *)
-  mutable oracle : bool;
-      (** run the reachability oracle per census (floating-garbage
-          columns; zeros when off) *)
-  series : Otfgc_support.Timeseries.t;
+  mutable rows : Metrics_snapshot.t list;  (** newest first *)
+  mutable length : int;
 }
-(** Transparent like {!State.t}: the observatory updates the cadence
-    fields in place on the sampling fast path.  Outside code should
-    treat the record as read-only and go through {!configure}. *)
+(** Transparent like {!State.t}: the observatory reads the cadence
+    fields on the sampling fast path.  Outside code should treat the
+    record as read-only and go through the functions below. *)
 
 val create : unit -> t
-(** Disabled sampler with an empty series. *)
+(** Disarmed, with no rows. *)
 
-val configure : ?oracle:bool -> t -> every:int -> unit
-(** Arm sampling every [every] cost units ([0] disarms); [oracle]
-    (default [true]) controls whether each census runs the reachability
-    oracle for the floating-garbage columns.  Resets the cadence so the
-    next check samples immediately. *)
+val configure : t -> every:int -> unit
+(** Arm simulator sampling every [every] cost units ([0] disarms).
+    Resets the cadence so the next check samples immediately. *)
 
-val enabled : t -> bool
-val every : t -> int
+val push : t -> Metrics_snapshot.t -> unit
+(** Append one row; its [seq] should be {!length} before the push. *)
 
-val series : t -> Otfgc_support.Timeseries.t
-(** The census series (one row per sample, columns as below). *)
+val rows : t -> Metrics_snapshot.t list
+(** Every row, oldest first. *)
+
+val last : t -> Metrics_snapshot.t option
+val length : t -> int
 
 val reset : t -> unit
-(** Drop committed samples and re-arm (end-of-warmup measurement
-    reset).  Keeps the configured cadence. *)
-
-(** {2 Census schema}
-
-    Column names in index order, and the matching indices.  One row per
-    sample: elapsed time and collector phase, heap accounting, per-color
-    block/byte counts (blue = free blocks; the five colors partition the
-    heap, so the byte columns sum to [capacity]), young/old generation
-    sizes, freelist and card/gray/remset occupancy, the oracle's
-    floating-garbage measure, and cumulative promotion/stall counters. *)
-
-val columns : string array
-
-val i_at : int
-val i_phase : int
-val i_collecting : int
-val i_capacity : int
-val i_allocated_bytes : int
-val i_blue_blocks : int
-val i_blue_bytes : int
-val i_c0_objects : int
-val i_c0_bytes : int
-val i_c1_objects : int
-val i_c1_bytes : int
-val i_gray_objects : int
-val i_gray_bytes : int
-val i_black_objects : int
-val i_black_bytes : int
-val i_young_objects : int
-val i_young_bytes : int
-val i_old_objects : int
-val i_old_bytes : int
-val i_freelist_entries : int
-val i_freelist_stale : int
-val i_dirty_cards : int
-val i_gray_depth : int
-val i_remset_entries : int
-val i_floating_objects : int
-val i_floating_bytes : int
-val i_promotions : int
-val i_stalls : int
+(** Drop the rows and re-arm (the simulator's end-of-warm-up reset; on
+    domains the rows are the observer's, and only it may touch them).
+    Keeps the configured cadence. *)

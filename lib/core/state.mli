@@ -87,8 +87,9 @@ type t = {
           while the mutators share what remains, making it ~N/3 times
           faster than each of N > 3 mutators. *)
   sampler : Sampler.t;
-      (** census sampling cadence and series (off by default); driven by
-          {!Observatory} from the runtime/collector sampling hooks *)
+      (** the sampled-row store and the simulator's sampling cadence
+          (off by default), fed by {!Observatory} from the
+          runtime/collector sampling hooks, or by the observer domain *)
   (* real-domains substrate *)
   mutable parallel : bool;
       (** running on real domains; set once by the driver before any

@@ -1,5 +1,5 @@
 (** Raw telemetry state threaded through the runtime — the recording half
-    of the observability layer ([Otfgc_metrics.Metrics_snapshot] is the
+    of the observability layer ({!Metrics_snapshot} is the
     summarising/exporting half).
 
     Two tiers, chosen so the default configuration costs nothing the cost

@@ -1,6 +1,6 @@
 (* Cross-run trajectory dashboard: committed BENCH_NNNN.json records
    (plus the current run) as one panel per scenario, one normalised
-   polyline per gated metric.  Construction mirrors Report: inline CSS,
+   polyline per gated metric, in Report's page scaffold: inline CSS,
    inline SVG, nothing external. *)
 
 module Svg = Otfgc_support.Svg
@@ -18,18 +18,6 @@ let style =
    .traj.m3{stroke:#d62728}.traj.m4{stroke:#9467bd}.traj.m5{stroke:#8c564b}\
    .traj.m6{stroke:#e377c2}\
    .legend text{font-size:9px}"
-
-let html_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let w = 760
 let h = 220
@@ -174,36 +162,19 @@ let render ~runs =
               acc t.Trajectory.scenarios)
           [] runs
       in
-      let buf = Buffer.create 65536 in
-      let add = Buffer.add_string buf in
-      add "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/><title>";
-      add (html_escape "gcsim bench trajectory");
-      add "</title><style>";
-      add style;
-      add "</style></head><body>\n<h1>";
-      add (html_escape "Benchmark trajectory across runs");
-      add "</h1>\n<p class=\"meta\">";
-      add
-        (html_escape
-           (Printf.sprintf
-              "%d runs, %d scenarios; each line is one gated metric \
-               normalised to its earliest recorded value (100 = no change, \
-               lower is better); legend shows the latest value.  Grid: scale \
-               %g, seed %d%s."
-              (List.length runs) (List.length scenarios) first.Trajectory.scale
-              first.Trajectory.seed
-              (if first.Trajectory.quick then ", quick" else "")));
-      add "</p>\n";
-      List.iter
-        (fun scenario ->
-          add "<div class=\"chart\"><h2>";
-          add (html_escape scenario);
-          add "</h2>\n";
-          Svg.to_buffer buf (scenario_panel runs scenario);
-          add "</div>\n")
-        scenarios;
-      add "</body></html>\n";
-      Ok (Buffer.contents buf)
+      Ok
+        (Report.page ~title:"gcsim bench trajectory" ~style
+           ~heading:"Benchmark trajectory across runs"
+           ~meta:
+             (Printf.sprintf
+                "%d runs, %d scenarios; each line is one gated metric \
+                 normalised to its earliest recorded value (100 = no \
+                 change, lower is better); legend shows the latest value.  \
+                 Grid: scale %g, seed %d%s."
+                (List.length runs) (List.length scenarios)
+                first.Trajectory.scale first.Trajectory.seed
+                (if first.Trajectory.quick then ", quick" else ""))
+           (List.map (fun sc -> (sc, scenario_panel runs sc)) scenarios))
 
 let validate doc =
   Report.validate_structure ~required_classes:[ "axis"; "traj" ] ~min_samples:1

@@ -6,6 +6,8 @@
 
 module Clock = Otfgc_support.Monotonic_clock
 module Json = Otfgc_support.Json
+module Metrics_snapshot = Otfgc.Metrics_snapshot
+module Sampler = Otfgc.Sampler
 
 type config = {
   every_ms : float;
@@ -21,7 +23,6 @@ type t = {
   mutable domain : unit Domain.t option;
   mutable st : Otfgc.State.t option;
   mutable start_ns : int;
-  mutable snaps : Metrics_snapshot.t list; (* newest first *)
   mutable jsonl : out_channel option;
   mutable live_primed : bool; (* the two live lines are on screen *)
   mutable stopped : bool;
@@ -36,7 +37,6 @@ let create config =
     domain = None;
     st = None;
     start_ns = 0;
-    snaps = [];
     jsonl = None;
     live_primed = false;
     stopped = false;
@@ -89,9 +89,12 @@ let render_live t (s : Metrics_snapshot.t) prev =
   t.live_primed <- true;
   flush stdout
 
-let emit t snap =
-  let prev = match t.snaps with [] -> None | p :: _ -> Some p in
-  t.snaps <- snap :: t.snaps;
+(* Called only from the observer domain while it runs, and from [stop]
+   after joining it: the observer is the store's one writer. *)
+let emit t st snap =
+  let store = st.Otfgc.State.sampler in
+  let prev = Sampler.last store in
+  Sampler.push store snap;
   (match t.jsonl with
   | Some oc ->
       output_string oc (Json.to_string (Metrics_snapshot.to_json snap));
@@ -104,10 +107,10 @@ let emit t snap =
   | None -> ());
   if t.config.live then render_live t snap prev
 
-let take t st =
-  let seq = List.length t.snaps in
+let sample t st =
+  let seq = Sampler.length st.Otfgc.State.sampler in
   let at_ms = float_of_int (Clock.now_ns () - t.start_ns) /. 1e6 in
-  Metrics_snapshot.take ~seq ~at_ms st
+  emit t st (Otfgc.Observatory.take ~seq ~at_ms st)
 
 (* ------------------------------------------------------------------ *)
 (* Observer loop                                                       *)
@@ -132,7 +135,7 @@ let loop t st =
   let rec tick deadline =
     sleep_until t deadline;
     if not (Atomic.get t.stop_flag) then begin
-      emit t (take t st);
+      sample t st;
       tick (deadline + period_ns)
     end
   in
@@ -161,12 +164,10 @@ let stop t =
     (* the final snapshot: taken at quiescence, so its counters are the
        run's exact totals.  Zero-cadence-tick runs still get this one
        record. *)
-    (match t.st with Some st -> emit t (take t st) | None -> ());
+    (match t.st with Some st -> sample t st | None -> ());
     (match t.jsonl with
     | Some oc ->
         close_out oc;
         t.jsonl <- None
     | None -> ())
   end
-
-let snapshots t = List.rev t.snaps

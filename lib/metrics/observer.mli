@@ -1,10 +1,11 @@
-(** The observer domain: live export of {!Metrics_snapshot}s at a
+(** The observer domain: live export of {!Otfgc.Metrics_snapshot}s at a
     wall-clock cadence.
 
     On the domains substrate the observer is one extra domain that
     wakes every [every_ms] milliseconds, takes a lock-free snapshot
-    (see {!Metrics_snapshot.take} for the safety argument) and pushes
-    it to up to three sinks:
+    (see {!Otfgc.Metrics_snapshot} for the safety argument), appends it
+    to the runtime's row store ({!Otfgc.Runtime.sampler}, of which it is
+    then the only writer) and pushes it to up to three sinks:
 
     - a JSONL file ([jsonl_path]), one snapshot object appended per
       tick — the trajectory of the run;
@@ -46,8 +47,5 @@ val launch : t -> Otfgc.Runtime.t -> unit
 val stop : t -> unit
 (** Signal the observer domain, join it, take the final snapshot,
     write it to every sink and close them.  Idempotent; a [stop]
-    without a prior {!launch} is a no-op. *)
-
-val snapshots : t -> Metrics_snapshot.t list
-(** Every snapshot taken, in [seq] order (the final one included).
-    Meaningful after {!stop}. *)
+    without a prior {!launch} is a no-op.  Every snapshot taken, the
+    final one last, is then a row of {!Otfgc.Runtime.sampler}. *)

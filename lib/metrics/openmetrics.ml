@@ -50,6 +50,8 @@ let label_block labels =
              labels)
       ^ "}"
 
+module Metrics_snapshot = Otfgc.Metrics_snapshot
+
 let render ?(labels = []) (s : Metrics_snapshot.t) =
   let buf = Buffer.create 4096 in
   family buf ~name:"otfgc_run" ~typ:"info" ~help:"run identity labels";

@@ -4,8 +4,8 @@
 
     Every snapshot counter becomes a [counter] family
     [otfgc_<name>_total], every gauge a [gauge] family [otfgc_<name>],
-    in the fixed order of {!Metrics_snapshot.counters} /
-    {!Metrics_snapshot.gauges}; run identity (workload, mode, ...) and
+    in the fixed order of {!Otfgc.Metrics_snapshot.counters} /
+    {!Otfgc.Metrics_snapshot.gauges}; run identity (workload, mode, ...) and
     the collector's current phase travel as [info] families with
     escaped label values.  The document ends with [# EOF] as the
     OpenMetrics framing requires.  A scrape-style consumer can read the
@@ -13,7 +13,7 @@
     the last write holds the run's cumulative totals. *)
 
 val render :
-  ?labels:(string * string) list -> Metrics_snapshot.t -> string
+  ?labels:(string * string) list -> Otfgc.Metrics_snapshot.t -> string
 (** The full exposition for one snapshot.  [labels] become the
     [otfgc_run_info] label set (order preserved, values escaped);
     label names must match [[a-zA-Z_][a-zA-Z0-9_]*] — others raise

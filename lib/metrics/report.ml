@@ -1,8 +1,8 @@
 module Svg = Otfgc_support.Svg
-module Timeseries = Otfgc_support.Timeseries
 module Runtime = Otfgc.Runtime
 module Sampler = Otfgc.Sampler
 module Fr = Otfgc.Flight_recorder
+module Snap = Otfgc.Metrics_snapshot
 
 (* ------------------------------------------------------------------ *)
 (* Layout                                                              *)
@@ -42,15 +42,19 @@ let style =
 (* Series access                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type series = { ts : Timeseries.t; n : int; t_max : int }
+(* The rows that carry a census, with their census part. *)
+type series = { rows : (Snap.t * Snap.census) array; n : int; t_max : int }
 
-let cell s col row = Timeseries.get s.ts ~col ~row
+(* A row's time: the simulator's clock, [Cost.elapsed_multi] of the
+   totals. *)
+let at (r : Snap.t) = r.mutator_work + r.collector_work + r.stall_work
+let row s i = fst s.rows.(i)
 
 let x_of s at =
   if s.t_max = 0 then margin_l
   else margin_l +. (plot_w *. float_of_int at /. float_of_int s.t_max)
 
-let x_of_row s row = x_of s (cell s Sampler.i_at row)
+let x_of_row s i = x_of s (at (row s i))
 
 (* ------------------------------------------------------------------ *)
 (* Axes                                                                *)
@@ -109,11 +113,11 @@ let y_axis ~h ~y_max ~label fmt =
    top — the silhouette of the stack is the capacity staircase. *)
 let ribbon_layers =
   [
-    ("ribbon-black", Sampler.i_black_bytes);
-    ("ribbon-gray", Sampler.i_gray_bytes);
-    ("ribbon-c1", Sampler.i_c1_bytes);
-    ("ribbon-c0", Sampler.i_c0_bytes);
-    ("ribbon-blue", Sampler.i_blue_bytes);
+    ("ribbon-black", fun (c : Snap.census) -> c.black.bytes);
+    ("ribbon-gray", fun c -> c.gray.bytes);
+    ("ribbon-c1", fun c -> c.c1.bytes);
+    ("ribbon-c0", fun c -> c.c0.bytes);
+    ("ribbon-blue", fun c -> c.blue.bytes);
   ]
 
 let occupancy_svg s =
@@ -121,8 +125,8 @@ let occupancy_svg s =
   let plot_h = h -. margin_t -. margin_b in
   let cap_max =
     let m = ref 1 in
-    for row = 0 to s.n - 1 do
-      m := Stdlib.max !m (cell s Sampler.i_capacity row)
+    for i = 0 to s.n - 1 do
+      m := Stdlib.max !m (row s i).heap_capacity
     done;
     !m
   in
@@ -133,16 +137,14 @@ let occupancy_svg s =
   let base = Array.make s.n 0 in
   let ribbons =
     List.map
-      (fun (cls, col) ->
+      (fun (cls, bytes) ->
+        let cell i = bytes (snd s.rows.(i)) in
         let upper =
-          List.init s.n (fun row ->
-              (x_of_row s row, y_of (base.(row) + cell s col row)))
+          List.init s.n (fun i -> (x_of_row s i, y_of (base.(i) + cell i)))
         in
-        let lower =
-          List.init s.n (fun row -> (x_of_row s row, y_of base.(row)))
-        in
-        for row = 0 to s.n - 1 do
-          base.(row) <- base.(row) + cell s col row
+        let lower = List.init s.n (fun i -> (x_of_row s i, y_of base.(i))) in
+        for i = 0 to s.n - 1 do
+          base.(i) <- base.(i) + cell i
         done;
         Svg.polygon ~points:(upper @ List.rev lower) ~cls:("ribbon " ^ cls) ())
       ribbon_layers
@@ -150,8 +152,7 @@ let occupancy_svg s =
   let capacity =
     Svg.polyline
       ~points:
-        (List.init s.n (fun row ->
-             (x_of_row s row, y_of (cell s Sampler.i_capacity row))))
+        (List.init s.n (fun i -> (x_of_row s i, y_of (row s i).heap_capacity)))
       ~cls:"capacity" ()
   in
   let legend =
@@ -230,19 +231,15 @@ let strips_svg s events =
 (* Panel 3: promotion rate                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The census records cumulative promotions; the rate is the discrete
+(* The rows carry cumulative promotions; the rate is the discrete
    derivative per 1000 work units, plotted at each interval's right
    edge.  A run with no promotions draws a flat zero line. *)
 let promotion_rate s =
   List.init (Stdlib.max 1 (s.n - 1)) (fun i ->
-      let row0 = i and row1 = Stdlib.min (s.n - 1) (i + 1) in
-      let dp =
-        cell s Sampler.i_promotions row1 - cell s Sampler.i_promotions row0
-      in
-      let dt =
-        Stdlib.max 1 (cell s Sampler.i_at row1 - cell s Sampler.i_at row0)
-      in
-      (cell s Sampler.i_at row1, 1000. *. float_of_int dp /. float_of_int dt))
+      let r0 = row s i and r1 = row s (Stdlib.min (s.n - 1) (i + 1)) in
+      let dp = r1.promotions - r0.promotions in
+      let dt = Stdlib.max 1 (at r1 - at r0) in
+      (at r1, 1000. *. float_of_int dp /. float_of_int dt))
 
 let promotion_svg s =
   let h = 180. in
@@ -288,9 +285,39 @@ let html_escape s =
     s;
   Buffer.contents buf
 
+(* The document scaffold both HTML renderers share: head, title and
+   meta line, then one titled chart per panel. *)
+let page ~title ~style ~heading ~meta charts =
+  let buf = Buffer.create 65536 in
+  let add = Buffer.add_string buf in
+  add "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/><title>";
+  add (html_escape title);
+  add "</title><style>";
+  add style;
+  add "</style></head><body>\n<h1>";
+  add (html_escape heading);
+  add "</h1>\n<p class=\"meta\">";
+  add (html_escape meta);
+  add "</p>\n";
+  List.iter
+    (fun (h2, svg) ->
+      add "<div class=\"chart\"><h2>";
+      add (html_escape h2);
+      add "</h2>\n";
+      Svg.to_buffer buf svg;
+      add "</div>\n")
+    charts;
+  add "</body></html>\n";
+  Buffer.contents buf
+
 let of_runtime ?(workload = "run") rt =
-  let ts = Sampler.series (Runtime.sampler rt) in
-  let n = Timeseries.length ts in
+  let rows =
+    List.filter_map
+      (fun (r : Snap.t) -> Option.map (fun c -> (r, c)) r.census)
+      (Sampler.rows (Runtime.sampler rt))
+    |> Array.of_list
+  in
+  let n = Array.length rows in
   if n < 2 then
     Error
       (Printf.sprintf
@@ -298,39 +325,29 @@ let of_runtime ?(workload = "run") rt =
           --sample-every)"
          n)
   else begin
-    let t_max =
-      Stdlib.max 1 (Timeseries.get ts ~col:Sampler.i_at ~row:(n - 1))
-    in
-    let s = { ts; n; t_max } in
+    let s = { rows; n; t_max = Stdlib.max 1 (at (fst rows.(n - 1))) } in
     let st = Runtime.state rt in
     let mode = Otfgc.Gc_config.mode_name st.Otfgc.State.cfg.Otfgc.Gc_config.mode in
     let events = Fr.events (Runtime.recorder rt) in
     let dropped = Fr.dropped (Runtime.recorder rt) in
-    let buf = Buffer.create 65536 in
-    let add = Buffer.add_string buf in
-    add "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/><title>";
-    add (html_escape ("gcsim report — " ^ workload));
-    add "</title><style>";
-    add style;
-    add "</style></head><body>\n<h1>";
-    add (html_escape (Printf.sprintf "Heap observatory — %s (%s)" workload mode));
-    add "</h1>\n<p class=\"meta\">";
-    add
-      (html_escape
-         (Printf.sprintf
-            "%d census samples over %d work units; %d events logged%s" n
-            s.t_max (List.length events)
-            (if dropped > 0 then
-               Printf.sprintf " (WARNING: %d oldest events overwritten)" dropped
-             else "")));
-    add "</p>\n<div class=\"chart\"><h2>Heap occupancy by color</h2>\n";
-    Svg.to_buffer buf (occupancy_svg s);
-    add "</div>\n<div class=\"chart\"><h2>Collector activity</h2>\n";
-    Svg.to_buffer buf (strips_svg s events);
-    add "</div>\n<div class=\"chart\"><h2>Promotion rate</h2>\n";
-    Svg.to_buffer buf (promotion_svg s);
-    add "</div>\n</body></html>\n";
-    Ok (Buffer.contents buf)
+    Ok
+      (page
+         ~title:("gcsim report — " ^ workload)
+         ~style
+         ~heading:(Printf.sprintf "Heap observatory — %s (%s)" workload mode)
+         ~meta:
+           (Printf.sprintf
+              "%d census samples over %d work units; %d events logged%s" n
+              s.t_max (List.length events)
+              (if dropped > 0 then
+                 Printf.sprintf " (WARNING: %d oldest events overwritten)"
+                   dropped
+               else ""))
+         [
+           ("Heap occupancy by color", occupancy_svg s);
+           ("Collector activity", strips_svg s events);
+           ("Promotion rate", promotion_svg s);
+         ])
   end
 
 (* ------------------------------------------------------------------ *)

@@ -11,10 +11,24 @@
 
 val of_runtime :
   ?workload:string -> Otfgc.Runtime.t -> (string, string) result
-(** Render the runtime's census series (and, when the event recorder
-    was armed, its handshake/cycle/stall strips) to a complete HTML
-    document.  [Error] when the series holds fewer than two samples —
-    run with sampling armed ([--sample-every]) first. *)
+(** Render the census rows of the runtime's {!Otfgc.Sampler} store
+    (and, when the event recorder was armed, its handshake/cycle/stall
+    strips) to a complete HTML document.  [Error] when fewer than two
+    rows carry a census — run with sampling armed ([--sample-every])
+    first. *)
+
+val page :
+  title:string ->
+  style:string ->
+  heading:string ->
+  meta:string ->
+  (string * Otfgc_support.Svg.t) list ->
+  string
+(** The document scaffold shared with the trajectory dashboard: the
+    doctype, head ([title], inline [style]), an [h1] [heading] and a
+    [meta] paragraph, then one [chart] division per [(h2, svg)] panel.
+    Text is HTML-escaped; [style] is inserted verbatim and must hold no
+    ['<'] or ['>']. *)
 
 val validate : string -> (unit, string) result
 (** Structural acceptance check used by tests and

@@ -76,7 +76,7 @@ let scenario_of_runtime ~name ~wall_ms (r : Run_result.t) rt =
   let phase_metrics =
     List.map
       (fun p ->
-        ( "phase_" ^ Metrics_snapshot.metric_name_of_phase p,
+        ( "phase_" ^ Otfgc.Metrics_snapshot.metric_name_of_phase p,
           float_of_int (Otfgc.Cost.phase_work cost p) ))
       Otfgc.Cost.phases
   in

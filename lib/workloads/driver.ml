@@ -35,7 +35,6 @@ let sync_point_for rt ~n ~prebuilt ~warm i m () =
        reset ledgers — measurement noise, bounded by the barrier
        window. *)
     State.reset_ledgers st;
-    Sampler.reset (Runtime.sampler rt);
     Heap.reset_allocation_stats (Runtime.heap rt);
     if st.State.parallel then begin
       (* cache counters: the same quiescence argument *)
@@ -44,11 +43,14 @@ let sync_point_for rt ~n ~prebuilt ~warm i m () =
           ignore (Alloc_cache.take_pending (Mutator.cache m') : int * int));
       State.unlock_heap st
     end
-    else
-      (* The cost clock restarts, so the recorded events go too.  Under
-         domains they stay: each ring's writer is still running, and
-         only its writer may touch a ring. *)
+    else begin
+      (* The cost clock restarts, so the recorded events and the sampled
+         rows go too.  Under domains they stay: each ring's writer, and
+         the observer that writes the rows, is still running, and only
+         its writer may touch a ring or the row store. *)
       Flight_recorder.clear st.State.recorder;
+      Sampler.reset (Runtime.sampler rt)
+    end;
     Atomic.set st.State.bytes_since_gc 0;
     Atomic.set warm true
   end

@@ -45,16 +45,18 @@ val run_rt :
     runs right after the runtime is created — the place to arm the event
     recorder or enable the telemetry instruments (both off by default).
     The warmup reset clears telemetry along with the ledgers, and on the
-    simulator the recorded events too, so what remains covers exactly the
-    measured lap (domains keep the warm-up lap's events: only a ring's
-    writer may touch it).  [threads] overrides the
+    simulator the recorded events and sampled rows too, so what remains
+    covers exactly the measured lap (domains keep the warm-up lap's
+    events and the observer's rows: only a ring's or the store's writer
+    may touch it).  [threads] overrides the
     profile's thread count (the speedup sweeps vary it); [substrate]
     selects the execution substrate (default [Sim]); [gc_workers]
     (default 1) is the collection crew's width; more than 1 worker is
     domains substrate only ([Invalid_argument] on [Sim]).  [observer], domains
     only, is launched right after [instrument] and stopped at quiescence,
     so its final snapshot equals the post-run totals exactly (see
-    {!Otfgc_metrics.Observer}): {!Otfgc_metrics.Metrics_snapshot.take}
+    {!Otfgc_metrics.Observer}, whose snapshots are the rows of
+    {!Otfgc.Runtime.sampler}): {!Otfgc.Observatory.take}
     on the returned runtime reads the same fold of every actor's ledger
     ({!Otfgc.State.totals}).  {!Otfgc.Runtime.cost} and
     {!Otfgc.Runtime.telemetry} are crew worker 0's ledger alone, which

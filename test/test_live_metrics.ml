@@ -12,7 +12,7 @@ module Heap = Otfgc_heap.Heap
 module Substrate = Otfgc_sched.Substrate
 module Driver = Otfgc_workloads.Driver
 module Profile = Otfgc_workloads.Profile
-module Metrics_snapshot = Otfgc_metrics.Metrics_snapshot
+module Metrics_snapshot = Otfgc.Metrics_snapshot
 module Openmetrics = Otfgc_metrics.Openmetrics
 module Observer = Otfgc_metrics.Observer
 module Trajectory = Otfgc_metrics.Trajectory
@@ -40,7 +40,7 @@ let small_rt () =
 
 let test_snapshot_fresh () =
   let rt = small_rt () in
-  let s = Metrics_snapshot.take (Runtime.state rt) in
+  let s = Observatory.take (Runtime.state rt) in
   check_int "no work yet" 0 s.Metrics_snapshot.mutator_work;
   check_int "no cycles yet" 0
     (s.Metrics_snapshot.cycles_partial + s.Metrics_snapshot.cycles_full
@@ -53,13 +53,13 @@ let test_snapshot_fresh () =
 let test_snapshot_monotone_delta () =
   let rt = small_rt () in
   let st = Runtime.state rt in
-  let s1 = Metrics_snapshot.take ~seq:0 st in
+  let s1 = Observatory.take ~seq:0 st in
   let tel = Runtime.telemetry rt in
   Telemetry.hit_barrier tel;
   Telemetry.hit_barrier tel;
   Telemetry.add_promotions tel 3;
   Cost.mutator (Runtime.cost rt) 17;
-  let s2 = Metrics_snapshot.take ~seq:1 st in
+  let s2 = Observatory.take ~seq:1 st in
   let d =
     List.map2
       (fun (k, v1) (_, v2) -> (k, v2 - v1))
@@ -81,7 +81,7 @@ let sample_snapshot () =
   let tel = Runtime.telemetry rt in
   Telemetry.hit_barrier tel;
   Telemetry.add_promotions tel 2;
-  Metrics_snapshot.take ~seq:3 ~at_ms:10. (Runtime.state rt)
+  Observatory.take ~seq:3 ~at_ms:10. (Runtime.state rt)
 
 let test_om_render_validates () =
   let doc =
@@ -191,7 +191,7 @@ let run_with_observer ~every_ms =
       ~threads:2 ~observer:obs
       ~gc:(Gc_config.generational ()) Profile.anagram
   in
-  (obs, rt, om, jsonl)
+  (rt, om, jsonl)
 
 (* A snapshot's whole-run totals against a hand sum, made without the
    ledger fold: the shared ledger (crew worker 0's, the whole crew here)
@@ -239,8 +239,8 @@ let check_hand_sum rt (snap : Metrics_snapshot.t) =
     snap.Metrics_snapshot.gc_promotions
 
 let test_observer_final_exact () =
-  let obs, rt, om, jsonl = run_with_observer ~every_ms:5. in
-  let snaps = Observer.snapshots obs in
+  let rt, om, jsonl = run_with_observer ~every_ms:5. in
+  let snaps = Sampler.rows (Runtime.sampler rt) in
   check "snapshots taken" true (snaps <> []);
   let final = List.nth snaps (List.length snaps - 1) in
   (* the final snapshot is taken at quiescence, so it is exact *)
@@ -270,10 +270,10 @@ let test_observer_final_exact () =
    then counts every unit once, as the hand sum does, and equals the
    observer's final one. *)
 let test_take_after_run_exact () =
-  let obs, rt, om, jsonl = run_with_observer ~every_ms:60_000. in
-  let snaps = Observer.snapshots obs in
+  let rt, om, jsonl = run_with_observer ~every_ms:60_000. in
+  let snaps = Sampler.rows (Runtime.sampler rt) in
   let final = List.nth snaps (List.length snaps - 1) in
-  let after = Metrics_snapshot.take (Runtime.state rt) in
+  let after = Observatory.take (Runtime.state rt) in
   check_hand_sum rt after;
   Alcotest.(check (list (pair string int)))
     "take after the run = the observer's final snapshot"
@@ -285,9 +285,9 @@ let test_take_after_run_exact () =
 let test_observer_zero_cadence_ticks () =
   (* cadence far beyond the run length: the stop-time snapshot is still
      taken, so every sink gets exactly one record *)
-  let obs, _rt, om, jsonl = run_with_observer ~every_ms:60_000. in
+  let rt, om, jsonl = run_with_observer ~every_ms:60_000. in
   check_int "exactly the final snapshot" 1
-    (List.length (Observer.snapshots obs));
+    (List.length (Sampler.rows (Runtime.sampler rt)));
   (match Openmetrics.validate (read_file om) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "om sink invalid: %s" e);

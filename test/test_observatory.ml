@@ -1,15 +1,16 @@
-(* Tests for the heap observatory: the census time series and its
-   support structures (Timeseries, Svg), the out-of-band guarantee
-   (arming the sampler leaves every simulated figure bit-identical),
-   the census accounting invariants (per-color bytes partition the
-   heap; generations partition the allocated bytes), the HTML/SVG
+(* Tests for the heap observatory: the sampled rows and the Svg
+   emitter, the out-of-band guarantee (arming the sampler leaves every
+   simulated figure bit-identical), the census accounting invariants
+   (per-color bytes partition the heap; generations partition the
+   allocated bytes), a row's counters against a post-run snapshot, the
+   HTML/SVG
    report emitter and its structural validator, and the cross-run
    trajectory store with its regression gate — including the committed
    BENCH_*.json baseline that arms the CI gate. *)
 
 open Otfgc
-module Timeseries = Otfgc_support.Timeseries
 module Svg = Otfgc_support.Svg
+module Metrics_snapshot = Otfgc.Metrics_snapshot
 module Json = Otfgc_support.Json
 module Heap = Otfgc_heap.Heap
 module Profile = Otfgc_workloads.Profile
@@ -26,69 +27,6 @@ let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
-
-(* ------------------------------------------------------------------ *)
-(* Timeseries                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_timeseries_basics () =
-  let ts = Timeseries.create ~columns:[| "a"; "b"; "c" |] in
-  check_int "no rows" 0 (Timeseries.length ts);
-  check_int "three columns" 3 (Timeseries.n_columns ts);
-  check "col_index" true (Timeseries.col_index ts "b" = Some 1);
-  check "unknown column" true (Timeseries.col_index ts "z" = None);
-  Timeseries.set ts 0 10;
-  Timeseries.set ts 2 30;
-  Timeseries.commit ts;
-  (* staged values persist across commits unless overwritten *)
-  Timeseries.set ts 1 99;
-  Timeseries.commit ts;
-  check_int "two rows" 2 (Timeseries.length ts);
-  check_int "a0" 10 (Timeseries.get ts ~col:0 ~row:0);
-  check_int "b0 defaulted" 0 (Timeseries.get ts ~col:1 ~row:0);
-  check_int "c0" 30 (Timeseries.get ts ~col:2 ~row:0);
-  check_int "a1 retained" 10 (Timeseries.get ts ~col:0 ~row:1);
-  check_int "b1" 99 (Timeseries.get ts ~col:1 ~row:1);
-  Timeseries.clear ts;
-  check_int "cleared" 0 (Timeseries.length ts);
-  Timeseries.commit ts;
-  check_int "staged row zeroed by clear" 0 (Timeseries.get ts ~col:0 ~row:0)
-
-let test_timeseries_growth () =
-  let ts = Timeseries.create ~columns:[| "x" |] in
-  for i = 1 to 1000 do
-    Timeseries.set ts 0 i;
-    Timeseries.commit ts
-  done;
-  check_int "all rows kept across doublings" 1000 (Timeseries.length ts);
-  check_int "first" 1 (Timeseries.get ts ~col:0 ~row:0);
-  check_int "last" 1000 (Timeseries.get ts ~col:0 ~row:999)
-
-let test_timeseries_validation () =
-  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  check "empty columns rejected" true
-    (raises (fun () -> Timeseries.create ~columns:[||]));
-  check "duplicate columns rejected" true
-    (raises (fun () -> Timeseries.create ~columns:[| "a"; "a" |]));
-  let ts = Timeseries.create ~columns:[| "a" |] in
-  check "set out of range" true (raises (fun () -> Timeseries.set ts 1 0));
-  check "get out of range" true
-    (raises (fun () -> Timeseries.get ts ~col:0 ~row:0))
-
-let test_timeseries_export () =
-  let ts = Timeseries.create ~columns:[| "t"; "v" |] in
-  Timeseries.set ts 0 1;
-  Timeseries.set ts 1 5;
-  Timeseries.commit ts;
-  Timeseries.set ts 0 2;
-  Timeseries.set ts 1 7;
-  Timeseries.commit ts;
-  check_str "csv" "t,v\n1,5\n2,7\n" (Timeseries.to_csv ts);
-  let j = Timeseries.to_json ts in
-  check "json length" true (Option.bind (Json.member "length" j) Json.as_int = Some 2);
-  (match Option.bind (Json.member "series" j) (Json.member "v") with
-  | Some (Json.List [ Json.Int 5; Json.Int 7 ]) -> ()
-  | _ -> Alcotest.fail "json series.v should be [5, 7]")
 
 (* ------------------------------------------------------------------ *)
 (* Svg emitter                                                         *)
@@ -135,30 +73,53 @@ let sampled_run ?(gc = default_gc) ?(card = 16) ?(seed = 42) ?(scale = 0.01)
       Sampler.configure (Runtime.sampler rt) ~every)
     ~gc profile
 
-(* the five color columns partition the heap capacity; the two
-   generation columns partition the allocated bytes *)
-let check_census_sums series =
-  let get c r = Timeseries.get series ~col:c ~row:r in
-  let bad = ref 0 in
-  for r = 0 to Timeseries.length series - 1 do
-    let colors =
-      get Sampler.i_blue_bytes r + get Sampler.i_c0_bytes r
-      + get Sampler.i_c1_bytes r + get Sampler.i_gray_bytes r
-      + get Sampler.i_black_bytes r
-    in
-    let gens = get Sampler.i_young_bytes r + get Sampler.i_old_bytes r in
-    if colors <> get Sampler.i_capacity r then incr bad;
-    if gens <> get Sampler.i_allocated_bytes r then incr bad
-  done;
-  !bad
+(* in every row the five colors' bytes partition the heap capacity,
+   and the two generations' bytes the allocated bytes; a row without a
+   census counts as bad *)
+let check_census_sums rt =
+  List.fold_left
+    (fun bad (r : Metrics_snapshot.t) ->
+      match r.census with
+      | None -> bad + 1
+      | Some c ->
+          let colors =
+            c.blue.bytes + c.c0.bytes + c.c1.bytes + c.gray.bytes
+            + c.black.bytes
+          in
+          bad
+          + Bool.to_int (colors <> r.heap_capacity)
+          + Bool.to_int (c.young.bytes + c.old.bytes <> r.heap_allocated_bytes))
+    0
+    (Sampler.rows (Runtime.sampler rt))
 
 let test_census_partitions_heap () =
   let _, rt = sampled_run ~every:2_000 Profile.anagram in
-  let series = Sampler.series (Runtime.sampler rt) in
   Observatory.sample_now (Runtime.state rt);
-  check "several samples" true (Timeseries.length series > 3);
+  check "several samples" true (Sampler.length (Runtime.sampler rt) > 3);
   check_int "every row partitions capacity and allocation" 0
-    (check_census_sums series)
+    (check_census_sums rt)
+
+(* A row is a snapshot: the row the end-of-run sample appends carries
+   the counters and gauges a post-run snapshot reads, and the rows'
+   sequence numbers are dense. *)
+let test_last_row_is_a_snapshot () =
+  let _, rt = sampled_run ~every:5_000 Profile.jack in
+  let st = Runtime.state rt in
+  Observatory.sample_now st;
+  let store = Runtime.sampler rt in
+  List.iteri
+    (fun i (r : Metrics_snapshot.t) -> check_int "dense seq" i r.seq)
+    (Sampler.rows store);
+  let last = Option.get (Sampler.last store) in
+  let after = Observatory.take st in
+  Alcotest.(check (list (pair string int)))
+    "counters" (Metrics_snapshot.counters after)
+    (Metrics_snapshot.counters last);
+  Alcotest.(check (list (pair string int)))
+    "gauges" (Metrics_snapshot.gauges after)
+    (Metrics_snapshot.gauges last);
+  check "only the row carries a census" true
+    (last.census <> None && after.census = None)
 
 let prop_census_sums =
   QCheck.Test.make ~name:"census partitions hold for any seed and mode"
@@ -174,10 +135,9 @@ let prop_census_sums =
       in
       let _, rt = sampled_run ~gc ~seed ~every:1_500 Profile.anagram in
       Observatory.sample_now (Runtime.state rt);
-      let series = Sampler.series (Runtime.sampler rt) in
-      if Timeseries.length series = 0 then
+      if Sampler.length (Runtime.sampler rt) = 0 then
         QCheck.Test.fail_report "no samples taken";
-      check_census_sums series = 0)
+      check_census_sums rt = 0)
 
 (* Arming the sampler (census heap walks + reachability oracle per
    row) or the event recorder must leave the simulation bit-identical:
@@ -212,7 +172,7 @@ let test_sampling_is_out_of_band () =
       check
         (Printf.sprintf "config %d sampled at least once" i)
         true
-        (Timeseries.length (Sampler.series (Runtime.sampler rt)) > 0);
+        (Sampler.length (Runtime.sampler rt) > 0);
       let digest r = Digest.to_hex (Digest.string (Marshal.to_string r [])) in
       check_str
         (Printf.sprintf "config %d digest unchanged by sampling" i)
@@ -413,13 +373,6 @@ let test_committed_baseline_validates () =
 
 let suites =
   [
-    ( "observatory.timeseries",
-      [
-        Alcotest.test_case "basics" `Quick test_timeseries_basics;
-        Alcotest.test_case "growth" `Quick test_timeseries_growth;
-        Alcotest.test_case "validation" `Quick test_timeseries_validation;
-        Alcotest.test_case "export" `Quick test_timeseries_export;
-      ] );
     ( "observatory.svg",
       [
         Alcotest.test_case "escaping" `Quick test_svg_escaping;
@@ -430,6 +383,8 @@ let suites =
         Alcotest.test_case "partitions heap and allocation" `Quick
           test_census_partitions_heap;
         QCheck_alcotest.to_alcotest prop_census_sums;
+        Alcotest.test_case "last row equals a post-run snapshot" `Quick
+          test_last_row_is_a_snapshot;
         Alcotest.test_case "sampling is out of band (8-config digests)" `Quick
           test_sampling_is_out_of_band;
       ] );

@@ -374,38 +374,48 @@ let test_domains_out_of_memory () =
 
 (* On domains each mutator charges a ledger of its own, so a reader of
    the shared ledger alone sees none of the mutators' work.  The
-   cycle-end progress sample and the census's [stalls] column must read
+   cycle-end progress sample and the sampled rows' [stalls] must read
    the fold over every ledger: progress while a cycle runs is nonzero,
-   and the census rows taken during the quiescent finale count every
-   stall the snapshot does. *)
-let test_totals_reach_cycle_and_census () =
+   and the observer's rows, the last taken at quiescence, count every
+   stall the totals do. *)
+let test_totals_reach_cycle_and_rows () =
+  let observer =
+    Otfgc_metrics.Observer.create
+      {
+        Otfgc_metrics.Observer.every_ms = 2.;
+        om_path = None;
+        jsonl_path = None;
+        live = false;
+        labels = [];
+      }
+  in
   let _, rt =
     with_deadline ~seconds:120.0 ~what:"domains totals" (fun () ->
         Driver.run_rt ~seed:42 ~scale:0.05 ~substrate:Substrate.Domains
-          ~threads:2
+          ~threads:2 ~observer
           ~instrument:(fun rt ->
-            Otfgc.Telemetry.set_enabled (Runtime.telemetry rt) true;
-            Otfgc.Sampler.configure (Runtime.sampler rt) ~every:500)
+            Otfgc.Telemetry.set_enabled (Runtime.telemetry rt) true)
           ~gc:(Otfgc.Gc_config.generational ()) Profile.anagram)
   in
-  let snap = Otfgc_metrics.Metrics_snapshot.take (Runtime.state rt) in
-  let progress = snap.Otfgc_metrics.Metrics_snapshot.cycle_progress in
-  Alcotest.(check bool) "cycles sampled progress" true (progress.count > 0);
+  let tel = (Otfgc.State.totals (Runtime.state rt)).Otfgc.Ledger.tel in
+  let progress = Otfgc.Telemetry.cycle_progress tel in
+  Alcotest.(check bool) "cycles sampled progress" true
+    (Otfgc_support.Histogram.count progress > 0);
   Alcotest.(check bool) "mutators progress while a cycle runs" true
-    (progress.max > 0);
-  let ts = Otfgc.Sampler.series (Runtime.sampler rt) in
-  let census_stalls = ref 0 in
-  for row = 0 to Otfgc_support.Timeseries.length ts - 1 do
-    census_stalls :=
-      max !census_stalls
-        (Otfgc_support.Timeseries.get ts ~col:Otfgc.Sampler.i_stalls ~row)
-  done;
-  Alcotest.(check int) "census stalls reach the snapshot's"
-    snap.Otfgc_metrics.Metrics_snapshot.stalls !census_stalls;
+    (Otfgc_support.Histogram.max_value progress > 0);
+  let row_stalls =
+    List.fold_left
+      (fun acc (r : Otfgc.Metrics_snapshot.t) -> max acc r.stalls)
+      0
+      (Otfgc.Sampler.rows (Runtime.sampler rt))
+  in
+  Alcotest.(check bool) "the mutators stalled" true
+    (Otfgc.Telemetry.stalls tel > 0);
+  Alcotest.(check int) "row stalls reach the totals'"
+    (Otfgc.Telemetry.stalls tel) row_stalls;
   (* the stall latencies are recorded on the mutators' own ledgers:
      post-run readers of the totals (the speedup sweep's stall and SLO
      columns) must see them *)
-  let tel = (Otfgc.State.totals (Runtime.state rt)).Otfgc.Ledger.tel in
   if Otfgc.Telemetry.stalls tel > 0 then
     Alcotest.(check bool) "totals carry the stall latencies" true
       (Otfgc_support.Histogram.count (Otfgc.Telemetry.stall_latency tel) > 0)
@@ -415,7 +425,7 @@ let suites =
     ( "domains.totals",
       [
         Alcotest.test_case "cycle progress and census stalls" `Quick
-          test_totals_reach_cycle_and_census;
+          test_totals_reach_cycle_and_rows;
       ] );
     ( "domains.stall",
       [

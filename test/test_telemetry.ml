@@ -6,7 +6,7 @@ open Otfgc
 module Histogram = Otfgc_support.Histogram
 module Json = Otfgc_support.Json
 module Run_result = Otfgc_metrics.Run_result
-module Metrics_snapshot = Otfgc_metrics.Metrics_snapshot
+module Metrics_snapshot = Otfgc.Metrics_snapshot
 module Trace_export = Otfgc_metrics.Trace_export
 module Fr = Flight_recorder
 module Driver = Otfgc_workloads.Driver
@@ -406,7 +406,7 @@ let test_report_summary () =
     instrumented_run ~seed:42 ~gc:(Gc_config.generational ())
       (Profile.anagram)
   in
-  let s = Metrics_snapshot.take (Runtime.state rt) in
+  let s = Observatory.take (Runtime.state rt) in
   let sum kvs = List.fold_left (fun a (_, v) -> a + v) 0 kvs in
   check_int "report phase sum" s.Metrics_snapshot.collector_work
     (sum s.Metrics_snapshot.phase_work);
