@@ -15,8 +15,10 @@
                               regression; on failure an attribution table
                               ranks the collector phases and event counters
                               that moved most (trajectory --quick: the CI
-                              gate; --out FILE overrides BENCH_0010.json;
-                              --threshold PCT overrides the 5% noise bar;
+                              gate; writes trajectory.json, or --out FILE:
+                              a committed BENCH_*.json is rewritten only
+                              when --out names it; --threshold PCT
+                              overrides the 5% noise bar;
                               --against FILE pins the baseline explicitly —
                               an unreadable or incomparable FILE is then a
                               hard failure; --report FILE renders every
@@ -36,6 +38,9 @@
      main.exe --jobs 8        simulation parallelism (domains; default
                               OTFGC_JOBS or the recommended domain count)
      main.exe --no-cache      ignore the persistent _cache/ directory
+
+   A bad value, an unknown flag, a flag the command does not take or an
+   unknown figure id exits 1 with one line on stderr.
 
    All runs are enumerated up front and fanned out across domains as one
    batch; results are memoised on disk under _cache/, so a repeated
@@ -246,7 +251,9 @@ module Micro = struct
     let st = Runtime.state rt in
     let heap = Runtime.heap rt in
     let x =
-      Option.get (Heap.alloc heap ~size:32 ~n_slots:0 ~color:st.Otfgc.State.clear_color)
+      Option.get
+        (Heap.alloc heap ~size:32 ~n_slots:0
+           ~color:(Otfgc.State.clear_color_of (Otfgc.State.phase st)))
     in
     Test.make ~name:"collector: mark_gray + reset"
       (Staged.stage (fun () ->
@@ -254,7 +261,8 @@ module Micro = struct
              (Collector.mark_gray st ~tel:st.Otfgc.State.ledger.tel ~sync:false
                 x
                : bool);
-           Heap.set_color heap x st.Otfgc.State.clear_color;
+           Heap.set_color heap x
+             (Otfgc.State.clear_color_of (Otfgc.State.phase st));
            ignore (Otfgc.Gray_queue.pop st.Otfgc.State.gray)))
 
   (* one full collection cycle over a small populated heap *)
@@ -767,7 +775,9 @@ module Traj = struct
     in
     let seeded verdict =
       write out current;
-      Printf.printf "%s\ntrajectory written to %s — commit it to arm the gate\n"
+      Printf.printf
+        "%s\ntrajectory written to %s — commit it as the next \
+         BENCH_NNNN.json to arm the gate\n"
         verdict out;
       0
     in
@@ -977,116 +987,120 @@ end
 (* Figure regeneration                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The command line.  A bad value, an unknown flag, a flag the command
+   does not take and an unknown figure id each end the run before
+   anything runs, with one line on stderr and exit status 1. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 1)
+    fmt
+
+(* Each flag: whether it takes a value, and the commands that take it. *)
+let flags =
+  [
+    ("--quick", false, [ "figures"; "micro"; "trajectory"; "speedup" ]);
+    ("--scale", true, [ "figures" ]);
+    ("--jobs", true, [ "figures"; "trajectory" ]);
+    ("--no-cache", false, [ "figures" ]);
+    ("--out", true, [ "trajectory"; "speedup" ]);
+    ("--threshold", true, [ "trajectory" ]);
+    ("--against", true, [ "trajectory" ]);
+    ("--report", true, [ "trajectory" ]);
+    ("--gc-workers", true, [ "speedup" ]);
+    ("--slo", false, [ "speedup" ]);
+  ]
+
+(* [(flag, value)] pairs in order (value [""] for switches) and the
+   positional arguments. *)
+let parse_args args =
+  let rec go opts pos = function
+    | [] -> (List.rev opts, List.rev pos)
+    | a :: rest when String.length a > 1 && a.[0] = '-' -> (
+        match (List.find_opt (fun (f, _, _) -> f = a) flags, rest) with
+        | None, _ -> usage_error "unknown flag %s" a
+        | Some (_, false, _), _ -> go ((a, "") :: opts) pos rest
+        | Some (_, true, _), v :: rest -> go ((a, v) :: opts) pos rest
+        | Some (_, true, _), [] -> usage_error "%s needs a value" a)
+    | a :: rest -> go opts (a :: pos) rest
+  in
+  go [] [] args
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
+  let opts, positional = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let commands = [ "micro"; "trajectory"; "speedup" ] in
+  let command, fig_ids =
+    match positional with
+    | [ c ] when List.mem c commands -> (c, [])
+    | ids ->
+        List.iter
+          (fun id ->
+            if List.mem id commands then
+              usage_error "%s takes no other arguments" id;
+            if Registry.find id = None then
+              usage_error
+                "unknown figure id %s (fig7..fig23, ablationA, ablationB)" id)
+          ids;
+        ("figures", ids)
+  in
+  List.iter
+    (fun (name, _) ->
+      let _, _, commands = List.find (fun (f, _, _) -> f = name) flags in
+      if not (List.mem command commands) then
+        usage_error "%s does not apply to %s" name
+          (if command = "figures" then "figure regeneration" else command))
+    opts;
+  let value name = List.assoc_opt name opts in
+  let number name ~valid ~what of_string =
+    Option.map
+      (fun v ->
+        match of_string v with
+        | Some x when valid x -> x
+        | _ -> usage_error "%s must be %s, not %s" name what v)
+      (value name)
+  in
+  let quick = value "--quick" <> None in
   let scale =
-    let rec find = function
-      | "--scale" :: v :: _ -> float_of_string v
-      | _ :: rest -> find rest
-      | [] -> if quick then 0.15 else 0.5
-    in
-    find args
+    number "--scale" float_of_string_opt ~what:"a positive number"
+      ~valid:(fun f -> f > 0. && Float.is_finite f)
+    |> Option.value ~default:(if quick then 0.15 else 0.5)
   in
   let jobs =
-    let rec find = function
-      | "--jobs" :: v :: _ -> (
-          match int_of_string_opt v with
-          | Some n when n >= 1 -> n
-          | _ ->
-              Printf.eprintf "--jobs wants a positive integer, got %S\n" v;
-              exit 2)
-      | _ :: rest -> find rest
-      | [] -> Otfgc_support.Pool.default_jobs ()
-    in
-    find args
+    number "--jobs" int_of_string_opt ~what:"a positive integer"
+      ~valid:(fun n -> n >= 1)
+    |> Option.value ~default:(Otfgc_support.Pool.default_jobs ())
   in
-  let cache_dir = if List.mem "--no-cache" args then None else Some "_cache" in
-  let fig_ids =
-    List.filter
-      (fun a -> String.length a >= 3 && String.sub a 0 3 = "fig")
-      args
-  in
-  let micro_only = List.mem "micro" args in
-  if List.mem "trajectory" args then begin
-    let out =
-      let rec find = function
-        | "--out" :: v :: _ -> v
-        | _ :: rest -> find rest
-        | [] -> "BENCH_0010.json"
-      in
-      find args
-    in
-    let against =
-      let rec find = function
-        | "--against" :: v :: _ -> Some v
-        | _ :: rest -> find rest
-        | [] -> None
-      in
-      find args
-    in
-    let report =
-      let rec find = function
-        | "--report" :: v :: _ -> Some v
-        | _ :: rest -> find rest
-        | [] -> None
-      in
-      find args
-    in
+  let cache_dir = if value "--no-cache" <> None then None else Some "_cache" in
+  if command = "trajectory" then begin
+    (* the default output is never a BENCH_*.json: a committed baseline
+       is rewritten only when --out names it *)
+    let out = Option.value (value "--out") ~default:"trajectory.json" in
     let threshold =
-      let rec find = function
-        | "--threshold" :: v :: _ -> (
-            match float_of_string_opt v with
-            | Some f when f >= 0. -> f
-            | _ ->
-                Printf.eprintf "--threshold wants a percentage, got %S\n" v;
-                exit 2)
-        | _ :: rest -> find rest
-        | [] -> 5.
-      in
-      find args
+      number "--threshold" float_of_string_opt ~what:"a non-negative percentage"
+        ~valid:(fun f -> f >= 0. && Float.is_finite f)
+      |> Option.value ~default:5.
     in
-    exit (Traj.run ~quick ~jobs ~out ~threshold ~against ~report)
+    exit
+      (Traj.run ~quick ~jobs ~out ~threshold ~against:(value "--against")
+         ~report:(value "--report"))
   end
-  else if List.mem "speedup" args then begin
-    let out =
-      let rec find = function
-        | "--out" :: v :: _ -> v
-        | _ :: rest -> find rest
-        | [] -> "speedup.json"
-      in
-      find args
-    in
+  else if command = "speedup" then begin
+    let out = Option.value (value "--out") ~default:"speedup.json" in
     let gc_workers =
-      let rec find = function
-        | "--gc-workers" :: v :: _ -> (
-            match int_of_string_opt v with
-            | Some n when n >= 1 -> n
-            | _ ->
-                Printf.eprintf "--gc-workers wants a positive integer, got %S\n" v;
-                exit 2)
-        | _ :: rest -> find rest
-        | [] -> 1
-      in
-      find args
+      number "--gc-workers" int_of_string_opt ~what:"a positive integer"
+        ~valid:(fun n -> n >= 1)
+      |> Option.value ~default:1
     in
-    exit (Speedup.run ~quick ~gc_workers ~slo:(List.mem "--slo" args) ~out)
+    exit (Speedup.run ~quick ~gc_workers ~slo:(value "--slo" <> None) ~out)
   end
-  else if micro_only then Micro.run ~quick ()
+  else if command = "micro" then Micro.run ~quick ()
   else begin
     let lab_main = Lab.create ~scale ~jobs ~cache_dir () in
     let lab_sweep = Lab.create ~scale:(scale /. 2.) ~jobs ~cache_dir () in
     let entries =
       if fig_ids = [] then Registry.all
-      else
-        List.filter_map
-          (fun id ->
-            match Registry.find id with
-            | Some e -> Some e
-            | None ->
-                Printf.eprintf "unknown figure id %s (fig7..fig23)\n" id;
-                None)
-          fig_ids
+      else List.filter_map Registry.find fig_ids
     in
     Printf.printf
       "Reproducing %d figure(s) at scale %.2f (sweeps %.2f) on %d domain(s); \

@@ -41,7 +41,9 @@ let attempt ~naive ~seed =
   let o = Option.get (Heap.alloc heap ~size:32 ~n_slots:1 ~color:Color.Black) in
   Card_table.mark (Heap.cards heap) o;
   let y =
-    Option.get (Heap.alloc heap ~size:32 ~n_slots:0 ~color:st.State.clear_color)
+    Option.get
+      (Heap.alloc heap ~size:32 ~n_slots:0
+         ~color:(State.clear_color_of (State.phase st)))
   in
   let m = Runtime.new_mutator rt ~name:"mut" () in
   Mutator.set_reg m 0 y;

@@ -45,7 +45,8 @@ let is_old st x = Color.equal (Heap.color st.heap x) Color.Black
    toggle).  Figure 4 (aging) and the non-generational DLG barrier shade
    the clear color only.  A scheduling point sits between the color load
    and the gray store: the paper's machine model only makes individual
-   loads and stores atomic.  [tel] is the caller-context telemetry —
+   loads and stores atomic; both color roles come from one phase load.
+   [tel] is the caller-context telemetry —
    per-mutator under real domains when a barrier shades, shared when the
    collector does. *)
 let mark_gray st ~tel ~sync x =
@@ -53,11 +54,12 @@ let mark_gray st ~tel ~sync x =
   else begin
     let c = Heap.color st.heap x in
     State.step st;
-    let clearish = Color.equal c st.clear_color in
+    let w = State.phase st in
+    let clearish = Color.equal c (State.clear_color_of w) in
     let yellow =
       (not clearish) && sync
       && (match mode_of st with
-         | Gc_config.Generational -> Color.equal c st.allocation_color
+         | Gc_config.Generational -> Color.equal c (State.allocation_color_of w)
          | Gc_config.Non_generational | Gc_config.Generational_aging _
          | Gc_config.Generational_adaptive ->
              false)
@@ -170,7 +172,7 @@ let update st m ~x ~i ~y =
         charged_mark_gray st ~charge ~tel ~sync:true old;
         charged_mark_gray st ~charge ~tel ~sync:true y
       end
-      else if Atomic.get st.tracing then begin
+      else if State.phase st land tracing_bit <> 0 then begin
         let old = Heap.get_slot st.heap x i in
         State.step st;
         charged_mark_gray st ~charge ~tel ~sync:false old
@@ -189,7 +191,7 @@ let update st m ~x ~i ~y =
         charged_mark_gray st ~charge ~tel ~sync:true old;
         charged_mark_gray st ~charge ~tel ~sync:true y
       end
-      else if Atomic.get st.tracing then begin
+      else if State.phase st land tracing_bit <> 0 then begin
         let old = Heap.get_slot st.heap x i in
         State.step st;
         charged_mark_gray st ~charge ~tel ~sync:false old;
@@ -204,13 +206,14 @@ let update st m ~x ~i ~y =
          store — the ordering half of the Section 7.2 race argument.
          Under real domains the card mark is an atomic (SC) store, so the
          plain slot store above it cannot be reordered past it. *)
+      let w = State.phase st in
       if in_sync then begin
         let old = Heap.get_slot st.heap x i in
         State.step st;
         charged_mark_gray st ~charge ~tel ~sync:true old;
         charged_mark_gray st ~charge ~tel ~sync:true y
       end
-      else if Atomic.get st.tracing then begin
+      else if w land tracing_bit <> 0 then begin
         let old = Heap.get_slot st.heap x i in
         State.step st;
         charged_mark_gray st ~charge ~tel ~sync:false old
@@ -218,7 +221,11 @@ let update st m ~x ~i ~y =
       State.step st;
       Heap.set_slot st.heap x i y;
       Cost.mutator cost Cost.c_store;
-      mutator_mark_card st ~cost ~tel x)
+      mutator_mark_card st ~cost ~tel x;
+      (* a toggle inside this sync-window barrier may have left [y] judged
+         by the old roles and its card scanned before the mark (DESIGN §5) *)
+      if in_sync && (State.phase st lxor w) land parity_bit <> 0 then
+        charged_mark_gray st ~charge ~tel ~sync:true y)
 
 (* ------------------------------------------------------------------ *)
 (* Cooperate (Figure 1)                                                *)
@@ -278,12 +285,13 @@ let allocation_color st =
          object created before the first handshake is never traced, and
          root marking does not shade it, so the clear chain hanging off it
          is reclaimed while reachable. *)
-      if Atomic.get st.tracing || Atomic.get st.sweeping then
-        st.allocation_color
-      else st.clear_color
+      let w = State.phase st in
+      if w land (tracing_bit lor sweeping_bit) <> 0 then
+        State.allocation_color_of w
+      else State.clear_color_of w
   | Gc_config.Generational | Gc_config.Generational_aging _
   | Gc_config.Generational_adaptive ->
-      st.allocation_color
+      State.allocation_color_of (State.phase st)
 
 (* ------------------------------------------------------------------ *)
 (* Handshakes (Figure 3)                                               *)
@@ -316,12 +324,8 @@ let wait_handshake st =
     ~status:(Status.index (Atomic.get st.status_c))
 
 let switch_allocation_clear_colors st =
-  (* Two separate stores, as in Figure 3; a mutator allocating between them
-     is protected by root marking at the third handshake. *)
-  let tmp = st.clear_color in
-  st.clear_color <- st.allocation_color;
+  Atomic.set st.phase (State.phase st lxor parity_bit);
   State.step st;
-  st.allocation_color <- tmp;
   note st Flight_recorder.Colors_toggled ~a:0
 
 (* ------------------------------------------------------------------ *)
@@ -555,6 +559,7 @@ let init_full_collection st ~clear_card_marks =
   Cost.set_phase st.ledger.cost Cost.Clear;
   let heap = st.heap in
   let space = Heap.space heap in
+  let alloc_color = State.allocation_color_of (State.phase st) in
   let addr = ref 0 in
   while !addr < Heap.capacity heap do
     charge_tick st 2;
@@ -566,7 +571,7 @@ let init_full_collection st ~clear_card_marks =
        Page_set.touch_color st.ledger.pages !addr;
        let c = Heap.color heap !addr in
        if Color.equal c Color.Black || Color.equal c Color.Gray then
-         Heap.set_color heap !addr st.allocation_color
+         Heap.set_color heap !addr alloc_color
      end);
     State.unlock_heap st;
     addr := !addr + size
@@ -591,7 +596,7 @@ let init_full_collection st ~clear_card_marks =
 let trace_target st =
   match mode_of st with
   | Gc_config.Non_generational ->
-      st.allocation_color (* mark color; no persistent black generation *)
+      State.allocation_color_of (State.phase st) (* the mark color *)
   | Gc_config.Generational | Gc_config.Generational_aging _
   | Gc_config.Generational_adaptive ->
       Color.Black
@@ -766,6 +771,8 @@ let sweep st (w : Gc_par.worker) =
   let lo = bounds.(w.Gc_par.wid) in
   let hi = bounds.(w.Gc_par.wid + 1) in
   let pages = w.Gc_par.ledger.pages in
+  let clear_color = State.clear_color_of (State.phase st) in
+  let alloc_color = Color.other clear_color in
   let addr = ref lo in
   let unannounced = ref 0 in
   while !addr < hi do
@@ -793,7 +800,7 @@ let sweep st (w : Gc_par.worker) =
           (* a reserved block in some mutator's allocation cache (real
              domains only): not an object yet — leave it alone *)
           ()
-        else if Color.equal c st.clear_color then begin
+        else if Color.equal c clear_color then begin
           tick st w Cost.c_free;
           w.Gc_par.objects_freed <- w.Gc_par.objects_freed + 1;
           w.Gc_par.bytes_freed <- w.Gc_par.bytes_freed + size;
@@ -810,7 +817,7 @@ let sweep st (w : Gc_par.worker) =
                  so it becomes collectible next cycle instead of leaking as
                  an eternal gray. *)
               if Color.equal c Color.Gray then
-                Heap.set_color heap x st.allocation_color
+                Heap.set_color heap x alloc_color
           | Gc_config.Generational_aging _ | Gc_config.Generational_adaptive ->
               (* Figure 5: promoted objects stay black and stop aging;
                  young survivors (traced black this cycle, or created
@@ -834,8 +841,8 @@ let sweep st (w : Gc_par.worker) =
                 end
               end
               else begin
-                if not (Color.equal c st.allocation_color) then
-                  Heap.set_color heap x st.allocation_color;
+                if not (Color.equal c alloc_color) then
+                  Heap.set_color heap x alloc_color;
                 (* never age a young object into the sentinel *)
                 if age < 254 then Age_table.incr ages x;
                 Page_set.touch_age pages x;
@@ -925,9 +932,10 @@ let gc_worker_loop st wid =
 let census st cycle =
   let heap = st.heap in
   let young_o = ref 0 and young_b = ref 0 in
+  let clear_color = State.clear_color_of (State.phase st) in
   State.lock_heap st;
   Heap.iter_objects heap (fun x ->
-      if Color.equal (Heap.color heap x) st.clear_color then begin
+      if Color.equal (Heap.color heap x) clear_color then begin
         incr young_o;
         young_b := !young_b + Heap.size heap x
       end);
@@ -1024,7 +1032,7 @@ let run_cycle st ~full =
       end);
   wait_handshake st;
   census st cycle;
-  Atomic.set st.tracing true;
+  Atomic.set st.phase (State.phase st lor tracing_bit);
   let trace_t0 = fnow () in
   post_handshake st Status.Async;
   (* mark global roots (attributed to the trace: they seed it) *)
@@ -1041,12 +1049,7 @@ let run_cycle st ~full =
   run_phase st cycle Gc_par.Trace;
   fspan Flight_recorder.Phase ~a:2 ~b:cycle.Gc_stats.objects_traced trace_t0;
   Telemetry.note_trace_workers st.ledger.tel cycle.Gc_stats.trace_workers;
-  (* [sweeping] is raised before [tracing] drops so the non-generational
-     create color never observes a gap between the two phases (a clear
-     object created in such a gap, held only in a register, would be
-     reclaimed by this very sweep). *)
-  Atomic.set st.sweeping true;
-  Atomic.set st.tracing false;
+  Atomic.set st.phase (State.phase st land parity_bit lor sweeping_bit);
   (* sweep *)
   let sweep_t0 = fnow () in
   compute_sweep_bounds st;
@@ -1055,14 +1058,11 @@ let run_cycle st ~full =
   Telemetry.add_promotions st.ledger.tel cycle.Gc_stats.promotions;
   if cycle.Gc_stats.promotions > 0 then
     note st Flight_recorder.Promoted ~a:cycle.Gc_stats.promotions;
-  (match mode with
-  | Gc_config.Non_generational ->
-      (* Remark 5.1: swap black and white instead of re-whitening.  An
-         object created between the toggle and [sweeping] dropping gets
-         the new mark color — it floats for one cycle, harmlessly. *)
-      switch_allocation_clear_colors st
-  | _ -> ());
-  Atomic.set st.sweeping false;
+  (* Remark 5.1: the non-generational cycle swaps black and white
+     instead of re-whitening, in the store that ends the sweep. *)
+  let toggle = if mode = Gc_config.Non_generational then parity_bit else 0 in
+  Atomic.set st.phase (State.phase st land parity_bit lxor toggle);
+  if toggle <> 0 then note st Flight_recorder.Colors_toggled ~a:0;
   (* Dynamic tenuring (Section 6's future-work hook): promote sooner when
      virtually everything young dies (survivors are proven long-lived);
      let objects age longer when many survive their first collection (they

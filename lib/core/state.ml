@@ -16,15 +16,7 @@ type t = {
   mutable mutator_slots : Mutator.t array;
   n_mutators : int Atomic.t;
   mutable globals : int list;
-  (* The two color names stay plain: only the collector writes them, and
-     every mutator read is bounded-stale by construction — the paper's
-     protocol tolerates a create/shade using the pre-toggle color until
-     the mutator acks the next handshake, and that ack's status_c read is
-     the acquire that makes the toggle visible (DESIGN §10). *)
-  mutable allocation_color : Color.t;
-  mutable clear_color : Color.t;
-  tracing : bool Atomic.t;
-  sweeping : bool Atomic.t;
+  phase : int Atomic.t;
   collecting : bool Atomic.t;
   sweep_progress : int Atomic.t;
   gc_request : gc_request Atomic.t;
@@ -60,10 +52,7 @@ let create heap cfg =
     mutator_slots = [||];
     n_mutators = Atomic.make 0;
     globals = [];
-    allocation_color = Color.C0;
-    clear_color = Color.C1;
-    tracing = Atomic.make false;
-    sweeping = Atomic.make false;
+    phase = Atomic.make 0;
     collecting = Atomic.make false;
     sweep_progress = Atomic.make 0;
     gc_request = Atomic.make No_request;
@@ -89,6 +78,15 @@ let create heap cfg =
   }
 
 let step t = if t.fine_grained then Substrate.yield ()
+
+(* {2 The phase word} *)
+
+let parity_bit = 1
+let tracing_bit = 2
+let sweeping_bit = 4
+let phase t = Atomic.get t.phase
+let allocation_color_of w = if w land parity_bit = 0 then Color.C0 else Color.C1
+let clear_color_of w = if w land parity_bit = 0 then Color.C1 else Color.C0
 
 (* {2 Mutator registry} *)
 
@@ -157,5 +155,3 @@ let now_units t =
     Otfgc_support.Monotonic_clock.ns_to_us
       (Otfgc_support.Monotonic_clock.now_ns ())
   else Cost.elapsed_multi t.ledger.Ledger.cost
-
-let young_color _t c = not (Color.equal c Color.Black)

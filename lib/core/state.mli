@@ -2,20 +2,17 @@
 
     One value of this type corresponds to the process-wide state of the
     paper's JVM: the heap and its side tables, the collector's posted
-    status, the two toggling color names, the "collector is tracing" flag
-    read by write barriers, the gray set, triggers, and the registry of
-    every actor's {!Ledger}.
+    status, the phase word (the toggling color pair and the tracing and
+    sweeping flags), the gray set, triggers, and the registry of every
+    actor's {!Ledger}.
 
     The record is deliberately transparent: the collectors in this library
     are the paper's Figures 1–6 transliterated, and hiding every field
     behind accessors would only obscure the correspondence.  Outside code
     should treat it as read-only and go through {!Runtime}.
 
-    The fields both sides race on are [Atomic.t]: under the cooperative
-    substrate an atomic get/set is one simulated step, exactly as the
-    plain loads and stores were, so schedules — and every simulated
-    figure — are unchanged; under the real-domains substrate they carry
-    the inter-domain orderings DESIGN §10 spells out. *)
+    The fields both sides race on are [Atomic.t]; DESIGN §10 spells out
+    the orderings they carry under the real-domains substrate. *)
 
 type gc_request = No_request | Want_partial | Want_full
 
@@ -29,19 +26,7 @@ type t = {
           first, then the array — the publication order) *)
   n_mutators : int Atomic.t;
   mutable globals : int list;   (** global roots, marked by the collector *)
-  (* colors *)
-  mutable allocation_color : Otfgc_heap.Color.t;
-      (** [Generational]/[Generational_aging]: the color newly created
-          objects get ("yellow" while a cycle runs).  [Non_generational]:
-          the mark color — what the trace recolors live objects to.
-          Plain on purpose: only the collector writes it, and the
-          handshake protocol bounds every mutator's staleness (DESIGN
-          §10). *)
-  mutable clear_color : Otfgc_heap.Color.t;
-      (** the color the sweep reclaims *)
-  (* phase flags, each written only by the collector *)
-  tracing : bool Atomic.t;    (** the barrier's "Collector is tracing" *)
-  sweeping : bool Atomic.t;   (** sweep in progress (create-color decision) *)
+  phase : int Atomic.t;  (** the phase word (see {!phase}) *)
   collecting : bool Atomic.t; (** a collection cycle is in progress *)
   sweep_progress : int Atomic.t;
       (** bumped by the sweep once per 64 blocks it frees and once at the
@@ -116,6 +101,28 @@ val step : t -> unit
 (** Fine-grained scheduling point: yields iff [fine_grained] (a no-op or
     stress jitter under the domains substrate). *)
 
+(** {2 The phase word}
+
+    [parity_bit] picks the color roles (clear: allocation [C0], clear
+    [C1]; set: the reverse), [tracing_bit] is the barrier's "Collector is
+    tracing", [sweeping_bit] a sweep in progress.  The collector writes
+    the word with one store per transition; a decision loads it once and
+    derives every role from that value (DESIGN §10.3). *)
+
+val parity_bit : int
+val tracing_bit : int
+val sweeping_bit : int
+
+val phase : t -> int
+(** One load of the phase word. *)
+
+val allocation_color_of : int -> Otfgc_heap.Color.t
+(** The generational modes create objects with it ("yellow" during a
+    cycle); the non-generational trace marks to it. *)
+
+val clear_color_of : int -> Otfgc_heap.Color.t
+(** The color the sweep reclaims: the other toggling color. *)
+
 (** {2 Mutator registry} *)
 
 val register_mutator : t -> Mutator.t -> unit
@@ -170,7 +177,3 @@ val mtelemetry : t -> Mutator.t -> Telemetry.t
 val now_units : t -> int
 (** Timestamp for latency instruments: {!Cost.elapsed_multi} (simulated
     units) under the simulator, real microseconds under domains. *)
-
-val young_color : t -> Otfgc_heap.Color.t -> bool
-(** Whether an object of the given color belongs to the young generation
-    under the simple promotion policy (i.e. is not black). *)

@@ -195,11 +195,15 @@ let test_color_toggle_swaps () =
     with_runtime (fun rt m ->
         ignore m;
         let st = Runtime.state rt in
-        let a0 = st.State.allocation_color and c0 = st.State.clear_color in
+        let colors () =
+          let w = State.phase st in
+          (State.allocation_color_of w, State.clear_color_of w)
+        in
+        let a0, c0 = colors () in
         ignore (Runtime.collect_and_wait rt m ~full:false);
-        check "allocation color toggled" true
-          (Color.equal st.State.allocation_color c0);
-        check "clear color toggled" true (Color.equal st.State.clear_color a0))
+        let a1, c1 = colors () in
+        check "allocation color toggled" true (Color.equal a1 c0);
+        check "clear color toggled" true (Color.equal c1 a0))
   in
   ignore rt
 

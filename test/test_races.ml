@@ -18,6 +18,7 @@ module Heap = Otfgc_heap.Heap
 module Color = Otfgc_heap.Color
 module Card_table = Otfgc_heap.Card_table
 module Sched = Otfgc_sched.Sched
+module Substrate = Otfgc_sched.Substrate
 module Rng = Otfgc_support.Rng
 
 let kb = 1024
@@ -44,7 +45,9 @@ let attempt ~naive ~seed =
   Card_table.mark (Heap.cards heap) o;
   (* young object the mutator is about to publish through [o] *)
   let y =
-    Option.get (Heap.alloc heap ~size:32 ~n_slots:0 ~color:st.State.clear_color)
+    Option.get
+      (Heap.alloc heap ~size:32 ~n_slots:0
+         ~color:(State.clear_color_of (State.phase st)))
   in
   let m = Runtime.new_mutator rt ~name:"mut" () in
   Mutator.set_reg m 0 y;
@@ -138,14 +141,20 @@ let run_system_hammer ~gc ~seed =
   | Error e -> if !violation = None then violation := Some e);
   !violation
 
+(* Seeds 608, 978 and 2121 once lost an object through a sync-window
+   barrier straddling the color toggle: it judged the fresh object by
+   the pre-toggle roles and marked its card after the card scan had
+   passed it (DESIGN §5). *)
 let test_aging_system_safe () =
-  for seed = 0 to 11 do
-    match
-      run_system_hammer ~gc:(Gc_config.aging ~young_bytes:kb ~oldest_age:2 ()) ~seed
-    with
-    | None -> ()
-    | Some e -> Alcotest.failf "aging collector lost an object (seed %d): %s" seed e
-  done
+  List.iter
+    (fun seed ->
+      match
+        run_system_hammer ~gc:(Gc_config.aging ~young_bytes:kb ~oldest_age:2 ()) ~seed
+      with
+      | None -> ()
+      | Some e ->
+          Alcotest.failf "aging collector lost an object (seed %d): %s" seed e)
+    (List.init 12 Fun.id @ [ 608; 978; 2121 ])
 
 let test_simple_system_safe () =
   for seed = 0 to 11 do
@@ -157,8 +166,130 @@ let test_simple_system_safe () =
         Alcotest.failf "simple collector lost an object (seed %d): %s" seed e
   done
 
+(* The color toggle of Section 5.  A toggle swaps the roles of the two
+   colors, and MarkGray decides from both roles at once, so no reader may
+   ever see the two roles name the same color: a half-made toggle makes
+   MarkGray skip one of the toggling colors entirely.  Under fine-grained
+   random schedules a checker process reads the pair at every step while
+   a mutator runs partial and full cycles; the pair must always be the
+   two distinct toggling colors, and "tracing" and "sweeping" never both
+   hold. *)
+let toggle_violation ~gc ~seed =
+  let heap_config =
+    { Heap.initial_bytes = 8 * kb; max_bytes = 32 * kb; card_size = 16 }
+  in
+  let rt = Runtime.create ~heap_config ~gc_config:gc () in
+  let st = Runtime.state rt in
+  let sched =
+    Sched.create ~policy:(Sched.random_policy (Rng.make seed)) ()
+  in
+  ignore (Runtime.spawn_collector rt sched);
+  let violation = ref None in
+  let toggling c = Color.equal c Color.C0 || Color.equal c Color.C1 in
+  ignore
+    (Sched.spawn sched ~daemon:true ~name:"checker" (fun () ->
+         while true do
+           (* three loads with no scheduling point between them see one
+              state of the word: every state a step boundary exposes *)
+           let a = State.allocation_color_of (State.phase st) in
+           let c = State.clear_color_of (State.phase st) in
+           let w = State.phase st in
+           (if !violation = None then
+              if Color.equal a c || not (toggling a && toggling c) then
+                violation :=
+                  Some
+                    (Printf.sprintf "allocation %s, clear %s"
+                       (Color.to_string a) (Color.to_string c))
+              else if w land State.tracing_bit <> 0
+                      && w land State.sweeping_bit <> 0 then
+                violation := Some "tracing and sweeping both set");
+           Sched.yield ()
+         done));
+  let m = Runtime.new_mutator rt ~name:"m" () in
+  ignore
+    (Sched.spawn sched ~name:"m" (fun () ->
+         let o = Runtime.alloc rt m ~size:64 ~n_slots:2 in
+         Mutator.set_reg m 0 o;
+         List.iter
+           (fun full ->
+             Runtime.store rt m ~x:o ~i:0
+               ~y:(Runtime.alloc rt m ~size:32 ~n_slots:0);
+             ignore (Runtime.collect_and_wait rt m ~full))
+           [ false; false; true; false ];
+         Runtime.retire_mutator rt m));
+  Sched.run ~max_steps:10_000_000 sched;
+  !violation
+
+let toggle_seeds = 24
+
+let test_toggle_atomic_sim () =
+  List.iter
+    (fun (name, gc) ->
+      for seed = 0 to toggle_seeds - 1 do
+        match toggle_violation ~gc ~seed with
+        | None -> ()
+        | Some e -> Alcotest.failf "%s, seed %d: %s" name seed e
+      done)
+    [
+      ("generational", Gc_config.generational ~young_bytes:kb ());
+      ("aging:2", Gc_config.aging ~young_bytes:kb ~oldest_age:2 ());
+    ]
+
+(* The same invariant on real domains, through the reader that matters:
+   in [Generational] mode a mutator in a sync window must shade an object
+   of either toggling color.  One domain toggles the colors as the
+   collector does (one store, then a scheduling point, here jittered)
+   while another runs MarkGray on an object it recolors C0, C1, C0, ... *)
+let test_toggle_atomic_domains () =
+  let heap =
+    Heap.create
+      { Heap.initial_bytes = 64 * kb; max_bytes = 64 * kb; card_size = 16 }
+  in
+  let st = State.create heap (Gc_config.generational ()) in
+  let x = Option.get (Heap.alloc heap ~size:32 ~n_slots:0 ~color:Color.C0) in
+  let stop = Atomic.make false and toggles = Atomic.make 0 in
+  let toggler =
+    Domain.spawn (fun () ->
+        Substrate.set_current Substrate.Domains;
+        Substrate.set_jitter ~seed:7 ~prob:1.0 ~max_spin:64;
+        while not (Atomic.get stop) do
+          Atomic.set st.State.phase (State.phase st lxor State.parity_bit);
+          State.step st;
+          Atomic.incr toggles
+        done)
+  in
+  (* the reader starts once the toggler runs, and stops after enough
+     toggles to cross its window many times *)
+  let reader =
+    Domain.spawn (fun () ->
+        Substrate.set_current Substrate.Domains;
+        let missed = ref 0 and i = ref 0 in
+        while Atomic.get toggles = 0 do
+          Domain.cpu_relax ()
+        done;
+        while Atomic.get toggles < 20_000 do
+          incr i;
+          Heap.set_color heap x (if !i land 1 = 0 then Color.C0 else Color.C1);
+          if Collector.mark_gray st ~tel:st.State.ledger.tel ~sync:true x then
+            ignore (Gray_queue.pop st.State.gray : int option)
+          else incr missed
+        done;
+        Atomic.set stop true;
+        !missed)
+  in
+  let missed = Domain.join reader in
+  Domain.join toggler;
+  Alcotest.(check int) "sync-window MarkGray misses" 0 missed
+
 let suites =
   [
+    ( "races.toggle",
+      [
+        Alcotest.test_case "simulator: colors never coincide" `Quick
+          test_toggle_atomic_sim;
+        Alcotest.test_case "domains: MarkGray sees whole toggles" `Quick
+          test_toggle_atomic_domains;
+      ] );
     ( "races.cards",
       [
         Alcotest.test_case "3-step protocol safe" `Slow
