@@ -398,12 +398,13 @@ module Micro = struct
     Test.make ~name:"pages: touch_range 64 pages"
       (Staged.stage (fun () -> Page_set.touch_range ps Layout.page_size span))
 
-  (* The per-cycle floating-garbage census (mark from the roots, then
-     stream the unmarked objects) over a fixed 1 MB heap of 32 B objects
+  (* The two per-cycle censuses over a fixed 1 MB heap of 32 B objects
      with two slots: every fourth one is garbage, the others form a
-     binary tree under one register.  [run] divides by the live
-     objects. *)
-  let census_live, test_census =
+     binary tree under one register.  The floating-garbage census (one
+     marking pass, then a subtraction) is divided by the live objects,
+     the clear-colour census (one walk of the block and colour tables;
+     every object matches) by all objects. *)
+  let census_live, census_objects, test_census, test_color_census =
     let heap =
       Heap.create
         { Heap.initial_bytes = 1024 * kb; max_bytes = 1024 * kb; card_size = 16 }
@@ -431,8 +432,12 @@ module Micro = struct
        done
      with Exit -> ());
     ( Oracle.live_count st,
+      Heap.object_count heap,
       Test.make ~name:"oracle: census"
-        (Staged.stage (fun () -> Oracle.iter_garbage st ignore)) )
+        (Staged.stage (fun () -> ignore (Oracle.floating st : int * int))),
+      Test.make ~name:"collector: clear-colour census"
+        (Staged.stage (fun () ->
+             ignore (Heap.color_census heap Color.C0 : int * int))) )
 
   (* Scheduler steps.  A scheduler cannot outlive one [Sched.run], so each
      run of these micros is a whole run of [sched_batch] steps of a single
@@ -542,6 +547,7 @@ module Micro = struct
         test_dirty_count;
         test_touch_range;
         test_census;
+        test_color_census;
         test_sched_yield;
         test_sched_nap;
         test_sched_parked;
@@ -571,6 +577,9 @@ module Micro = struct
         | Some [ est ] when name = "otfgc " ^ Test.name test_census ->
             Printf.printf "  %-45s %12.1f ns/live object\n" name
               (est /. float_of_int census_live)
+        | Some [ est ] when name = "otfgc " ^ Test.name test_color_census ->
+            Printf.printf "  %-45s %12.1f ns/object\n" name
+              (est /. float_of_int census_objects)
         | Some [ est ] -> Printf.printf "  %-45s %12.1f ns\n" name est
         | _ -> Printf.printf "  %-45s (no estimate)\n" name)
       results;

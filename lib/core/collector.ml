@@ -925,23 +925,18 @@ let gc_worker_loop st wid =
 
 (* Count the reclamation candidates — the clear-colored objects — at the
    moment the trace is about to start (out of band: no cost, no pages, no
-   yields).  Taken after the color toggle, so "% freed in partial
-   collections" (Figure 12) has a well-defined denominator that later
-   allocations (yellow) cannot perturb.  Reserved cache blocks are
+   yields; one closure-free walk of the block and colour tables).  Taken
+   after the color toggle, so "% freed in partial collections" (Figure
+   12) has a well-defined denominator that later allocations (yellow)
+   cannot perturb.  Reserved cache blocks are
    allocated-but-Blue and never clear-colored, so they do not count. *)
 let census st cycle =
-  let heap = st.heap in
-  let young_o = ref 0 and young_b = ref 0 in
   let clear_color = State.clear_color_of (State.phase st) in
   State.lock_heap st;
-  Heap.iter_objects heap (fun x ->
-      if Color.equal (Heap.color heap x) clear_color then begin
-        incr young_o;
-        young_b := !young_b + Heap.size heap x
-      end);
+  let objects, bytes = Heap.color_census st.heap clear_color in
   State.unlock_heap st;
-  cycle.Gc_stats.young_objects_at_start <- !young_o;
-  cycle.Gc_stats.young_bytes_at_start <- !young_b
+  cycle.Gc_stats.young_objects_at_start <- objects;
+  cycle.Gc_stats.young_bytes_at_start <- bytes
 
 (* ------------------------------------------------------------------ *)
 (* The collection cycle (Figure 2 / Figure 5)                          *)
@@ -1103,14 +1098,16 @@ let run_cycle st ~full =
      untouched).  No scheduling point separates this from the sweep's
      last block, so the measure is exactly "what this cycle failed to
      reclaim", not garbage the mutators create later in the window.
-     Simulator only: under real domains the mutators keep running, so
-     there is no consistent snapshot to take — the cross-check instead
-     runs the oracle at quiescence (see Driver). *)
-  if not st.parallel then
-    Oracle.iter_garbage st (fun x ->
-        cycle.Gc_stats.floating_objects <- cycle.Gc_stats.floating_objects + 1;
-        cycle.Gc_stats.floating_bytes <-
-          cycle.Gc_stats.floating_bytes + Heap.size st.heap x);
+     [Oracle.floating] marks from the roots and subtracts the live
+     counts from the block counters read above, so this path holds no
+     heap walk.  Simulator only: under real domains the mutators keep
+     running, so there is no consistent snapshot to take — the
+     cross-check instead runs the oracle at quiescence (see Driver). *)
+  if not st.parallel then begin
+    let objects, bytes = Oracle.floating st in
+    cycle.Gc_stats.floating_objects <- objects;
+    cycle.Gc_stats.floating_bytes <- bytes
+  end;
   (* Pause-free progress: mutator work performed while this cycle ran. *)
   Telemetry.record_progress st.ledger.tel
     (Cost.mutator_work totals.cost - mutator_work0);

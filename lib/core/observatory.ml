@@ -93,11 +93,12 @@ let is_old st x =
   | Gc_config.Generational_aging _ | Gc_config.Generational_adaptive ->
       Age_table.get (Heap.ages st.heap) x = 255
 
-(* One walk of the blocks, binned by colour (blue, c0, c1, gray, black),
-   by generation (young, old), plus the oracle's floating garbage. *)
+(* One walk of the blocks, binned by colour (blue, c0, c1, gray, black)
+   and by generation (young, old), plus the oracle's floating garbage
+   (a marking pass, no second walk). *)
 let census st =
   let heap = st.heap in
-  let objects = Array.make 8 0 and bytes = Array.make 8 0 in
+  let objects = Array.make 7 0 and bytes = Array.make 7 0 in
   let add i size =
     objects.(i) <- objects.(i) + 1;
     bytes.(i) <- bytes.(i) + size
@@ -118,8 +119,8 @@ let census st =
             | Color.Black -> 4)
             size;
           add (if is_old st addr then 6 else 5) size);
-  Oracle.iter_garbage st (fun x -> add 7 (Heap.size heap x));
   let tally i = { Metrics_snapshot.objects = objects.(i); bytes = bytes.(i) } in
+  let floating_objects, floating_bytes = Oracle.floating st in
   {
     Metrics_snapshot.blue = tally 0;
     c0 = tally 1;
@@ -129,7 +130,7 @@ let census st =
     young = tally 5;
     old = tally 6;
     remset_entries = Remset.size (Heap.remset heap);
-    floating = tally 7;
+    floating = { objects = floating_objects; bytes = floating_bytes };
   }
 
 (* One row.  Out of band by construction: reads only — no cost charges,

@@ -1,73 +1,41 @@
 module Heap = Otfgc_heap.Heap
-module Layout = Otfgc_heap.Layout
-module Bitset = Otfgc_support.Bitset
 open State
 
-(* The outcome of one marking pass: a mark bit per heap granule (set at
-   the start granule of every reachable object), the number of marked
-   objects, and the first non-nil root or slot value found that is not
-   an allocated object ([Heap.nil] when there is none). *)
-type marks = { bits : Bitset.t; live : int; dangling : int }
-
-(* Depth-first marking from every active mutator's roots and the globals.
-   A value is marked when it is pushed, so each object enters the
-   explicit stack at most once.  [Heap.is_object] is checked before the
-   bitmap is touched: an out-of-range or unaligned value is recorded as
-   dangling and never reaches [Bitset], which would raise. *)
+(* One marking pass into the state's scratch: every active mutator's
+   roots in registration order, then the globals, then the stack drained
+   depth-first ([Heap.mark] marks at push, so each object is pushed at
+   most once). *)
 let mark st =
-  let heap = st.heap in
-  let bits =
-    Bitset.create (Layout.granules_of_bytes (Heap.max_capacity heap))
-  in
-  let stack = ref (Array.make 256 0) in
-  let sp = ref 0 in
-  let live = ref 0 in
-  let dangling = ref Heap.nil in
-  let visit x =
-    if x <> Heap.nil then
-      if Heap.is_object heap x then begin
-        let i = Layout.granule_index x in
-        if not (Bitset.mem bits i) then begin
-          Bitset.add bits i;
-          incr live;
-          if !sp = Array.length !stack then begin
-            let bigger = Array.make (2 * !sp) 0 in
-            Array.blit !stack 0 bigger 0 !sp;
-            stack := bigger
-          end;
-          Array.unsafe_set !stack !sp x;
-          incr sp
-        end
-      end
-      else if !dangling = Heap.nil then dangling := x
-  in
-  List.iter (fun m -> Mutator.iter_roots m visit) (State.active_mutators st);
-  List.iter visit st.globals;
-  while !sp > 0 do
-    decr sp;
-    Heap.iter_slots heap (Array.unsafe_get !stack !sp) visit
-  done;
-  { bits; live = !live; dangling = !dangling }
+  let heap = st.heap and m = st.marks in
+  Heap.clear_marks heap m;
+  State.iter_mutators st (fun mu ->
+      if Mutator.active mu then Mutator.iter_roots mu (Heap.mark heap m));
+  List.iter (Heap.mark heap m) st.globals;
+  Heap.drain_marks heap m;
+  m
 
 let check_safety st =
+  let d = Heap.first_dangling (mark st) in
+  if d = Heap.nil then Ok ()
+  else Error (Printf.sprintf "reachable address %d is not an allocated object" d)
+
+let floating st =
+  if st.parallel then
+    invalid_arg "Oracle.floating: reserved blocks make the count inexact on domains";
   let m = mark st in
-  if m.dangling = Heap.nil then Ok ()
-  else
-    Error
-      (Printf.sprintf "reachable address %d is not an allocated object"
-         m.dangling)
+  ( Heap.object_count st.heap - Heap.live_objects m,
+    Heap.allocated_bytes st.heap - Heap.live_bytes m )
 
 let iter_garbage st f =
   let m = mark st in
-  Heap.iter_objects st.heap (fun x ->
-      if not (Bitset.mem m.bits (Layout.granule_index x)) then f x)
+  Heap.iter_objects st.heap (fun x -> if not (Heap.is_marked m x) then f x)
 
 let garbage st =
   let acc = ref [] in
   iter_garbage st (fun x -> acc := x :: !acc);
   List.rev !acc
 
-let live_count st = (mark st).live
+let live_count st = Heap.live_objects (mark st)
 
 let check_intergen_invariant st =
   let module Color = Otfgc_heap.Color in

@@ -41,6 +41,7 @@ type t = {
   reg_lock : Mutex.t;
   par : Gc_par.t;
   pool : Block_pool.t;
+  marks : Heap.marks;
 }
 
 let create heap cfg =
@@ -75,6 +76,7 @@ let create heap cfg =
     reg_lock = Mutex.create ();
     par = Gc_par.create ledger;
     pool = Block_pool.create ();
+    marks = Heap.create_marks heap;
   }
 
 let step t = if t.fine_grained then Substrate.yield ()

@@ -91,6 +91,9 @@ type t = {
   pool : Block_pool.t;
       (** per-size-class pools of reserved blocks — the sharded middle
           tier of the domains allocation path *)
+  marks : Otfgc_heap.Heap.marks;
+      (** the reachability oracle's mark scratch, reused by every pass
+          on this state *)
 }
 
 val create : Otfgc_heap.Heap.t -> Gc_config.t -> t

@@ -280,6 +280,91 @@ let objects_on_card t card =
   iter_objects_on_card t ~scratch:(ref [||]) card (fun addr -> acc := addr :: !acc);
   List.rev !acc
 
+(* --- Kernels for the per-cycle censuses -----------------------------
+
+   Both run once per simulated cycle inside one scheduling step, so they
+   are written as plain loops over the side tables: no callback per
+   object and no allocation beyond a result pair (and a stack that grows
+   in place once). *)
+
+let color_census t c =
+  Space.allocated_with_tag t.space ~tags:t.colors (Color.to_byte c)
+
+type marks = {
+  bits : Bytes.t; (* one bit per granule up to the maximum capacity *)
+  mutable stack : int array;
+  mutable sp : int;
+  mutable live : int;
+  mutable live_bytes : int;
+  mutable dangling : int;
+}
+
+let create_marks t =
+  let n_granules = Layout.granules_of_bytes (Space.max_capacity t.space) in
+  {
+    bits = Bytes.make ((n_granules + 7) lsr 3) '\000';
+    stack = Array.make 256 0;
+    sp = 0;
+    live = 0;
+    live_bytes = 0;
+    dangling = nil;
+  }
+
+(* The capacity only grows, so the bits a pass can have set all lie
+   below the current capacity: clearing that prefix clears them all. *)
+let clear_marks t m =
+  if Bytes.length m.bits lsl 3 < Layout.granules_of_bytes (Space.max_capacity t.space)
+  then invalid_arg "Heap.clear_marks: marks made for a smaller heap";
+  let used = Layout.granules_of_bytes (Space.capacity t.space) in
+  Bytes.fill m.bits 0 ((used + 7) lsr 3) '\000';
+  m.sp <- 0;
+  m.live <- 0;
+  m.live_bytes <- 0;
+  m.dangling <- nil
+
+let[@inline never] grow_stack m =
+  let bigger = Array.make (2 * m.sp) 0 in
+  Array.blit m.stack 0 bigger 0 m.sp;
+  m.stack <- bigger
+
+(* [is_allocated_start] comes first: a value that is out of range,
+   unaligned or not an object start never reaches the bitmap, and the
+   bitmap covers every granule below the maximum capacity. *)
+let[@inline] mark t m x =
+  if x <> nil then
+    if Space.is_allocated_start t.space x then begin
+      let i = gi x in
+      let b = Char.code (Bytes.unsafe_get m.bits (i lsr 3)) in
+      let bit = 1 lsl (i land 7) in
+      if b land bit = 0 then begin
+        Bytes.unsafe_set m.bits (i lsr 3) (Char.unsafe_chr (b lor bit));
+        m.live <- m.live + 1;
+        m.live_bytes <- m.live_bytes + Space.unsafe_size t.space x;
+        if m.sp = Array.length m.stack then grow_stack m;
+        Array.unsafe_set m.stack m.sp x;
+        m.sp <- m.sp + 1
+      end
+    end
+    else if m.dangling = nil then m.dangling <- x
+
+let drain_marks t m =
+  let mem = t.mem in
+  while m.sp > 0 do
+    m.sp <- m.sp - 1;
+    let base = word (Array.unsafe_get m.stack m.sp) in
+    for j = base + 2 to base + 1 + slots_of_header (Array.unsafe_get mem base) do
+      mark t m (Array.unsafe_get mem j)
+    done
+  done
+
+let is_marked m addr =
+  let i = gi addr in
+  Char.code (Bytes.get m.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let live_objects m = m.live
+let live_bytes m = m.live_bytes
+let first_dangling m = m.dangling
+
 let capacity t = Space.capacity t.space
 let max_capacity t = Space.max_capacity t.space
 let allocated_bytes t = Space.allocated_bytes t.space

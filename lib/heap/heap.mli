@@ -186,6 +186,59 @@ val objects_on_card : t -> int -> int list
 (** Same object set as a fresh list; for tests — the collector uses
     {!iter_objects_on_card}. *)
 
+(** {2 Census kernels}
+
+    The two whole-heap measures the collector takes once per cycle,
+    written as loops over the side tables: no callback per object and no
+    host allocation beyond a result pair and, once, a stack growing in
+    place.  Neither charges cost, touches pages or yields. *)
+
+val color_census : t -> Color.t -> int * int
+(** [color_census t c] is the number and the total bytes of the
+    allocated blocks painted [c]: one header-to-header walk of the block
+    table beside the colour table.  Reserved blocks are
+    {!Color.Blue}, so they count for [Blue] only. *)
+
+type marks
+(** A caller-owned mark scratch for one heap: a bit per granule up to
+    {!max_capacity}, an [int array] stack, the counts of marked objects
+    and their bytes, and the first dangling value met.  A pass is
+    {!clear_marks}, {!mark} on every root, then {!drain_marks}.  One
+    scratch serves one pass at a time: passes that may overlap need one
+    each. *)
+
+val create_marks : t -> marks
+
+val clear_marks : t -> marks -> unit
+(** Start a pass: clear the bits below the current capacity (one
+    [Bytes.fill]), empty the stack and zero the counts.  Raises
+    [Invalid_argument] if the scratch was made for a smaller heap. *)
+
+val mark : t -> marks -> int -> unit
+(** Mark a root value.  {!nil} is ignored.  A value that is not an
+    allocated object start (see {!is_object}; checked before any bit is
+    touched) is recorded as the pass's first dangling value if there is
+    none yet.  An unmarked object is marked, counted and pushed. *)
+
+val drain_marks : t -> marks -> unit
+(** Pop objects until the stack is empty, applying {!mark} to each
+    pointer slot in index order.  Together with {!mark} on the roots in
+    order this is a depth-first pass whose visiting order — and so its
+    first dangling value — is that of a LIFO stack marked at push. *)
+
+val is_marked : marks -> int -> bool
+(** Whether the pass marked the object at the given address. *)
+
+val live_objects : marks -> int
+(** Objects the pass marked. *)
+
+val live_bytes : marks -> int
+(** Their total block bytes. *)
+
+val first_dangling : marks -> int
+(** The first non-{!nil} value met that is not an allocated object, or
+    {!nil}. *)
+
 (** {2 Accounting} *)
 
 val capacity : t -> int

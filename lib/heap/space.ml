@@ -236,6 +236,26 @@ let iter_blocks t f =
     i := !i + size_g
   done
 
+(* Header to header over the tags, with no closure: the clear-colour
+   census runs it once per cycle over the whole heap. *)
+let allocated_with_tag t ~tags tag =
+  if Bytes.length tags < t.cur_granules then
+    invalid_arg "Space.allocated_with_tag: tag table shorter than the space";
+  let blocks = ref 0 and granules = ref 0 in
+  let i = ref 0 in
+  while !i < t.cur_granules do
+    let size_g = Array.unsafe_get t.sizes !i in
+    if
+      Bytes.unsafe_get t.kinds !i = alloc_start
+      && Bytes.unsafe_get tags !i = tag
+    then begin
+      incr blocks;
+      granules := !granules + size_g
+    end;
+    i := !i + size_g
+  done;
+  (!blocks, Layout.bytes_of_granules !granules)
+
 let iter_block_starts_on_card t card f =
   if card >= 0 && card < Array.length t.card_first then begin
     let j = Array.unsafe_get t.card_first card in

@@ -108,6 +108,14 @@ val iter_blocks : t -> (int -> kind -> int -> unit) -> unit
     address order.  [f] must not change the block structure at or after
     the current address. *)
 
+val allocated_with_tag : t -> tags:Bytes.t -> char -> int * int
+(** [allocated_with_tag t ~tags c] is the number and the total bytes of
+    the allocated blocks whose start granule [i] has [Bytes.get tags i =
+    c]: one header-to-header walk with no callback and no allocation
+    beyond the result pair.  [tags] is a per-granule side table (the
+    heap passes its colour table); raises [Invalid_argument] if it is
+    shorter than the current capacity in granules. *)
+
 val iter_block_starts_on_card : t -> int -> (int -> kind -> int -> unit) -> unit
 (** [iter_block_starts_on_card t card f] calls [f addr kind size_bytes]
     for every block whose start address lies in card [card] (a

@@ -418,6 +418,17 @@ let build_graph g =
     g.freed;
   st
 
+(* Count and total size of a list of objects. *)
+let tally_sizes heap xs =
+  (List.length xs, List.fold_left (fun acc x -> acc + Heap.size heap x) 0 xs)
+
+let garbage_fold st =
+  let n = ref 0 and bytes = ref 0 in
+  Oracle.iter_garbage st (fun x ->
+      incr n;
+      bytes := !bytes + Heap.size st.State.heap x);
+  (!n, !bytes)
+
 let prop_oracle_matches_reference =
   QCheck.Test.make ~name:"bitmap oracle matches the list/Hashtbl reference"
     ~count:500
@@ -428,12 +439,233 @@ let prop_oracle_matches_reference =
       let safe = Oracle.check_safety st = Ok () in
       if safe <> ref_safe then
         QCheck.Test.fail_reportf "safety verdict %b, reference %b" safe ref_safe;
-      if Oracle.garbage st <> Reference_oracle.garbage st then
+      let ref_garbage = Reference_oracle.garbage st in
+      if Oracle.garbage st <> ref_garbage then
         QCheck.Test.fail_report "garbage lists differ";
+      let fo, fb = Oracle.floating st in
+      let ro, rb = tally_sizes st.State.heap ref_garbage in
+      if (fo, fb) <> (ro, rb) then
+        QCheck.Test.fail_reportf "floating (%d, %d), reference (%d, %d)" fo fb
+          ro rb;
       if safe && Oracle.live_count st <> Reference_oracle.live_count st then
         QCheck.Test.fail_reportf "live_count %d, reference %d"
           (Oracle.live_count st)
           (Reference_oracle.live_count st);
+      true)
+
+(* [floating] subtracts the pass's live counts from the block counters;
+   the [iter_garbage] fold walks the blocks.  Several passes run on one
+   state, dropping roots in between, so a mark bit or count left over
+   from an earlier pass in the reused scratch would show. *)
+let prop_floating_matches_garbage_fold =
+  QCheck.Test.make ~name:"floating equals the iter_garbage fold, pass after pass"
+    ~count:300
+    (QCheck.make ~print:print_graph gen_graph)
+    (fun g ->
+      let st = build_graph g in
+      let heap = st.State.heap in
+      let agree what =
+        let fo, fb = Oracle.floating st and eo, eb = garbage_fold st in
+        if (fo, fb) <> (eo, eb) then
+          QCheck.Test.fail_reportf "%s: floating (%d, %d), fold (%d, %d)" what
+            fo fb eo eb
+      in
+      agree "all roots";
+      let m = List.hd (State.mutators st) in
+      for i = 0 to Mutator.n_regs m - 1 do
+        Mutator.clear_reg m i
+      done;
+      agree "no registers";
+      while Mutator.stack_depth m > 0 do
+        ignore (Mutator.pop m : int)
+      done;
+      agree "globals only";
+      st.State.globals <- [];
+      agree "no roots";
+      if Oracle.floating st <> (Heap.object_count heap, Heap.allocated_bytes heap)
+      then QCheck.Test.fail_report "rootless heap is not all garbage";
+      true)
+
+(* A heap of [bytes] bytes filled with 32-byte, two-slot objects: every
+   fourth one is garbage, the rest a binary tree under one register. *)
+let tree_state bytes =
+  let heap =
+    Heap.create { Heap.initial_bytes = bytes; max_bytes = bytes; card_size = 16 }
+  in
+  let st = State.create heap (Gc_config.generational ()) in
+  let m = Mutator.create ~id:0 ~name:"m" ~n_regs:1 st.State.ledger in
+  State.register_mutator st m;
+  let live = Array.make (bytes / 32) Heap.nil in
+  let n_live = ref 0 and n_alloc = ref 0 in
+  let rec fill () =
+    match Heap.alloc heap ~size:32 ~n_slots:2 ~color:Color.C0 with
+    | None -> ()
+    | Some a ->
+        if !n_alloc mod 4 <> 3 then begin
+          let k = !n_live in
+          if k = 0 then Mutator.set_reg m 0 a
+          else Heap.set_slot heap live.((k - 1) / 2) ((k - 1) mod 2) a;
+          live.(k) <- a;
+          incr n_live
+        end;
+        incr n_alloc;
+        fill ()
+  in
+  fill ();
+  st
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Warm, both census kernels allocate a few words of result and closures
+   per call, whatever the heap's size: no per-object or per-pass
+   buffers. *)
+let test_census_kernels_allocate_constant () =
+  let per_call st =
+    let heap = st.State.heap in
+    ignore (Oracle.floating st : int * int);
+    ignore (Heap.color_census heap Color.C0 : int * int);
+    let calls = 20 in
+    let f =
+      minor_words (fun () ->
+          for _ = 1 to calls do
+            ignore (Oracle.floating st : int * int)
+          done)
+    in
+    let c =
+      minor_words (fun () ->
+          for _ = 1 to calls do
+            ignore (Heap.color_census heap Color.C0 : int * int)
+          done)
+    in
+    (f /. float_of_int calls, c /. float_of_int calls)
+  in
+  let small_f, small_c = per_call (tree_state (64 * 1024)) in
+  let large_f, large_c = per_call (tree_state (1024 * 1024)) in
+  check (Printf.sprintf "floating: %.1f words per call" large_f) true (large_f < 64.);
+  check (Printf.sprintf "census: %.1f words per call" large_c) true (large_c < 16.);
+  check "floating: same at 64 KB and 1 MB" true (small_f = large_f);
+  check "census: same at 64 KB and 1 MB" true (small_c = large_c)
+
+(* The subtraction counts reserved blocks as garbage, so it is refused
+   where they can exist. *)
+let test_floating_refuses_parallel () =
+  let st = tree_state (16 * 1024) in
+  st.State.parallel <- true;
+  check "raises Invalid_argument" true
+    (match Oracle.floating st with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* The scratch is cleared up to the current capacity: objects in a
+   grown part of the heap are marked and counted correctly after
+   earlier passes on the smaller heap. *)
+let test_marks_across_growth () =
+  let heap =
+    Heap.create
+      { Heap.initial_bytes = 4096; max_bytes = 64 * 1024; card_size = 16 }
+  in
+  let st = State.create heap (Gc_config.generational ()) in
+  let rec fill acc =
+    match Heap.alloc heap ~size:64 ~n_slots:1 ~color:Color.C0 with
+    | None -> acc
+    | Some a -> fill (a :: acc)
+  in
+  let first = fill [] in
+  st.State.globals <- first;
+  check "before growth: no garbage" true (Oracle.floating st = (0, 0));
+  check "grew" true (Heap.grow heap ~want_bytes:(32 * 1024));
+  let second = fill [] in
+  st.State.globals <- second;
+  check "after growth: the first fill is garbage" true
+    (Oracle.floating st = tally_sizes heap first);
+  check "and the fold agrees" true (garbage_fold st = tally_sizes heap first)
+
+(* ------------------------------------------------------------------ *)
+(* The clear-colour census kernel                                      *)
+(* ------------------------------------------------------------------ *)
+
+type heap_op =
+  | Alloc of int * Color.t (* granules, colour *)
+  | Free of int (* index into the objects so far *)
+  | Reserve of int (* granules *)
+  | Recolor of int * Color.t
+
+let gen_heap_ops =
+  let open QCheck.Gen in
+  let color = oneofl [ Color.C0; Color.C1; Color.Gray; Color.Black ] in
+  list_size (int_range 1 300)
+    (frequency
+       [
+         (6, map2 (fun g c -> Alloc (g, c)) (int_range 1 8) color);
+         (3, map (fun i -> Free i) nat);
+         (1, map (fun g -> Reserve g) (int_range 1 4));
+         (2, map2 (fun i c -> Recolor (i, c)) nat color);
+       ])
+
+let print_heap_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Alloc (g, c) -> Printf.sprintf "A%d%s" g (Color.to_string c)
+         | Free i -> Printf.sprintf "F%d" i
+         | Reserve g -> Printf.sprintf "R%d" g
+         | Recolor (i, c) -> Printf.sprintf "C%d%s" i (Color.to_string c))
+       ops)
+
+(* Freed blocks are merged into a free predecessor, as the sweep does,
+   so block boundaries and stale colour bytes under free blocks vary.
+   The heap is small enough that runs fill it, so its last block is
+   often allocated. *)
+let run_heap_ops ops =
+  let heap =
+    Heap.create
+      { Heap.initial_bytes = 4096; max_bytes = 4096; card_size = 16 }
+  in
+  let objs = ref [||] in
+  let nth i = if !objs = [||] then None else Some !objs.(i mod Array.length !objs) in
+  List.iter
+    (function
+      | Alloc (g, color) -> (
+          match Heap.alloc heap ~size:(16 * g) ~n_slots:0 ~color with
+          | Some a -> objs := Array.append !objs [| a |]
+          | None -> ())
+      | Free i -> (
+          match nth i with
+          | Some a when Heap.is_object heap a && not (Color.equal (Heap.color heap a) Color.Blue) ->
+              Heap.free heap a;
+              ignore (Heap.merge_free_prev heap a : int)
+          | _ -> ())
+      | Reserve g -> ignore (Heap.reserve heap ~size:(16 * g) : int option)
+      | Recolor (i, c) -> (
+          match nth i with
+          | Some a when Heap.is_object heap a && not (Color.equal (Heap.color heap a) Color.Blue) ->
+              Heap.set_color heap a c
+          | _ -> ()))
+    ops;
+  heap
+
+let prop_color_census_matches_fold =
+  QCheck.Test.make ~name:"colour census equals the iter_objects/color fold"
+    ~count:300
+    (QCheck.make ~print:print_heap_ops gen_heap_ops)
+    (fun ops ->
+      let heap = run_heap_ops ops in
+      List.iter
+        (fun c ->
+          let n = ref 0 and bytes = ref 0 in
+          Heap.iter_objects heap (fun x ->
+              if Color.equal (Heap.color heap x) c then begin
+                incr n;
+                bytes := !bytes + Heap.size heap x
+              end);
+          let kn, kb = Heap.color_census heap c in
+          if (kn, kb) <> (!n, !bytes) then
+            QCheck.Test.fail_reportf "%s: kernel (%d, %d), fold (%d, %d)"
+              (Color.to_string c) kn kb !n !bytes)
+        [ Color.Blue; Color.C0; Color.C1; Color.Gray; Color.Black ];
       true)
 
 (* A root the bitmap cannot index must be reported, never raise. *)
@@ -515,5 +747,13 @@ let suites =
         Alcotest.test_case "reachability" `Quick test_oracle_reachability;
         Alcotest.test_case "dangling roots" `Quick test_oracle_dangling_roots;
         QCheck_alcotest.to_alcotest prop_oracle_matches_reference;
+        QCheck_alcotest.to_alcotest prop_floating_matches_garbage_fold;
+        Alcotest.test_case "floating across heap growth" `Quick
+          test_marks_across_growth;
+        Alcotest.test_case "floating refuses a parallel state" `Quick
+          test_floating_refuses_parallel;
+        Alcotest.test_case "census kernels allocate a constant" `Quick
+          test_census_kernels_allocate_constant;
+        QCheck_alcotest.to_alcotest prop_color_census_matches_fold;
       ] );
   ]
