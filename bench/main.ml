@@ -649,9 +649,7 @@ module Traj = struct
        headline telemetry counters, for regression attribution *)
     Trajectory.scenario_of_runtime ~name ~wall_ms r rt
 
-  (* The baseline is the highest-numbered committed BENCH_NNNN.json,
-     found by walking from the working directory up toward the
-     filesystem root (dune runs executables from _build/default). *)
+  (* The number NNNN of a BENCH_NNNN.json file name. *)
   let bench_number name =
     if
       String.length name > String.length "BENCH_.json"
@@ -659,28 +657,6 @@ module Traj = struct
       && Filename.check_suffix name ".json"
     then int_of_string_opt (String.sub name 6 (String.length name - 11))
     else None
-
-  let find_baseline () =
-    let best_in dir =
-      Array.fold_left
-        (fun acc name ->
-          match bench_number name with
-          | Some k -> (
-              match acc with
-              | Some (k0, _) when k0 >= k -> acc
-              | _ -> Some (k, Filename.concat dir name))
-          | None -> acc)
-        None
-        (try Sys.readdir dir with Sys_error _ -> [||])
-    in
-    let rec up dir =
-      match best_in dir with
-      | Some (_, path) -> Some path
-      | None ->
-          let parent = Filename.dirname dir in
-          if parent = dir then None else up parent
-    in
-    up (Sys.getcwd ())
 
   let load path =
     match
@@ -705,7 +681,9 @@ module Traj = struct
     close_out oc
 
   (* Every committed BENCH_NNNN.json, ascending, from the first ancestor
-     directory that holds any — the dashboard's run axis. *)
+     of the working directory that holds any (dune runs executables from
+     _build/default) — the dashboard's run axis; the last is the gate's
+     baseline. *)
   let committed_benches () =
     let rec up dir =
       let found =
@@ -822,9 +800,11 @@ module Traj = struct
                   Printf.eprintf "--against %s\n" e;
                   1))
       | None -> (
-          match find_baseline () with
+          match committed_benches () with
           | None -> seeded "no committed BENCH_*.json baseline found"
-          | Some path -> (
+          | Some (dir, entries) -> (
+              let _, newest = List.hd (List.rev entries) in
+              let path = Filename.concat dir newest in
               match load path with
               | Error e -> seeded ("baseline unreadable (" ^ e ^ ")")
               | Ok baseline -> (
@@ -896,6 +876,7 @@ module Speedup = struct
     let wall_s = Unix.gettimeofday () -. t0 in
     (* whole-run totals: every mutator's and crew worker's ledger *)
     let tel = (Otfgc.State.totals (Runtime.state rt)).Otfgc.Ledger.tel in
+    let sums = Otfgc.Gc_stats.totals (Runtime.stats rt) in
     let hs =
       (* the three handshakes share one merged latency distribution *)
       let h = Histogram.create () in
@@ -925,7 +906,7 @@ module Speedup = struct
       (float_of_int result.Run_result.total_alloc_bytes /. (1024. *. 1024.))
       wall_s throughput_mb_s (p99_us hs)
       (p99_us (Telemetry.stall_latency tel))
-      (Telemetry.steals tel) slo_col;
+      sums.Otfgc.Gc_stats.steals slo_col;
     let slo_metrics =
       if slo then
         [
@@ -953,8 +934,8 @@ module Speedup = struct
           ("total_alloc_bytes", float_of_int result.Run_result.total_alloc_bytes);
           ("p99_handshake_us", float_of_int (p99_us hs));
           ("p99_stall_us", float_of_int (p99_us (Telemetry.stall_latency tel)));
-          ("steals", float_of_int (Telemetry.steals tel));
-          ("steal_failures", float_of_int (Telemetry.steal_failures tel));
+          ("steals", float_of_int sums.Otfgc.Gc_stats.steals);
+          ("steal_failures", float_of_int sums.Otfgc.Gc_stats.steal_failures);
           ("lock_waits", float_of_int (Telemetry.lock_waits_total tel));
           ("n_cycles",
            float_of_int

@@ -513,40 +513,6 @@ let stats_cmd =
       $ seed_arg $ substrate_arg $ mutators_arg $ gc_workers_arg $ format_arg)
 
 (* ------------------------------------------------------------------ *)
-(* gcsim validate-trace                                                *)
-(* ------------------------------------------------------------------ *)
-
-let validate_trace_cmd =
-  let file_arg =
-    let doc = "Trace-event JSON file to validate." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let run file =
-    let ic = open_in_bin file in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    match Json.of_string contents with
-    | Error e ->
-        Printf.eprintf "%s: JSON parse error: %s\n" file e;
-        1
-    | Ok doc -> (
-        match Trace_export.validate doc with
-        | Error e ->
-            Printf.eprintf "%s: invalid trace: %s\n" file e;
-            1
-        | Ok () ->
-            Printf.printf "%s: valid trace\n" file;
-            0)
-  in
-  Cmd.v
-    (Cmd.info "validate-trace"
-       ~doc:
-         "Check that a file written by --trace-out is well-formed \
-          trace-event JSON (used by CI).")
-    Term.(const run $ file_arg)
-
-(* ------------------------------------------------------------------ *)
 (* gcsim census                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -652,62 +618,58 @@ let report_cmd =
       $ out_arg)
 
 (* ------------------------------------------------------------------ *)
-(* gcsim validate-report                                               *)
+(* gcsim validate KIND FILE                                           *)
 (* ------------------------------------------------------------------ *)
 
-let validate_report_cmd =
-  let file_arg =
-    let doc = "HTML report file to validate." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+(* Each kind: what the messages call it, and its structural check. *)
+let validators =
+  [
+    ( "trace",
+      ("trace", fun s -> Result.bind (Json.of_string s) Trace_export.validate)
+    );
+    ("report", ("report", Report.validate));
+    ("metrics", ("OpenMetrics exposition", Openmetrics.validate));
+  ]
+
+let validate_cmd =
+  let kind_arg =
+    let doc =
+      "What $(i,FILE) holds: $(b,trace) (a --trace-out trace-event JSON), \
+       $(b,report) (a 'gcsim report' HTML page) or $(b,metrics) (a \
+       --metrics-out OpenMetrics text exposition)."
+    in
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"KIND" ~doc)
   in
-  let run file =
-    let ic = open_in_bin file in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    match Report.validate contents with
-    | Error e ->
-        Printf.eprintf "%s: invalid report: %s\n" file e;
-        1
+  let file_arg =
+    let doc = "File to validate." in
+    Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE" ~doc)
+  in
+  let run kind file =
+    exit_code
+    @@ fun () ->
+    let* what, validate =
+      Option.to_result (List.assoc_opt kind validators)
+        ~none:
+          (`Msg
+            (Printf.sprintf "unknown kind %S (trace|report|metrics)" kind))
+    in
+    let* contents =
+      match In_channel.with_open_bin file In_channel.input_all with
+      | contents -> Ok contents
+      | exception Sys_error e -> Error (`Msg e)
+    in
+    match validate contents with
+    | Error e -> Error (`Msg (Printf.sprintf "%s: invalid %s: %s" file what e))
     | Ok () ->
-        Printf.printf "%s: valid report\n" file;
-        0
+        Printf.printf "%s: valid %s\n" file what;
+        Ok 0
   in
   Cmd.v
-    (Cmd.info "validate-report"
+    (Cmd.info "validate"
        ~doc:
-         "Check that a file written by 'gcsim report' is a well-formed \
-          self-contained HTML/SVG report (used by CI).")
-    Term.(const run $ file_arg)
-
-(* ------------------------------------------------------------------ *)
-(* gcsim validate-metrics                                              *)
-(* ------------------------------------------------------------------ *)
-
-let validate_metrics_cmd =
-  let file_arg =
-    let doc = "OpenMetrics text file to validate (the --metrics-out .om)." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let run file =
-    let ic = open_in_bin file in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    match Openmetrics.validate contents with
-    | Error e ->
-        Printf.eprintf "%s: invalid OpenMetrics exposition: %s\n" file e;
-        1
-    | Ok () ->
-        Printf.printf "%s: valid OpenMetrics exposition\n" file;
-        0
-  in
-  Cmd.v
-    (Cmd.info "validate-metrics"
-       ~doc:
-         "Check that a file written by --metrics-out is a well-formed \
-          OpenMetrics text exposition (used by CI).")
-    Term.(const run $ file_arg)
+         "Check that a file written by --trace-out, 'gcsim report' or \
+          --metrics-out is well-formed (used by CI).")
+    Term.(const run $ kind_arg $ file_arg)
 
 (* ------------------------------------------------------------------ *)
 (* gcsim fig                                                           *)
@@ -804,7 +766,5 @@ let () =
             census_cmd;
             report_cmd;
             fig_cmd;
-            validate_trace_cmd;
-            validate_report_cmd;
-            validate_metrics_cmd;
+            validate_cmd;
           ]))

@@ -491,7 +491,6 @@ let card_scan st (w : Gc_par.worker) =
     tick st w 1;
     for card = !first to Stdlib.min n (!first + card_chunk) - 1 do
       if Card_table.is_dirty cards card then begin
-        Telemetry.hit_dirty_card w.Gc_par.ledger.tel;
         w.Gc_par.dirty_cards <- w.Gc_par.dirty_cards + 1;
         tick st w Cost.c_card_visit;
         if aging then scan_card_aging st w ~naive card
@@ -517,7 +516,6 @@ let scan_remset_simple st cycle =
   cycle.Gc_stats.dirty_cards <- List.length entries;
   List.iter
     (fun x ->
-      Telemetry.hit_dirty_card st.ledger.tel;
       charge_tick st Cost.c_card_obj;
       Page_set.touch_remset st.ledger.pages x;
       State.step st;
@@ -1043,14 +1041,12 @@ let run_cycle st ~full =
   cycle.Gc_stats.trace_workers <- st.par.Gc_par.n_workers;
   run_phase st cycle Gc_par.Trace;
   fspan Flight_recorder.Phase ~a:2 ~b:cycle.Gc_stats.objects_traced trace_t0;
-  Telemetry.note_trace_workers st.ledger.tel cycle.Gc_stats.trace_workers;
   Atomic.set st.phase (State.phase st land parity_bit lor sweeping_bit);
   (* sweep *)
   let sweep_t0 = fnow () in
   compute_sweep_bounds st;
   run_phase st cycle Gc_par.Sweep;
   fspan Flight_recorder.Phase ~a:3 ~b:cycle.Gc_stats.objects_freed sweep_t0;
-  Telemetry.add_promotions st.ledger.tel cycle.Gc_stats.promotions;
   if cycle.Gc_stats.promotions > 0 then
     note st Flight_recorder.Promoted ~a:cycle.Gc_stats.promotions;
   (* Remark 5.1: the non-generational cycle swaps black and white
@@ -1077,14 +1073,10 @@ let run_cycle st ~full =
           st.tenure_threshold <- st.tenure_threshold + 1
       end
   | _ -> ());
-  (* Steal counters become run-level telemetry here (worker partials
-     were already drained into the cycle record).  The cycle's work,
-     span, pages and mutator progress are read from the whole-program
-     totals: every worker's share and every mutator's work count, and
-     the touched-page union over a partition of the work is the same at
-     any crew width. *)
-  Telemetry.add_steals st.ledger.tel cycle.Gc_stats.steals;
-  Telemetry.add_steal_failures st.ledger.tel cycle.Gc_stats.steal_failures;
+  (* The cycle's work, span, pages and mutator progress are read from
+     the whole-program totals: every worker's share and every mutator's
+     work count, and the touched-page union over a partition of the work
+     is the same at any crew width. *)
   let totals = State.totals st in
   cycle.Gc_stats.work <- Cost.collector_work totals.cost - work0;
   cycle.Gc_stats.active_span <- Cost.elapsed_multi totals.cost - elapsed0;

@@ -13,6 +13,25 @@ let kind_of_index = function
   | 2 -> Non_gen
   | n -> invalid_arg (Printf.sprintf "Gc_stats.kind_of_index: %d" n)
 
+type totals = {
+  bytes_freed : int;
+  objects_freed : int;
+  promotions : int;
+  dirty_cards : int;
+  steals : int;
+  steal_failures : int;
+}
+
+let zero =
+  {
+    bytes_freed = 0;
+    objects_freed = 0;
+    promotions = 0;
+    dirty_cards = 0;
+    steals = 0;
+    steal_failures = 0;
+  }
+
 type cycle = {
   kind : kind;
   seq : int;
@@ -44,19 +63,16 @@ type t = {
   (* Completed-cycle count, readable without synchronisation from other
      domains (the list itself is only prefix-consistent under races). *)
   n_done : int Atomic.t;
-  (* Live aggregates for the metrics observer: cumulative totals over
-     completed cycles, published as atomics once per [end_cycle] (never
-     on a hot path) so a concurrent reader sees monotone, tear-free
-     counters without walking [completed]. Indexed by [kind_index]. *)
+  (* Completed cycles per kind, indexed by [kind_index]. *)
   done_by_kind : int Atomic.t array;
   (* Cycles begun, per kind, bumped by [begin_cycle]: an allocation
      stall compares it with [done_by_kind] to tell whether a completed
      cycle began after the stall did. *)
   begun_by_kind : int Atomic.t array;
-  freed_bytes : int Atomic.t;
-  freed_objects : int Atomic.t;
-  promoted : int Atomic.t;
-  cycle_work : int Atomic.t;
+  (* Running sums over completed cycles, one immutable record swapped
+     once per [end_cycle]: a reader on another domain gets every total
+     from the same cycle boundary with one load. *)
+  totals : totals Atomic.t;
 }
 
 let create () =
@@ -66,10 +82,7 @@ let create () =
     n_done = Atomic.make 0;
     done_by_kind = Array.init 3 (fun _ -> Atomic.make 0);
     begun_by_kind = Array.init 3 (fun _ -> Atomic.make 0);
-    freed_bytes = Atomic.make 0;
-    freed_objects = Atomic.make 0;
-    promoted = Atomic.make 0;
-    cycle_work = Atomic.make 0;
+    totals = Atomic.make zero;
   }
 
 let reset t =
@@ -85,10 +98,7 @@ let reset t =
       let n = Atomic.exchange d 0 in
       ignore (Atomic.fetch_and_add t.begun_by_kind.(k) (-n) : int))
     t.done_by_kind;
-  Atomic.set t.freed_bytes 0;
-  Atomic.set t.freed_objects 0;
-  Atomic.set t.promoted 0;
-  Atomic.set t.cycle_work 0
+  Atomic.set t.totals zero
 
 let begin_cycle t kind =
   let c =
@@ -121,32 +131,37 @@ let begin_cycle t kind =
   Atomic.incr t.begun_by_kind.(kind_index kind);
   c
 
+let add (s : totals) (c : cycle) =
+  {
+    bytes_freed = s.bytes_freed + c.bytes_freed;
+    objects_freed = s.objects_freed + c.objects_freed;
+    promotions = s.promotions + c.promotions;
+    dirty_cards = s.dirty_cards + c.dirty_cards;
+    steals = s.steals + c.steals;
+    steal_failures = s.steal_failures + c.steal_failures;
+  }
+
 let end_cycle t c =
   t.completed <- c :: t.completed;
   Atomic.incr t.done_by_kind.(kind_index c.kind);
-  (* fetch_and_add, not set: the per-kind/per-metric cells are only ever
-     touched here, so adds keep them exact under any reader interleaving *)
-  ignore (Atomic.fetch_and_add t.freed_bytes c.bytes_freed : int);
-  ignore (Atomic.fetch_and_add t.freed_objects c.objects_freed : int);
-  ignore (Atomic.fetch_and_add t.promoted c.promotions : int);
-  ignore (Atomic.fetch_and_add t.cycle_work c.work : int);
+  (* a compare-and-set loop, not a set: a [reset] on another domain
+     between the load and the swap must not be overwritten *)
+  let rec publish () =
+    let s = Atomic.get t.totals in
+    if not (Atomic.compare_and_set t.totals s (add s c)) then publish ()
+  in
+  publish ();
   Atomic.incr t.n_done
 
 let n_completed t = Atomic.get t.n_done
 let n_completed_of t kind = Atomic.get t.done_by_kind.(kind_index kind)
 let n_begun_of t kind = Atomic.get t.begun_by_kind.(kind_index kind)
-let live_bytes_freed t = Atomic.get t.freed_bytes
-let live_objects_freed t = Atomic.get t.freed_objects
-let live_promotions t = Atomic.get t.promoted
-let live_cycle_work t = Atomic.get t.cycle_work
+let totals t = Atomic.get t.totals
 
 let cycles t = List.rev t.completed
 
 let count t kind =
   List.length (List.filter (fun c -> c.kind = kind) t.completed)
-
-let total_collector_work t =
-  List.fold_left (fun acc c -> acc + c.work) 0 t.completed
 
 let fold_kind t kind f init =
   List.fold_left (fun acc c -> if c.kind = kind then f acc c else acc) init t.completed

@@ -17,6 +17,17 @@ val kind_index : kind -> int
 val kind_of_index : int -> kind
 (** Inverse of {!kind_index}; raises [Invalid_argument] outside [0..2]. *)
 
+type totals = {
+  bytes_freed : int;
+  objects_freed : int;
+  promotions : int;
+  dirty_cards : int;
+  steals : int;
+  steal_failures : int;
+}
+(** Running sums of the like-named {!cycle} fields over completed
+    cycles. *)
+
 type cycle = {
   kind : kind;
   seq : int;  (** 0-based collection index within the run *)
@@ -95,11 +106,12 @@ val n_completed : t -> int
 
 (** {2 Live aggregates}
 
-    Cumulative totals over completed cycles, published as atomics once
-    per {!end_cycle} so the metrics observer on another domain can read
-    monotone, tear-free counters mid-run without walking the cycle
-    list.  Each equals the corresponding fold over {!cycles} whenever
-    the collector is between cycles (and always at quiescence). *)
+    Published once per {!end_cycle} as atomics, so the metrics observer
+    on another domain can read monotone, tear-free values mid-run
+    without walking the cycle list.  They cover completed cycles only:
+    a cycle still running adds nothing until it ends.  Each equals the
+    corresponding fold over {!cycles} whenever the collector is between
+    cycles (and always at quiescence). *)
 
 val n_completed_of : t -> kind -> int
 (** Completed cycles of one kind (atomic read). *)
@@ -111,18 +123,13 @@ val n_begun_of : t -> kind -> int
     instant, a cycle of kind [k] that began after that instant has
     completed — the allocation stall's out-of-memory test. *)
 
-val live_bytes_freed : t -> int
-val live_objects_freed : t -> int
-val live_promotions : t -> int
-
-val live_cycle_work : t -> int
-(** Collector work summed over completed cycles (atomic read; the live
-    counterpart of {!total_collector_work}). *)
+val totals : t -> totals
+(** The collector's run totals, every field from the same cycle
+    boundary (one atomic read of an immutable record that {!end_cycle}
+    swaps and {!reset} zeroes).  The only home of these counts: no
+    other ledger keeps a copy. *)
 
 val count : t -> kind -> int
-
-val total_collector_work : t -> int
-(** Work across completed cycles. *)
 
 (** {2 Aggregates for the figure harness} *)
 

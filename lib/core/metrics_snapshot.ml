@@ -33,17 +33,12 @@ type t = {
   at_ms : float;
   barrier_updates : int;
   yellow_fires : int;
-  promotions : int;
-  dirty_card_finds : int;
   handshake_acks : int;
   stalls : int;
   card_marks : int;
   remset_records : int;
-  steals : int;
-  steal_failures : int;
   lock_waits : int;
   lock_waits_by_class : (int * int) list;
-  trace_workers : int;
   events_logged : int;
   events_dropped : int;
   mutator_work : int;
@@ -56,7 +51,11 @@ type t = {
   cycles_non_gen : int;
   gc_bytes_freed : int;
   gc_objects_freed : int;
-  gc_promotions : int;
+  promotions : int;
+  dirty_card_finds : int;
+  steals : int;
+  steal_failures : int;
+  trace_workers : int;
   phase : string;
   heap_capacity : int;
   heap_allocated_bytes : int;
@@ -67,7 +66,6 @@ type t = {
   gray_depth : int;
   freelist_entries : int;
   freelist_stale : int;
-  flight_drops : int;
   active_mutators : int;
   time_unit : string;
   handshake_latency : (string * hist) list;
@@ -119,7 +117,6 @@ let counters t =
       ("cycles_non_gen", t.cycles_non_gen);
       ("gc_bytes_freed", t.gc_bytes_freed);
       ("gc_objects_freed", t.gc_objects_freed);
-      ("gc_promotions", t.gc_promotions);
       ("total_alloc_bytes", t.total_alloc_bytes);
       ("total_alloc_objects", t.total_alloc_objects);
     ]
@@ -133,7 +130,7 @@ let gauges t =
     ("gray_depth", t.gray_depth);
     ("freelist_entries", t.freelist_entries);
     ("freelist_stale", t.freelist_stale);
-    ("flight_drops", t.flight_drops);
+    ("events_dropped", t.events_dropped);
     ("active_mutators", t.active_mutators);
     ("p99_handshake", t.slo_handshake.p99);
   ]
@@ -194,7 +191,6 @@ let to_json ?(run = []) t =
                t.lock_waits_by_class) );
         ("trace_workers", Json.Int t.trace_workers);
         ("events_logged", Json.Int t.events_logged);
-        ("events_dropped", Json.Int t.events_dropped);
         ("time_unit", Json.String t.time_unit);
         ( "handshake_latency",
           Json.Obj
@@ -271,7 +267,7 @@ let counter_table t =
       ("gray steals", t.steals);
       ("gray steal failures", t.steal_failures);
       ("alloc lock waits", t.lock_waits);
-      ("trace workers (max)", t.trace_workers);
+      ("trace workers", t.trace_workers);
       ("events logged", t.events_logged);
       ("events dropped", t.events_dropped);
     ];

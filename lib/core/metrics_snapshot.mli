@@ -67,21 +67,16 @@ type t = {
   (* telemetry counters *)
   barrier_updates : int;
   yellow_fires : int;
-  promotions : int;
-  dirty_card_finds : int;
   handshake_acks : int;
   stalls : int;
   card_marks : int;
   remset_records : int;
-  steals : int;  (** successful gray-deque steals (parallel trace) *)
-  steal_failures : int;  (** CAS-lost / empty-victim steal attempts *)
   lock_waits : int;  (** contended size-class allocation lock acquisitions *)
   lock_waits_by_class : (int * int) list;
       (** nonzero per-size-class breakdown of [lock_waits], ascending
           class *)
-  trace_workers : int;  (** widest collection crew observed (1 = serial) *)
   events_logged : int;  (** event-recorder occupancy, over all rings *)
-  events_dropped : int;
+  events_dropped : int;  (** events the recorder's rings overwrote *)
   (* work ledger *)
   mutator_work : int;
   collector_work : int;
@@ -91,13 +86,17 @@ type t = {
           {!metric_name_of_phase} *)
   category_work : (string * int) list;
       (** per mutator work class, {!Cost.categories} order *)
-  (* cycle aggregates (Gc_stats live atomics) *)
+  (* cycle aggregates: Gc_stats live atomics, over completed cycles *)
   cycles_partial : int;
   cycles_full : int;
   cycles_non_gen : int;
   gc_bytes_freed : int;
   gc_objects_freed : int;
-  gc_promotions : int;
+  promotions : int;
+  dirty_card_finds : int;  (** dirty cards found by ClearCards *)
+  steals : int;  (** successful gray-deque steals (parallel trace) *)
+  steal_failures : int;  (** CAS-lost / empty-victim steal attempts *)
+  trace_workers : int;  (** width of the collection crew (1 = serial) *)
   (* gauges: current values, not monotone *)
   phase : string;  (** collector's current [Cost] phase *)
   heap_capacity : int;
@@ -112,7 +111,6 @@ type t = {
   gray_depth : int;
   freelist_entries : int;
   freelist_stale : int;
-  flight_drops : int;  (** [events_dropped], as the live sinks' gauge *)
   active_mutators : int;
   (* latency histograms (empty while the instruments are disabled) *)
   time_unit : string;

@@ -13,7 +13,7 @@ let handshake_statuses = [ Status.Sync1; Status.Sync2; Status.Async ]
 let take ?(seq = 0) ?(at_ms = 0.) st =
   let { Ledger.cost; tel; _ } = State.totals st in
   let heap = st.heap in
-  let stats = st.stats in
+  let sums = Gc_stats.totals st.stats in
   let fl = Heap.freelist heap in
   let hist_of = Metrics_snapshot.hist_of in
   let handshakes = List.map (Telemetry.handshake_latency tel) handshake_statuses in
@@ -22,20 +22,15 @@ let take ?(seq = 0) ?(at_ms = 0.) st =
     at_ms;
     barrier_updates = Telemetry.barrier_updates tel;
     yellow_fires = Telemetry.yellow_fires tel;
-    promotions = Telemetry.promotions tel;
-    dirty_card_finds = Telemetry.dirty_card_finds tel;
     handshake_acks = Telemetry.handshake_acks tel;
     stalls = Telemetry.stalls tel;
     card_marks = Telemetry.card_marks tel;
     remset_records = Telemetry.remset_records tel;
-    steals = Telemetry.steals tel;
-    steal_failures = Telemetry.steal_failures tel;
     lock_waits = Telemetry.lock_waits_total tel;
     lock_waits_by_class =
       Array.to_list (Telemetry.lock_waits tel)
       |> List.mapi (fun cls n -> (cls, n))
       |> List.filter (fun (_, n) -> n > 0);
-    trace_workers = Telemetry.trace_workers tel;
     events_logged = Flight_recorder.length st.recorder;
     events_dropped = Flight_recorder.dropped st.recorder;
     mutator_work = Cost.mutator_work cost;
@@ -49,12 +44,16 @@ let take ?(seq = 0) ?(at_ms = 0.) st =
       List.map
         (fun c -> (Cost.category_name c, Cost.category_work cost c))
         Cost.categories;
-    cycles_partial = Gc_stats.n_completed_of stats Gc_stats.Partial;
-    cycles_full = Gc_stats.n_completed_of stats Gc_stats.Full;
-    cycles_non_gen = Gc_stats.n_completed_of stats Gc_stats.Non_gen;
-    gc_bytes_freed = Gc_stats.live_bytes_freed stats;
-    gc_objects_freed = Gc_stats.live_objects_freed stats;
-    gc_promotions = Gc_stats.live_promotions stats;
+    cycles_partial = Gc_stats.n_completed_of st.stats Gc_stats.Partial;
+    cycles_full = Gc_stats.n_completed_of st.stats Gc_stats.Full;
+    cycles_non_gen = Gc_stats.n_completed_of st.stats Gc_stats.Non_gen;
+    gc_bytes_freed = sums.Gc_stats.bytes_freed;
+    gc_objects_freed = sums.Gc_stats.objects_freed;
+    promotions = sums.Gc_stats.promotions;
+    dirty_card_finds = sums.Gc_stats.dirty_cards;
+    steals = sums.Gc_stats.steals;
+    steal_failures = sums.Gc_stats.steal_failures;
+    trace_workers = st.par.Gc_par.n_workers;
     phase = Cost.phase_name (Cost.current_phase st.ledger.cost);
     heap_capacity = Heap.capacity heap;
     heap_allocated_bytes = Heap.allocated_bytes heap;
@@ -65,7 +64,6 @@ let take ?(seq = 0) ?(at_ms = 0.) st =
     gray_depth = Gray_queue.size st.gray;
     freelist_entries = Freelist.entry_count fl;
     freelist_stale = Freelist.stale_entries fl;
-    flight_drops = Flight_recorder.dropped st.recorder;
     active_mutators = State.count_active_mutators st;
     time_unit = (if st.parallel then "us" else "units");
     handshake_latency =

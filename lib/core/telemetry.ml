@@ -5,17 +5,11 @@ type t = {
   (* event counters: bare int increments, always on *)
   mutable barrier_updates : int;
   mutable yellow_fires : int;
-  mutable promotions : int;
-  mutable dirty_card_finds : int;
   mutable handshake_acks : int;
   mutable stalls : int;
   mutable card_marks : int;
   mutable remset_records : int;
-  (* parallel-collection counters *)
-  mutable steals : int;
-  mutable steal_failures : int;
   lock_waits : int array; (* per allocation size class; last slot = overflow *)
-  mutable trace_workers : int; (* gauge: widest trace-phase worker count *)
   (* latency instruments, recorded only when enabled *)
   handshake_latency : Histogram.t array;  (* indexed by Status.index *)
   stall_latency : Histogram.t;
@@ -32,16 +26,11 @@ let create () =
     enabled = false;
     barrier_updates = 0;
     yellow_fires = 0;
-    promotions = 0;
-    dirty_card_finds = 0;
     handshake_acks = 0;
     stalls = 0;
     card_marks = 0;
     remset_records = 0;
-    steals = 0;
-    steal_failures = 0;
     lock_waits = Array.make n_lock_classes 0;
-    trace_workers = 0;
     handshake_latency = Array.init 3 (fun _ -> Histogram.create ());
     stall_latency = Histogram.create ();
     cycle_progress = Histogram.create ();
@@ -54,16 +43,11 @@ let set_enabled t v = t.enabled <- v
 let reset t =
   t.barrier_updates <- 0;
   t.yellow_fires <- 0;
-  t.promotions <- 0;
-  t.dirty_card_finds <- 0;
   t.handshake_acks <- 0;
   t.stalls <- 0;
   t.card_marks <- 0;
   t.remset_records <- 0;
-  t.steals <- 0;
-  t.steal_failures <- 0;
   Array.fill t.lock_waits 0 n_lock_classes 0;
-  t.trace_workers <- 0;
   Array.iter Histogram.clear t.handshake_latency;
   Histogram.clear t.stall_latency;
   Histogram.clear t.cycle_progress;
@@ -74,20 +58,13 @@ let reset t =
 let merge_into ~src ~dst =
   dst.barrier_updates <- dst.barrier_updates + src.barrier_updates;
   dst.yellow_fires <- dst.yellow_fires + src.yellow_fires;
-  dst.promotions <- dst.promotions + src.promotions;
-  dst.dirty_card_finds <- dst.dirty_card_finds + src.dirty_card_finds;
   dst.handshake_acks <- dst.handshake_acks + src.handshake_acks;
   dst.stalls <- dst.stalls + src.stalls;
   dst.card_marks <- dst.card_marks + src.card_marks;
   dst.remset_records <- dst.remset_records + src.remset_records;
-  dst.steals <- dst.steals + src.steals;
-  dst.steal_failures <- dst.steal_failures + src.steal_failures;
   for i = 0 to n_lock_classes - 1 do
     dst.lock_waits.(i) <- dst.lock_waits.(i) + src.lock_waits.(i)
   done;
-  (* gauge, not a counter: the run's widest trace crew *)
-  if src.trace_workers > dst.trace_workers then
-    dst.trace_workers <- src.trace_workers;
   Array.iteri
     (fun i h -> Histogram.add_into ~src:h ~dst:dst.handshake_latency.(i))
     src.handshake_latency;
@@ -97,35 +74,23 @@ let merge_into ~src ~dst =
 (* counters *)
 let hit_barrier t = t.barrier_updates <- t.barrier_updates + 1
 let hit_yellow t = t.yellow_fires <- t.yellow_fires + 1
-let add_promotions t n = t.promotions <- t.promotions + n
-let hit_dirty_card t = t.dirty_card_finds <- t.dirty_card_finds + 1
 let hit_ack t = t.handshake_acks <- t.handshake_acks + 1
 let hit_stall t = t.stalls <- t.stalls + 1
 let hit_card_mark t = t.card_marks <- t.card_marks + 1
 let hit_remset_record t = t.remset_records <- t.remset_records + 1
-let add_steals t n = t.steals <- t.steals + n
-let add_steal_failures t n = t.steal_failures <- t.steal_failures + n
 
 let hit_lock_wait t ~cls =
   let i = if cls < 0 then 0 else Stdlib.min cls (n_lock_classes - 1) in
   t.lock_waits.(i) <- t.lock_waits.(i) + 1
 
-let note_trace_workers t n =
-  if n > t.trace_workers then t.trace_workers <- n
-
 let barrier_updates t = t.barrier_updates
 let yellow_fires t = t.yellow_fires
-let promotions t = t.promotions
-let dirty_card_finds t = t.dirty_card_finds
 let handshake_acks t = t.handshake_acks
 let stalls t = t.stalls
 let card_marks t = t.card_marks
 let remset_records t = t.remset_records
-let steals t = t.steals
-let steal_failures t = t.steal_failures
 let lock_waits t = Array.copy t.lock_waits
 let lock_waits_total t = Array.fold_left ( + ) 0 t.lock_waits
-let trace_workers t = t.trace_workers
 
 (* instruments *)
 let handshake_posted t ~at = if t.enabled then t.handshake_posted_at <- at

@@ -5,11 +5,14 @@
     Two tiers, chosen so the default configuration costs nothing the cost
     model could see:
 
-    - {b Counters} (barrier executions, yellow-exception fires,
-      promotions, dirty-card finds, handshake acks, stalls) are bare int
-      increments and stay on unconditionally — like the CPU's own
-      performance counters, they are free of allocation and of simulated
-      cost.
+    - {b Counters} (barrier executions, card marks, remembered-set
+      records, yellow-exception fires, handshake acks, stalls, size-class
+      lock waits) are bare int increments and stay on unconditionally —
+      like the CPU's own performance counters, they are free of
+      allocation and of simulated cost.  They count what mutators do;
+      what a collection cycle does (promotions, dirty cards, steals,
+      bytes freed) lives only in its {!Gc_stats.cycle} record and the
+      run totals {!Gc_stats.totals} sums from it.
     - {b Instruments} (handshake-latency, allocation-stall and per-cycle
       mutator-progress histograms) record only when {!set_enabled} has
       been called; the record path itself is allocation-free
@@ -43,12 +46,6 @@ val hit_barrier : t -> unit
 val hit_yellow : t -> unit
 (** the Section 4 yellow-exception shaded an allocation-colored object *)
 
-val add_promotions : t -> int -> unit
-(** objects promoted by a cycle *)
-
-val hit_dirty_card : t -> unit
-(** ClearCards found a dirty card *)
-
 val hit_ack : t -> unit
 (** a mutator adopted a posted status *)
 
@@ -61,39 +58,25 @@ val hit_card_mark : t -> unit
 val hit_remset_record : t -> unit
 (** remembered-set append (deduplicated) *)
 
-val add_steals : t -> int -> unit
-(** successful work-steals from another worker's gray deque *)
-
-val add_steal_failures : t -> int -> unit
-(** steal attempts that found an empty deque or lost the top CAS *)
-
 val hit_lock_wait : t -> cls:int -> unit
 (** a mutator refill found size-class [cls]'s pool lock held (clamped
     to {!n_lock_classes} slots) *)
-
-val note_trace_workers : t -> int -> unit
-(** gauge: record the trace-phase worker count (keeps the maximum) *)
 
 val n_lock_classes : int
 (** length of the per-size-class lock-wait table *)
 
 val barrier_updates : t -> int
 val yellow_fires : t -> int
-val promotions : t -> int
-val dirty_card_finds : t -> int
 val handshake_acks : t -> int
 val stalls : t -> int
 val card_marks : t -> int
 val remset_records : t -> int
-val steals : t -> int
-val steal_failures : t -> int
 
 val lock_waits : t -> int array
 (** per-size-class lock-wait counts (fresh copy, length
     {!n_lock_classes}) *)
 
 val lock_waits_total : t -> int
-val trace_workers : t -> int
 
 (** {2 Instruments} (no-ops while disabled) *)
 

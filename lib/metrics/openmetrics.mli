@@ -25,7 +25,7 @@ val escape_label_value : string -> string
 
 val validate : string -> (unit, string) result
 (** Structural acceptance check (used by tests and
-    [gcsim validate-metrics]): the document is non-empty; every line is
+    [gcsim validate metrics]): the document is non-empty; every line is
     a [# HELP]/[# TYPE] comment or a sample; the final line is [# EOF]
     and nothing follows it; every family is declared by [# TYPE] with a
     known type (counter, gauge, info) exactly once and before its

@@ -32,7 +32,7 @@ val page :
 
 val validate : string -> (unit, string) result
 (** Structural acceptance check used by tests and
-    [gcsim validate-report]: the document is a [<!DOCTYPE html>] file
+    [gcsim validate report]: the document is a [<!DOCTYPE html>] file
     whose tags balance; it embeds at least one SVG carrying a
     [data-samples] count >= 2; the occupancy ribbons, axis labels and
     promotion line are present (by class); every [points] attribute

@@ -31,7 +31,7 @@ val pp_timeline : Format.formatter -> Otfgc.Flight_recorder.t -> unit
     [args]. *)
 
 val validate : Otfgc_support.Json.t -> (unit, string) result
-(** Structural check used by tests and [gcsim validate-trace]: the
+(** Structural check used by tests and [gcsim validate trace]: the
     document has a [traceEvents] array; every event carries [name], [ph],
     [pid] and [tid]; duration events ([ph = "X"]) carry integer [ts] and
     [dur >= 0]; instants carry [ts]; slices on one track nest without

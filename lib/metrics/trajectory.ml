@@ -62,37 +62,29 @@ let scenario_of_result ~name ~wall_ms (r : Run_result.t) =
       ];
   }
 
-(* Schema v2: the gated set plus ungated attribution metrics — the
-   collector's per-phase work split from the [Cost] ledger ([phase_*])
-   and the headline telemetry counters ([ctr_*]).  All deterministic
-   under the simulator; none gated (a tuning change may legitimately
-   move work between phases) — they exist so a gate failure can be
-   attributed to the phase or counter that moved. *)
+(* Schema v2: the gated set plus ungated attribution metrics, read from
+   the run's summary ({!Otfgc.Metrics_snapshot}) — the collector's
+   per-phase work split ([phase_*]) and the headline counters
+   ([ctr_*]).  All deterministic under the simulator; none gated (a
+   tuning change may legitimately move work between phases) — they
+   exist so a gate failure can be attributed to the phase or counter
+   that moved. *)
+let ctr_names =
+  [
+    "barrier_updates"; "yellow_fires"; "promotions"; "dirty_card_finds";
+    "handshake_acks"; "stalls"; "card_marks"; "remset_records"; "lock_waits";
+  ]
+
 let scenario_of_runtime ~name ~wall_ms (r : Run_result.t) rt =
   let s = scenario_of_result ~name ~wall_ms r in
-  let { Otfgc.Ledger.cost; tel; _ } =
-    Otfgc.State.totals (Otfgc.Runtime.state rt)
-  in
+  let snap = Otfgc.Observatory.take (Otfgc.Runtime.state rt) in
+  let counters = Otfgc.Metrics_snapshot.counters snap in
+  let metric prefix (k, v) = (prefix ^ k, float_of_int v) in
   let phase_metrics =
-    List.map
-      (fun p ->
-        ( "phase_" ^ Otfgc.Metrics_snapshot.metric_name_of_phase p,
-          float_of_int (Otfgc.Cost.phase_work cost p) ))
-      Otfgc.Cost.phases
+    List.map (metric "phase_") snap.Otfgc.Metrics_snapshot.phase_work
   in
-  let ctr m f = ("ctr_" ^ m, float_of_int (f tel)) in
   let ctr_metrics =
-    [
-      ctr "barrier_updates" Otfgc.Telemetry.barrier_updates;
-      ctr "yellow_fires" Otfgc.Telemetry.yellow_fires;
-      ctr "promotions" Otfgc.Telemetry.promotions;
-      ctr "dirty_card_finds" Otfgc.Telemetry.dirty_card_finds;
-      ctr "handshake_acks" Otfgc.Telemetry.handshake_acks;
-      ctr "stalls" Otfgc.Telemetry.stalls;
-      ctr "card_marks" Otfgc.Telemetry.card_marks;
-      ctr "remset_records" Otfgc.Telemetry.remset_records;
-      ctr "lock_waits" Otfgc.Telemetry.lock_waits_total;
-    ]
+    List.map (fun k -> metric "ctr_" (k, List.assoc k counters)) ctr_names
   in
   { s with metrics = s.metrics @ phase_metrics @ ctr_metrics }
 

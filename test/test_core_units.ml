@@ -101,7 +101,6 @@ let test_gc_stats_aggregation () =
     (Gc_stats.mean s Gc_stats.Partial (fun c -> float_of_int c.Gc_stats.objects_freed));
   Alcotest.(check (float 1e-9)) "sum work partial" 400.
     (Gc_stats.sum s Gc_stats.Partial (fun c -> float_of_int c.Gc_stats.work));
-  check_int "total work" 1400 (Gc_stats.total_collector_work s);
   check "has full" true (Gc_stats.has s Gc_stats.Full);
   check "no nongen" false (Gc_stats.has s Gc_stats.Non_gen);
   Gc_stats.reset s;

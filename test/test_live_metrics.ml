@@ -5,7 +5,8 @@
    The load-bearing property is exactness at quiescence: the observer's
    final snapshot, taken once the domains run has quiesced, must equal
    the post-run Gc_stats/Telemetry totals exactly, and so must a
-   snapshot taken after the run. *)
+   snapshot taken after the run.  The collector's run totals have one
+   home, the cycle records: a snapshot's totals are their sums. *)
 
 open Otfgc
 module Heap = Otfgc_heap.Heap
@@ -34,6 +35,14 @@ let small_rt () =
       { Heap.initial_bytes = 64 * 1024; max_bytes = 64 * 1024; card_size = 16 }
     ~gc_config:(Gc_config.generational ()) ()
 
+(* A finished cycle that promoted [n] objects, recorded as the collector
+   records one. *)
+let end_cycle_promoting rt n =
+  let stats = Runtime.stats rt in
+  let c = Gc_stats.begin_cycle stats Gc_stats.Partial in
+  c.Gc_stats.promotions <- n;
+  Gc_stats.end_cycle stats c
+
 (* ------------------------------------------------------------------ *)
 (* Metrics_snapshot                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -57,7 +66,7 @@ let test_snapshot_monotone_delta () =
   let tel = Runtime.telemetry rt in
   Telemetry.hit_barrier tel;
   Telemetry.hit_barrier tel;
-  Telemetry.add_promotions tel 3;
+  end_cycle_promoting rt 3;
   Cost.mutator (Runtime.cost rt) 17;
   let s2 = Observatory.take ~seq:1 st in
   let d =
@@ -80,7 +89,7 @@ let sample_snapshot () =
   let rt = small_rt () in
   let tel = Runtime.telemetry rt in
   Telemetry.hit_barrier tel;
-  Telemetry.add_promotions tel 2;
+  end_cycle_promoting rt 2;
   Observatory.take ~seq:3 ~at_ms:10. (Runtime.state rt)
 
 let test_om_render_validates () =
@@ -193,6 +202,25 @@ let run_with_observer ~every_ms =
   in
   (rt, om, jsonl)
 
+(* The collector's run totals in a snapshot against the sums over the
+   completed cycle records, each count's only other home. *)
+let check_cycle_sums stats (snap : Metrics_snapshot.t) =
+  let cycles = Gc_stats.cycles stats in
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 cycles in
+  check "cycles completed" true (cycles <> []);
+  List.iter
+    (fun (name, f, total) ->
+      check_int (name ^ " = sum over cycles") (sum f) total)
+    Gc_stats.
+      [
+        ("bytes freed", (fun c -> c.bytes_freed), snap.gc_bytes_freed);
+        ("objects freed", (fun c -> c.objects_freed), snap.gc_objects_freed);
+        ("promotions", (fun c -> c.promotions), snap.promotions);
+        ("dirty cards", (fun c -> c.dirty_cards), snap.dirty_card_finds);
+        ("steals", (fun c -> c.steals), snap.steals);
+        ("steal failures", (fun c -> c.steal_failures), snap.steal_failures);
+      ]
+
 (* A snapshot's whole-run totals against a hand sum, made without the
    ledger fold: the shared ledger (crew worker 0's, the whole crew here)
    plus each mutator's own. *)
@@ -233,10 +261,7 @@ let check_hand_sum rt (snap : Metrics_snapshot.t) =
     snap.Metrics_snapshot.cycles_partial;
   check_int "full cycles exact" (Gc_stats.n_completed_of stats Gc_stats.Full)
     snap.Metrics_snapshot.cycles_full;
-  check_int "freed bytes exact" (Gc_stats.live_bytes_freed stats)
-    snap.Metrics_snapshot.gc_bytes_freed;
-  check_int "promotions aggregate exact" (Gc_stats.live_promotions stats)
-    snap.Metrics_snapshot.gc_promotions
+  check_cycle_sums stats snap
 
 let test_observer_final_exact () =
   let rt, om, jsonl = run_with_observer ~every_ms:5. in
@@ -281,6 +306,27 @@ let test_take_after_run_exact () =
     (Metrics_snapshot.counters after);
   Sys.remove om;
   Sys.remove jsonl
+
+(* At quiescence the snapshot's run totals are the sums over the cycle
+   records, on the aging card scan, the remembered-set scan and a
+   two-worker crew (the only one that steals). *)
+let test_run_totals_sim ~gc () =
+  let _, rt = Driver.run_rt ~seed:42 ~scale:0.1 ~gc Profile.jack in
+  let snap = Observatory.take (Runtime.state rt) in
+  check "promoted" true (snap.Metrics_snapshot.promotions > 0);
+  check "dirty cards found" true (snap.Metrics_snapshot.dirty_card_finds > 0);
+  check_cycle_sums (Runtime.stats rt) snap
+
+let test_run_totals_crew () =
+  let _, rt =
+    Driver.run_rt ~seed:42 ~scale:0.05 ~substrate:Substrate.Domains ~threads:2
+      ~gc_workers:2 ~gc:(Gc_config.generational ()) Profile.anagram
+  in
+  let snap = Observatory.take (Runtime.state rt) in
+  check_int "crew width" 2 snap.Metrics_snapshot.trace_workers;
+  check "the crew tried to steal" true
+    (snap.Metrics_snapshot.steals + snap.Metrics_snapshot.steal_failures > 0);
+  check_cycle_sums (Runtime.stats rt) snap
 
 let test_observer_zero_cadence_ticks () =
   (* cadence far beyond the run length: the stop-time snapshot is still
@@ -483,6 +529,17 @@ let suites =
         Alcotest.test_case "zero cadence ticks" `Quick
           test_observer_zero_cadence_ticks;
         Alcotest.test_case "rejected on sim" `Quick test_observer_rejects_sim;
+      ] );
+    ( "live_metrics.run_totals",
+      [
+        Alcotest.test_case "jack aging:2 = sum over cycles" `Quick
+          (test_run_totals_sim ~gc:(Gc_config.aging ~oldest_age:2 ()));
+        Alcotest.test_case "jack remset = sum over cycles" `Quick
+          (test_run_totals_sim
+             ~gc:
+               (Gc_config.generational ~intergen:Gc_config.Remembered_set ()));
+        Alcotest.test_case "anagram crew of 2 = sum over cycles" `Quick
+          test_run_totals_crew;
       ] );
     ( "live_metrics.trajectory",
       [

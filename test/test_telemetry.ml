@@ -570,7 +570,7 @@ let test_trace_validate_rejects () =
   check "partial overlap rejected" true
     (Result.is_error (Trace_export.validate overlap))
 
-(* The validator reads untrusted files ([gcsim validate-trace]): on any
+(* The validator reads untrusted files ([gcsim validate trace]): on any
    JSON document it answers [Ok] or [Error], never an exception.  The
    generator is biased towards near-traces — [traceEvents] members that
    are not objects, fields of the wrong type, [ts]/[dur] at the edges
