@@ -437,7 +437,14 @@ module Micro = struct
         (Staged.stage (fun () -> ignore (Oracle.floating st : int * int))),
       Test.make ~name:"collector: clear-colour census"
         (Staged.stage (fun () ->
-             ignore (Heap.color_census heap Color.C0 : int * int))) )
+             (* the collector's loop: one stride per call *)
+             let tally = { Otfgc_heap.Space.blocks = 0; bytes = 0 } in
+             let cursor = ref 0 in
+             while !cursor <> Heap.nil do
+               cursor :=
+                 Heap.color_census heap Color.C0 tally ~from:!cursor
+                   ~stride:Otfgc.Collector.census_stride
+             done)) )
 
   (* Scheduler steps.  A scheduler cannot outlive one [Sched.run], so each
      run of these micros is a whole run of [sched_batch] steps of a single

@@ -28,12 +28,12 @@ let bin_of t ~size =
 
 let get t ~size =
   match t.bins.(class_of ~size) with
-  | None -> None
+  | None -> Otfgc_heap.Heap.nil
   | Some b ->
-      if b.len = 0 then None
+      if b.len = 0 then Otfgc_heap.Heap.nil
       else begin
         b.len <- b.len - 1;
-        Some b.buf.(b.len)
+        b.buf.(b.len)
       end
 
 let put t ~size addr =
@@ -53,11 +53,13 @@ let note_issued t ~bytes =
   t.pending_bytes <- t.pending_bytes + bytes;
   t.pending_objects <- t.pending_objects + 1
 
-let take_pending t =
-  let r = (t.pending_bytes, t.pending_objects) in
-  t.pending_bytes <- 0;
-  t.pending_objects <- 0;
-  r
+let flush_pending t heap =
+  if t.pending_objects > 0 || t.pending_bytes > 0 then begin
+    Otfgc_heap.Heap.add_alloc_stats heap ~bytes:t.pending_bytes
+      ~objects:t.pending_objects;
+    t.pending_bytes <- 0;
+    t.pending_objects <- 0
+  end
 
 let drain t f =
   Array.iter

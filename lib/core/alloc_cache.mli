@@ -32,8 +32,11 @@ val class_of : size:int -> int
 
 val cacheable : size:int -> bool
 
-val get : t -> size:int -> int option
-(** Pop a reserved block of exactly [size] bytes, if one is cached. *)
+val get : t -> size:int -> int
+(** Pop a reserved block of exactly [size] bytes, or
+    {!Otfgc_heap.Heap.nil} ([-1]) when none is cached.  An [int], not an
+    option, so the warm allocation path allocates nothing on the
+    host. *)
 
 val put : t -> size:int -> int -> unit
 (** Add a reserved block (called during refill, under the heap lock). *)
@@ -45,9 +48,10 @@ val note_issued : t -> bytes:int -> unit
 (** Record one object issued from the cache ([bytes] = its block size);
     accumulates into the pending counters. *)
 
-val take_pending : t -> int * int
-(** [(bytes, objects)] issued since the last call, and reset.  Flush the
-    result into {!Otfgc_heap.Heap.add_alloc_stats} under the heap lock. *)
+val flush_pending : t -> Otfgc_heap.Heap.t -> unit
+(** Add the bytes and objects issued since the last flush to the heap's
+    totals ({!Otfgc_heap.Heap.add_alloc_stats}) and reset them.  Call
+    under the heap lock. *)
 
 val drain : t -> (int -> unit) -> unit
 (** Empty every bin, passing each still-reserved block to the callback

@@ -65,10 +65,10 @@ let unlock t ~cls = Mutex.unlock t.shards.(cls).lock
 (* Pop/push require the class lock to be held by the caller. *)
 let pop t ~cls =
   let s = t.shards.(cls) in
-  if s.len = 0 then None
+  if s.len = 0 then Otfgc_heap.Heap.nil
   else begin
     s.len <- s.len - 1;
-    Some s.buf.(s.len)
+    s.buf.(s.len)
   end
 
 let push t ~cls addr =

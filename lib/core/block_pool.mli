@@ -29,8 +29,10 @@ val lock_ns : t -> cls:int -> int
 
 val unlock : t -> cls:int -> unit
 
-val pop : t -> cls:int -> int option
-(** Pop a pooled block.  Caller must hold the class lock. *)
+val pop : t -> cls:int -> int
+(** Pop a pooled block, or {!Otfgc_heap.Heap.nil} ([-1]) when the class
+    is empty: an [int], so a refill allocates nothing on the host.
+    Caller must hold the class lock. *)
 
 val push : t -> cls:int -> int -> unit
 (** Stock a reserved block.  Caller must hold the class lock. *)

@@ -77,8 +77,12 @@ let mark_gray st ~tel ~sync x =
     else false
   end
 
-let charged_mark_gray st ~charge ~tel ~sync x =
-  if mark_gray st ~tel ~sync x then charge Cost.c_mark_gray
+(* A barrier's shade, charged to the mutator's ledger.  The ledger is
+   passed, not a partial application of [Cost.mutator_cat]: that would
+   be a closure allocated on every store. *)
+let charged_mark_gray st ~cost ~tel ~sync x =
+  if mark_gray st ~tel ~sync x then
+    Cost.mutator_cat cost Cost.Barrier_slow Cost.c_mark_gray
 
 (* Collector-side charge that also paces the collector process: one yield
    per ~8 work units, so scheduled time advances proportionally to the
@@ -160,7 +164,6 @@ let update st m ~x ~i ~y =
   Telemetry.hit_barrier tel;
   Cost.mutator_cat cost Cost.Barrier_fast Cost.c_barrier_check;
   Observatory.maybe_sample st;
-  let charge = Cost.mutator_cat cost Cost.Barrier_slow in
   let in_sync = not (Status.equal (Mutator.status m) Status.Async) in
   (match mode_of st with
   | Gc_config.Non_generational ->
@@ -169,13 +172,13 @@ let update st m ~x ~i ~y =
       if in_sync then begin
         let old = Heap.get_slot st.heap x i in
         State.step st;
-        charged_mark_gray st ~charge ~tel ~sync:true old;
-        charged_mark_gray st ~charge ~tel ~sync:true y
+        charged_mark_gray st ~cost ~tel ~sync:true old;
+        charged_mark_gray st ~cost ~tel ~sync:true y
       end
       else if State.phase st land tracing_bit <> 0 then begin
         let old = Heap.get_slot st.heap x i in
         State.step st;
-        charged_mark_gray st ~charge ~tel ~sync:false old
+        charged_mark_gray st ~cost ~tel ~sync:false old
       end;
       State.step st;
       Heap.set_slot st.heap x i y;
@@ -188,13 +191,13 @@ let update st m ~x ~i ~y =
       if in_sync then begin
         let old = Heap.get_slot st.heap x i in
         State.step st;
-        charged_mark_gray st ~charge ~tel ~sync:true old;
-        charged_mark_gray st ~charge ~tel ~sync:true y
+        charged_mark_gray st ~cost ~tel ~sync:true old;
+        charged_mark_gray st ~cost ~tel ~sync:true y
       end
       else if State.phase st land tracing_bit <> 0 then begin
         let old = Heap.get_slot st.heap x i in
         State.step st;
-        charged_mark_gray st ~charge ~tel ~sync:false old;
+        charged_mark_gray st ~cost ~tel ~sync:false old;
         track_intergen st ~cost ~tel x
       end
       else track_intergen st ~cost ~tel x;
@@ -210,13 +213,13 @@ let update st m ~x ~i ~y =
       if in_sync then begin
         let old = Heap.get_slot st.heap x i in
         State.step st;
-        charged_mark_gray st ~charge ~tel ~sync:true old;
-        charged_mark_gray st ~charge ~tel ~sync:true y
+        charged_mark_gray st ~cost ~tel ~sync:true old;
+        charged_mark_gray st ~cost ~tel ~sync:true y
       end
       else if w land tracing_bit <> 0 then begin
         let old = Heap.get_slot st.heap x i in
         State.step st;
-        charged_mark_gray st ~charge ~tel ~sync:false old
+        charged_mark_gray st ~cost ~tel ~sync:false old
       end;
       State.step st;
       Heap.set_slot st.heap x i y;
@@ -225,7 +228,7 @@ let update st m ~x ~i ~y =
       (* a toggle inside this sync-window barrier may have left [y] judged
          by the old roles and its card scanned before the mark (DESIGN §5) *)
       if in_sync && (State.phase st lxor w) land parity_bit <> 0 then
-        charged_mark_gray st ~charge ~tel ~sync:true y)
+        charged_mark_gray st ~cost ~tel ~sync:true y)
 
 (* ------------------------------------------------------------------ *)
 (* Cooperate (Figure 1)                                                *)
@@ -249,9 +252,7 @@ let cooperate st m =
       Mutator.iter_roots m (fun r ->
           Cost.mutator_cat cost Cost.Barrier_slow Cost.c_root;
           State.step st;
-          charged_mark_gray st
-            ~charge:(Cost.mutator_cat cost Cost.Barrier_slow)
-            ~tel ~sync:true r);
+          charged_mark_gray st ~cost ~tel ~sync:true r);
     State.step st;
     (* The ack: an atomic store, so under real domains the root-marking
        writes above are published to the collector's wait_handshake
@@ -921,20 +922,38 @@ let gc_worker_loop st wid =
 (* Census: out-of-band instrumentation (no cost, no pages, no yields)  *)
 (* ------------------------------------------------------------------ *)
 
+(* Blocks the census walks per heap-lock hold: a few microseconds, so
+   a refill that meets the census waits out one stride, not the heap. *)
+let census_stride = 256
+
 (* Count the reclamation candidates — the clear-colored objects — at the
    moment the trace is about to start (out of band: no cost, no pages, no
-   yields; one closure-free walk of the block and colour tables).  Taken
+   yields; closure-free strides over the block and colour tables).  Taken
    after the color toggle, so "% freed in partial collections" (Figure
    12) has a well-defined denominator that later allocations (yellow)
    cannot perturb.  Reserved cache blocks are
-   allocated-but-Blue and never clear-colored, so they do not count. *)
+   allocated-but-Blue and never clear-colored, so they do not count.
+
+   Under domains the heap lock is held for one stride at a time.  Between
+   strides only refills and [release_reserved] touch the block structure
+   (they split free blocks or free reserved ones, never merge), and
+   growth is blocked while [collecting] is up, so the cursor returned
+   under the lock stays a block start: the argument the sweep and
+   [init_full_collection] rely on.  The simulator runs the same loop
+   with no lock and no yield. *)
 let census st cycle =
   let clear_color = State.clear_color_of (State.phase st) in
-  State.lock_heap st;
-  let objects, bytes = Heap.color_census st.heap clear_color in
-  State.unlock_heap st;
-  cycle.Gc_stats.young_objects_at_start <- objects;
-  cycle.Gc_stats.young_bytes_at_start <- bytes
+  let tally = { Space.blocks = 0; bytes = 0 } in
+  let cursor = ref 0 in
+  while !cursor <> Heap.nil do
+    State.lock_heap st;
+    cursor :=
+      Heap.color_census st.heap clear_color tally ~from:!cursor
+        ~stride:census_stride;
+    State.unlock_heap st
+  done;
+  cycle.Gc_stats.young_objects_at_start <- tally.Space.blocks;
+  cycle.Gc_stats.young_bytes_at_start <- tally.Space.bytes
 
 (* ------------------------------------------------------------------ *)
 (* The collection cycle (Figure 2 / Figure 5)                          *)

@@ -49,6 +49,11 @@ val run_cycle : State.t -> full:bool -> Gc_stats.cycle
     color toggle), trace, sweep, post-cycle growth.  Returns the completed
     statistics record (also appended to [state.stats]). *)
 
+val census_stride : int
+(** Blocks the per-cycle clear-colour census walks per heap-lock hold
+    ({!Otfgc_heap.Heap.color_census}); on domains no census hold is
+    longer than one stride. *)
+
 val collector_loop : State.t -> unit
 (** Body of the collector process, crew worker 0: wait for a trigger or
     shutdown, run cycles.  Spawn as a daemon process. *)

@@ -117,9 +117,7 @@ let retire_mutator t m =
     let cache = Mutator.cache m in
     State.lock_heap st;
     Alloc_cache.drain cache (fun addr -> Heap.release_reserved st.heap addr);
-    let bytes, objects = Alloc_cache.take_pending cache in
-    if objects > 0 || bytes > 0 then
-      Heap.add_alloc_stats st.heap ~bytes ~objects;
+    Alloc_cache.flush_pending cache st.heap;
     State.unlock_heap st
   end;
   Mutator.retire m
@@ -315,175 +313,191 @@ let drain_pools t =
       Heap.release_reserved st.heap addr;
       State.unlock_heap st)
 
+(* Issue a reserved block from the mutator's cache as an object.
+   Lock-free: the block is already reserved (kind Allocated, Blue), so
+   issuing touches only its own granule entries; the allocation color is
+   read after cooperate, so its staleness is bounded by the handshake
+   window the protocol already tolerates. *)
+let issue_cached t cache addr ~n_slots =
+  let st = t.st in
+  let color = Collector.allocation_color st in
+  let real = Heap.issue st.heap addr ~n_slots ~color in
+  Alloc_cache.note_issued cache ~bytes:real;
+  ignore (Atomic.fetch_and_add st.bytes_since_gc real : int);
+  maybe_trigger t;
+  addr
+
+(* Take class [cls]'s pool lock, counting a wait when the try_lock
+   failed.  Armed, the wait is also a lock-wait span: the clock is read
+   only when the try_lock failed, so the uncontended refill stays as
+   cheap as the untimed one. *)
+let lock_class st m ~cls =
+  match Mutator.ring m with
+  | None ->
+      if Block_pool.lock st.pool ~cls then
+        Telemetry.hit_lock_wait (State.mtelemetry st m) ~cls
+  | Some r ->
+      let waited = Block_pool.lock_ns st.pool ~cls in
+      if waited > 0 then begin
+        Telemetry.hit_lock_wait (State.mtelemetry st m) ~cls;
+        let t1 = Flight_recorder.ring_now r in
+        Flight_recorder.span r Flight_recorder.Lock_wait ~a:cls
+          ~t0:(t1 - waited) ~t1
+      end
+
+(* Refill the cache's class of [size] with up to [refill_target] blocks:
+   stocked pool blocks first (the class lock is the only lock taken),
+   then, if the pool ran dry, a restock from the free list under the
+   heap lock (class -> heap, the legal order) that also stocks the pool
+   and flushes the batched allocation counters.  Returns whether any
+   block came. *)
+let refill t m cache ~size =
+  let st = t.st in
+  let cls = Block_pool.class_of ~size in
+  lock_class st m ~cls;
+  let got = ref 0 and dry = ref false in
+  while !got < refill_target && not !dry do
+    let a = Block_pool.pop st.pool ~cls in
+    if a = Heap.nil then dry := true
+    else begin
+      Alloc_cache.put cache ~size a;
+      incr got
+    end
+  done;
+  if !got < refill_target then begin
+    State.lock_heap st;
+    Alloc_cache.flush_pending cache st.heap;
+    let full = ref false in
+    while !got < refill_target && not !full do
+      let a = Heap.reserve st.heap ~size in
+      if a = Heap.nil then full := true
+      else begin
+        Alloc_cache.put cache ~size a;
+        incr got
+      end
+    done;
+    let stocked = ref 0 in
+    while !stocked < pool_extra && not !full do
+      let a = Heap.reserve st.heap ~size in
+      if a = Heap.nil then full := true
+      else begin
+        Block_pool.push st.pool ~cls a;
+        incr stocked
+      end
+    done;
+    State.unlock_heap st
+  end;
+  Block_pool.unlock st.pool ~cls;
+  !got > 0
+
+(* One try of the domains path without stalling: the cache (refilled
+   once if empty) for small sizes, the heap-locked free list for large
+   ones.  [Heap.nil] when no block is to be had now. *)
+let attempt_domains t m ~size ~n_slots =
+  if Alloc_cache.cacheable ~size then begin
+    let cache = Mutator.cache m in
+    let a = Alloc_cache.get cache ~size in
+    let a =
+      if a = Heap.nil && refill t m cache ~size then Alloc_cache.get cache ~size
+      else a
+    in
+    if a = Heap.nil then Heap.nil else issue_cached t cache a ~n_slots
+  end
+  else
+    match try_alloc t ~size ~n_slots with
+    | Some addr ->
+        note_allocated t.st addr;
+        maybe_trigger t;
+        addr
+    | None -> Heap.nil
+
+(* The stalled allocator's wake-up, polling the handshake meanwhile: the
+   sweep has freed more blocks since [progress] was read, or the
+   collector is idle with no request pending. *)
+let stall_wait_over t m ~progress =
+  let st = t.st in
+  Collector.cooperate st m;
+  Atomic.get st.sweep_progress <> progress
+  || (not (Atomic.get st.collecting))
+     && Atomic.get st.gc_request = No_request
+
+(* The domains slow path: collect-then-grow, the simulator's policy with
+   real waits. *)
+let stall_domains t m ~size ~n_slots =
+  let st = t.st in
+  let heap = st.heap in
+  let tel = State.mtelemetry st m in
+  Telemetry.hit_stall tel;
+  (* blocks hoarded in other classes' pools may be exactly the
+     memory this request needs — return them all before stalling *)
+  drain_pools t;
+  let stall_ns0 =
+    match Mutator.ring m with
+    | Some r -> Flight_recorder.ring_now r
+    | None -> 0
+  in
+  let stall_from = State.now_units st in
+  (* The sweep hands blocks back as it goes, so a stalled allocator
+     retries whenever [sweep_progress] moves, not only at cycle end.
+     That makes the out-of-memory verdict need a full collection
+     that began after the stall did: the one already running when it
+     began may end with the heap refilled by the mutators that
+     allocated during its sweep. *)
+  let baseline = ref (fulls_begun st) in
+  let result = ref Heap.nil in
+  while !result = Heap.nil do
+    (* read before the attempt: progress made during a failed
+       attempt still wakes the wait below *)
+    let progress = Atomic.get st.sweep_progress in
+    result := attempt_domains t m ~size ~n_slots;
+    if !result = Heap.nil then begin
+      (* a retry failing mid-cycle waits on: only an idle collector
+         gets a request, and only after a full one does the heap grow *)
+      (if
+         (not (Atomic.get st.collecting))
+         && Atomic.get st.gc_request = No_request
+       then
+         if fulls_done st <= !baseline then
+           ignore
+             (Atomic.compare_and_set st.gc_request No_request Want_full
+               : bool)
+         else begin
+           State.lock_heap st;
+           let grown =
+             Heap.grow heap
+               ~want_bytes:
+                 (Stdlib.max size (Stdlib.max 65536 (Heap.capacity heap / 2)))
+           in
+           State.unlock_heap st;
+           if grown then baseline := fulls_begun st
+           else raise Out_of_memory
+         end);
+      Cost.stall (State.mcost st m) Cost.c_cooperate;
+      (* Sleep (cooperating, or handshakes would never complete) until
+         the sweep frees more memory or the cycle ends, then retry. *)
+      Substrate.wait_until (fun () -> stall_wait_over t m ~progress)
+    end
+  done;
+  Telemetry.record_stall tel (State.now_units st - stall_from);
+  (match Mutator.ring m with
+  | Some r ->
+      Flight_recorder.span r Flight_recorder.Stall ~a:(Mutator.id m)
+        ~t0:stall_ns0 ~t1:(Flight_recorder.ring_now r)
+  | None -> ());
+  !result
+
 (* The domains allocation path: domain-local cache first, per-size-class
    pool second (class lock only — refills in different classes never
    contend), heap-locked restock third, collect-then-grow stall loop
-   last (same policy as the simulator's, with real waits). *)
+   last.  Top-level functions returning [int] addresses, with
+   [Heap.nil] for none: the warm path allocates nothing on the host. *)
 let alloc_domains t m ~size ~n_slots =
   let st = t.st in
-  let heap = st.heap in
-  let cache = Mutator.cache m in
-  let cost = State.mcost st m in
   Collector.cooperate st m;
   Substrate.yield ();
-  Cost.mutator cost Cost.c_alloc;
-  let cacheable = Alloc_cache.cacheable ~size in
-  (* Lock-free: the block is already reserved (kind Allocated, Blue), so
-     issuing touches only its own granule entries; the allocation color is
-     read after cooperate, so its staleness is bounded by the handshake
-     window the protocol already tolerates. *)
-  let issue_from addr =
-    let color = Collector.allocation_color st in
-    let real = Heap.issue heap addr ~n_slots ~color in
-    Alloc_cache.note_issued cache ~bytes:real;
-    ignore (Atomic.fetch_and_add st.bytes_since_gc real : int);
-    maybe_trigger t;
-    addr
-  in
-  let refill () =
-    let cls = Block_pool.class_of ~size in
-    (match Mutator.ring m with
-    | None ->
-        if Block_pool.lock st.pool ~cls then
-          Telemetry.hit_lock_wait (State.mtelemetry st m) ~cls
-    | Some r ->
-        (* timed path: the clock is read only when the try_lock failed,
-           so the uncontended refill stays as cheap as the untimed one *)
-        let waited = Block_pool.lock_ns st.pool ~cls in
-        if waited > 0 then begin
-          Telemetry.hit_lock_wait (State.mtelemetry st m) ~cls;
-          let t1 = Flight_recorder.ring_now r in
-          Flight_recorder.span r Flight_recorder.Lock_wait ~a:cls
-            ~t0:(t1 - waited) ~t1
-        end);
-    let got = ref 0 in
-    (* stocked blocks first: the class lock is the only lock taken *)
-    let rec from_pool () =
-      if !got < refill_target then
-        match Block_pool.pop st.pool ~cls with
-        | Some a ->
-            Alloc_cache.put cache ~size a;
-            incr got;
-            from_pool ()
-        | None -> ()
-    in
-    from_pool ();
-    if !got < refill_target then begin
-      (* dry pool: restock from the free list under the heap lock
-         (class -> heap, the legal order) and flush the batched
-         allocation counters while holding it *)
-      State.lock_heap st;
-      let bytes, objects = Alloc_cache.take_pending cache in
-      if objects > 0 || bytes > 0 then
-        Heap.add_alloc_stats heap ~bytes ~objects;
-      (try
-         while !got < refill_target do
-           match Heap.reserve heap ~size with
-           | Some a ->
-               Alloc_cache.put cache ~size a;
-               incr got
-           | None -> raise Exit
-         done;
-         let stocked = ref 0 in
-         while !stocked < pool_extra do
-           match Heap.reserve heap ~size with
-           | Some a ->
-               Block_pool.push st.pool ~cls a;
-               incr stocked
-           | None -> raise Exit
-         done
-       with Exit -> ());
-      State.unlock_heap st
-    end;
-    Block_pool.unlock st.pool ~cls;
-    !got > 0
-  in
-  let attempt () =
-    if cacheable then
-      match Alloc_cache.get cache ~size with
-      | Some addr -> Some (issue_from addr)
-      | None ->
-          if refill () then
-            match Alloc_cache.get cache ~size with
-            | Some addr -> Some (issue_from addr)
-            | None -> None
-          else None
-    else
-      match try_alloc t ~size ~n_slots with
-      | Some addr ->
-          note_allocated st addr;
-          maybe_trigger t;
-          Some addr
-      | None -> None
-  in
-  match attempt () with
-  | Some addr -> addr
-  | None ->
-      let tel = State.mtelemetry st m in
-      Telemetry.hit_stall tel;
-      (* blocks hoarded in other classes' pools may be exactly the
-         memory this request needs — return them all before stalling *)
-      drain_pools t;
-      let stall_ns0 =
-        match Mutator.ring m with
-        | Some r -> Flight_recorder.ring_now r
-        | None -> 0
-      in
-      let stall_from = State.now_units st in
-      (* The sweep hands blocks back as it goes, so a stalled allocator
-         retries whenever [sweep_progress] moves, not only at cycle end.
-         That makes the out-of-memory verdict need a full collection
-         that began after the stall did: the one already running when it
-         began may end with the heap refilled by the mutators that
-         allocated during its sweep. *)
-      let baseline = ref (fulls_begun st) in
-      let result = ref Heap.nil in
-      while !result = Heap.nil do
-        (* read before the attempt: progress made during a failed
-           attempt still wakes the wait below *)
-        let progress = Atomic.get st.sweep_progress in
-        match attempt () with
-        | Some addr -> result := addr
-        | None ->
-            (* a retry failing mid-cycle waits on: only an idle collector
-               gets a request, and only after a full one does the heap grow *)
-            (if
-               (not (Atomic.get st.collecting))
-               && Atomic.get st.gc_request = No_request
-             then
-               if fulls_done st <= !baseline then
-                 ignore
-                   (Atomic.compare_and_set st.gc_request No_request Want_full
-                     : bool)
-               else begin
-                 State.lock_heap st;
-                 let grown =
-                   Heap.grow heap
-                     ~want_bytes:
-                       (Stdlib.max size
-                          (Stdlib.max 65536 (Heap.capacity heap / 2)))
-                 in
-                 State.unlock_heap st;
-                 if grown then baseline := fulls_begun st
-                 else raise Out_of_memory
-               end);
-            Cost.stall cost Cost.c_cooperate;
-            (* Sleep (cooperating, or handshakes would never complete)
-               until the sweep frees more memory or the cycle ends, then
-               retry. *)
-            Substrate.wait_until (fun () ->
-                Collector.cooperate st m;
-                Atomic.get st.sweep_progress <> progress
-                || (not (Atomic.get st.collecting))
-                   && Atomic.get st.gc_request = No_request)
-      done;
-      Telemetry.record_stall tel (State.now_units st - stall_from);
-      (match Mutator.ring m with
-      | Some r ->
-          Flight_recorder.span r Flight_recorder.Stall ~a:(Mutator.id m)
-            ~t0:stall_ns0 ~t1:(Flight_recorder.ring_now r)
-      | None -> ());
-      !result
+  Cost.mutator (State.mcost st m) Cost.c_alloc;
+  let a = attempt_domains t m ~size ~n_slots in
+  if a <> Heap.nil then a else stall_domains t m ~size ~n_slots
 
 let alloc t m ~size ~n_slots =
   if t.st.parallel then alloc_domains t m ~size ~n_slots

@@ -138,6 +138,13 @@ val alloc : t -> Mutator.t -> size:int -> n_slots:int -> int
     {!Mutator.t} registers and stack slots are (they model the machine
     registers real compiled code keeps references in). *)
 
+val stall_wait_over : t -> Mutator.t -> progress:int -> bool
+(** The domains stall's wake-up predicate, with the handshake poll the
+    wait needs ({!cooperate}): [true] once [State.sweep_progress] differs
+    from [progress] (read before the failed attempt), even while the
+    cycle still runs, or once the collector is idle with no request
+    pending. *)
+
 val load : t -> Mutator.t -> x:int -> i:int -> int
 (** [heap\[x,i\]] — no read barrier, as in DLG. *)
 

@@ -175,14 +175,13 @@ let alloc t ~size ~n_slots ~color =
 
 let reserve t ~size =
   let addr = Freelist.pop t.freelist ~bytes_wanted:size in
-  if addr < 0 then None
-  else begin
+  if addr >= 0 then begin
     Space.set_kind t.space addr Space.Allocated;
     (* the block may start on a word of an earlier object *)
     t.mem.(word addr) <- 0;
-    set_color t addr Color.Blue;
-    some t addr
-  end
+    set_color t addr Color.Blue
+  end;
+  addr
 
 (* The words are written before the color: a collector that sees the
    object's new color through the gray-queue mutex or a handshake sees
@@ -282,13 +281,14 @@ let objects_on_card t card =
 
 (* --- Kernels for the per-cycle censuses -----------------------------
 
-   Both run once per simulated cycle inside one scheduling step, so they
-   are written as plain loops over the side tables: no callback per
-   object and no allocation beyond a result pair (and a stack that grows
-   in place once). *)
+   Both run once per cycle, so they are written as plain loops over the
+   side tables: no callback per object and no allocation beyond a result
+   pair (and a stack that grows in place once).  The colour census walks
+   one stride per call, so a caller can bound each heap-lock hold. *)
 
-let color_census t c =
-  Space.allocated_with_tag t.space ~tags:t.colors (Color.to_byte c)
+let color_census t c tally ~from ~stride =
+  Space.allocated_with_tag t.space ~tags:t.colors (Color.to_byte c) tally ~from
+    ~stride
 
 type marks = {
   bits : Bytes.t; (* one bit per granule up to the maximum capacity *)

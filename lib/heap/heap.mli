@@ -85,10 +85,11 @@ val unsafe_free : t -> int -> unit
     the runtime's heap lock; {!issue} touches only the block's own
     entries and is called lock-free by the owning mutator. *)
 
-val reserve : t -> size:int -> int option
-(** Pop a free block of exactly [size] bytes and park it reserved.  Does
-    not touch the allocation counters ({!add_alloc_stats} flushes them in
-    batches when objects are actually issued). *)
+val reserve : t -> size:int -> int
+(** Pop a free block of exactly [size] bytes and park it reserved, or
+    return {!nil} when none fits.  Does not touch the allocation counters
+    ({!add_alloc_stats} flushes them in batches when objects are actually
+    issued). *)
 
 val issue : t -> int -> n_slots:int -> color:Color.t -> int
 (** Turn a reserved block into a live object: write its header, its
@@ -188,16 +189,24 @@ val objects_on_card : t -> int -> int list
 
 (** {2 Census kernels}
 
-    The two whole-heap measures the collector takes once per cycle,
-    written as loops over the side tables: no callback per object and no
-    host allocation beyond a result pair and, once, a stack growing in
-    place.  Neither charges cost, touches pages or yields. *)
+    The two heap measures the collector takes once per cycle, written as
+    loops over the side tables: no callback per object and no host
+    allocation beyond a result pair and, once, a stack growing in place.
+    Neither charges cost, touches pages or yields. *)
 
-val color_census : t -> Color.t -> int * int
-(** [color_census t c] is the number and the total bytes of the
-    allocated blocks painted [c]: one header-to-header walk of the block
-    table beside the colour table.  Reserved blocks are
-    {!Color.Blue}, so they count for [Blue] only. *)
+val color_census :
+  t -> Color.t -> Space.tally -> from:int -> stride:int -> int
+(** [color_census t c tally ~from ~stride] adds to [tally] the number and
+    the total bytes of the allocated blocks painted [c] among the at most
+    [stride] blocks that start at the block start [from], and returns the
+    next block start, or [-1] ({!nil}) at the end of the heap: one stride
+    of {!Space.allocated_with_tag} over the colour table.  A whole-heap
+    census loops from [from:0] until [-1]; a caller holding the heap lock
+    per stride may release it between strides while only allocation-cache
+    refills and {!release_reserved} run (they split free blocks or free
+    reserved ones, never merge), and growth is held off.  Reserved blocks
+    are {!Color.Blue}, so they count for [Blue] only.  Allocates
+    nothing. *)
 
 type marks
 (** A caller-owned mark scratch for one heap: a bit per granule up to

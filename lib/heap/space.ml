@@ -236,14 +236,20 @@ let iter_blocks t f =
     i := !i + size_g
   done
 
-(* Header to header over the tags, with no closure: the clear-colour
-   census runs it once per cycle over the whole heap. *)
-let allocated_with_tag t ~tags tag =
+type tally = { mutable blocks : int; mutable bytes : int }
+
+(* Header to header over the tags, with no closure and no allocation:
+   the clear-colour census calls it once per stride, holding the heap
+   lock across one call only. *)
+let allocated_with_tag t ~tags tag tally ~from ~stride =
   if Bytes.length tags < t.cur_granules then
     invalid_arg "Space.allocated_with_tag: tag table shorter than the space";
+  if stride < 1 then invalid_arg "Space.allocated_with_tag: stride below 1";
+  if not (is_block_start t from) then
+    invalid_arg "Space.allocated_with_tag: cursor is not a block start";
+  let i = ref (from lsr g_shift) and left = ref stride in
   let blocks = ref 0 and granules = ref 0 in
-  let i = ref 0 in
-  while !i < t.cur_granules do
+  while !left > 0 && !i < t.cur_granules do
     let size_g = Array.unsafe_get t.sizes !i in
     if
       Bytes.unsafe_get t.kinds !i = alloc_start
@@ -252,9 +258,12 @@ let allocated_with_tag t ~tags tag =
       incr blocks;
       granules := !granules + size_g
     end;
-    i := !i + size_g
+    i := !i + size_g;
+    decr left
   done;
-  (!blocks, Layout.bytes_of_granules !granules)
+  tally.blocks <- tally.blocks + !blocks;
+  tally.bytes <- tally.bytes + Layout.bytes_of_granules !granules;
+  if !i < t.cur_granules then !i lsl g_shift else -1
 
 let iter_block_starts_on_card t card f =
   if card >= 0 && card < Array.length t.card_first then begin

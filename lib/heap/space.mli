@@ -108,13 +108,30 @@ val iter_blocks : t -> (int -> kind -> int -> unit) -> unit
     address order.  [f] must not change the block structure at or after
     the current address. *)
 
-val allocated_with_tag : t -> tags:Bytes.t -> char -> int * int
-(** [allocated_with_tag t ~tags c] is the number and the total bytes of
-    the allocated blocks whose start granule [i] has [Bytes.get tags i =
-    c]: one header-to-header walk with no callback and no allocation
-    beyond the result pair.  [tags] is a per-granule side table (the
-    heap passes its colour table); raises [Invalid_argument] if it is
-    shorter than the current capacity in granules. *)
+type tally = { mutable blocks : int; mutable bytes : int }
+(** A running count and byte total, owned by the caller of
+    {!allocated_with_tag} and added to by each call. *)
+
+val allocated_with_tag :
+  t -> tags:Bytes.t -> char -> tally -> from:int -> stride:int -> int
+(** [allocated_with_tag t ~tags c tally ~from ~stride] walks at most
+    [stride] blocks header to header, starting at the block start
+    [from], and adds to [tally] the number and the total bytes of the
+    allocated blocks among them whose start granule [i] has
+    [Bytes.get tags i = c].  It returns the start of the next block to
+    walk, or [-1] when the walk reached the current capacity, so a
+    whole-space count is a loop from [from:0] until [-1].  No callback
+    and no host allocation.
+
+    The returned cursor is computed before the call returns, so a caller
+    that holds a lock across one call only may release it between calls
+    as long as nothing in between merges blocks or shrinks the space:
+    splitting a free block ahead of the cursor, or flipping a block's
+    kind, keeps the cursor a block start (and a split-off block ahead of
+    it is walked).  [tags] is a per-granule side table (the heap passes
+    its colour table).  Raises [Invalid_argument] if [tags] is shorter
+    than the current capacity in granules, if [stride < 1] or if [from]
+    is not a block start. *)
 
 val iter_block_starts_on_card : t -> int -> (int -> kind -> int -> unit) -> unit
 (** [iter_block_starts_on_card t card f] calls [f addr kind size_bytes]

@@ -35,15 +35,16 @@ let sync_point_for rt ~n ~prebuilt ~warm i m () =
        reset ledgers — measurement noise, bounded by the barrier
        window. *)
     State.reset_ledgers st;
-    Heap.reset_allocation_stats (Runtime.heap rt);
     if st.State.parallel then begin
-      (* cache counters: the same quiescence argument *)
+      (* cache counters: the same quiescence argument; flushed into the
+         heap's totals, which the reset below zeroes *)
       State.lock_heap st;
       State.iter_mutators st (fun m' ->
-          ignore (Alloc_cache.take_pending (Mutator.cache m') : int * int));
+          Alloc_cache.flush_pending (Mutator.cache m') (Runtime.heap rt));
       State.unlock_heap st
-    end
-    else begin
+    end;
+    Heap.reset_allocation_stats (Runtime.heap rt);
+    if not st.State.parallel then begin
       (* The cost clock restarts, so the recorded events and the sampled
          rows go too.  Under domains they stay: each ring's writer, and
          the observer that writes the rows, is still running, and only

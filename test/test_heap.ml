@@ -638,6 +638,7 @@ let prop_heap_matches_old_model =
                 (attempt (fun () -> Old_heap.set_data o x i v))
           | H_reserve g ->
               let r = Heap.reserve h ~size:(16 * g) in
+              let r = if r = Heap.nil then None else Some r in
               same r (Old_heap.reserve o ~size:(16 * g));
               Option.iter (fun a -> reserved := a :: !reserved) r
           | H_issue (k, s) when !reserved <> [] ->
