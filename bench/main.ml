@@ -1,13 +1,9 @@
-(* Benchmark harness: regenerates every table/figure of the paper's
-   evaluation section (Figures 7-23) and runs Bechamel micro-benchmarks of
-   the collector's hot paths.
+(* Benchmark harness: Bechamel micro-benchmarks of the collector's hot
+   paths, the pinned perf trajectory and the real-domains speedup sweep.
+   The paper's figures are regenerated by `gcsim fig`.
 
    Usage:
-     main.exe                 regenerate every figure (headline at scale 0.5,
-                              sweeps at scale 0.25)
-     main.exe fig9 fig21 ...  regenerate selected figures
-     main.exe --quick         everything at reduced scale (CI smoke run)
-     main.exe micro           only the Bechamel micro-benchmarks
+     main.exe micro           the Bechamel micro-benchmarks
                               (micro --quick: reduced quota, CI smoke)
      main.exe trajectory      run the pinned perf-trajectory grid (fanned
                               out across --jobs domains), diff it against
@@ -34,21 +30,9 @@
                               latencies) per point; records the visible
                               core count and warns on oversubscription;
                               machine-dependent, never gated
-     main.exe --scale 0.4     override the headline scale
-     main.exe --jobs 8        simulation parallelism (domains; default
-                              OTFGC_JOBS or the recommended domain count)
-     main.exe --no-cache      ignore the persistent _cache/ directory
 
-   A bad value, an unknown flag, a flag the command does not take or an
-   unknown figure id exits 1 with one line on stderr.
-
-   All runs are enumerated up front and fanned out across domains as one
-   batch; results are memoised on disk under _cache/, so a repeated
-   regeneration performs zero simulation runs. *)
-
-module Lab = Otfgc_experiments.Lab
-module Registry = Otfgc_experiments.Registry
-module Textable = Otfgc_support.Textable
+   A missing or unknown command, a bad value, an unknown flag and a flag
+   the command does not take exit 1 with one line on stderr. *)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the hot paths                          *)
@@ -981,12 +965,12 @@ module Speedup = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Figure regeneration                                                 *)
+(* Command line                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The command line.  A bad value, an unknown flag, a flag the command
-   does not take and an unknown figure id each end the run before
-   anything runs, with one line on stderr and exit status 1. *)
+(* A missing or unknown command, a bad value, an unknown flag and a flag
+   the command does not take each end the run before anything runs,
+   with one line on stderr and exit status 1. *)
 let usage_error fmt =
   Printf.ksprintf
     (fun msg ->
@@ -997,10 +981,8 @@ let usage_error fmt =
 (* Each flag: whether it takes a value, and the commands that take it. *)
 let flags =
   [
-    ("--quick", false, [ "figures"; "micro"; "trajectory"; "speedup" ]);
-    ("--scale", true, [ "figures" ]);
-    ("--jobs", true, [ "figures"; "trajectory" ]);
-    ("--no-cache", false, [ "figures" ]);
+    ("--quick", false, [ "micro"; "trajectory"; "speedup" ]);
+    ("--jobs", true, [ "trajectory" ]);
     ("--out", true, [ "trajectory"; "speedup" ]);
     ("--threshold", true, [ "trajectory" ]);
     ("--against", true, [ "trajectory" ]);
@@ -1027,26 +1009,21 @@ let parse_args args =
 let () =
   let opts, positional = parse_args (List.tl (Array.to_list Sys.argv)) in
   let commands = [ "micro"; "trajectory"; "speedup" ] in
-  let command, fig_ids =
+  let command =
     match positional with
-    | [ c ] when List.mem c commands -> (c, [])
-    | ids ->
-        List.iter
-          (fun id ->
-            if List.mem id commands then
-              usage_error "%s takes no other arguments" id;
-            if Registry.find id = None then
-              usage_error
-                "unknown figure id %s (fig7..fig23, ablationA, ablationB)" id)
-          ids;
-        ("figures", ids)
+    | [ c ] when List.mem c commands -> c
+    | c :: _ :: _ when List.mem c commands ->
+        usage_error "%s takes no other arguments" c
+    | [] -> usage_error "a command is required (micro|trajectory|speedup)"
+    | c :: _ ->
+        usage_error
+          "unknown command %s (micro|trajectory|speedup; figures: gcsim fig)" c
   in
   List.iter
     (fun (name, _) ->
       let _, _, commands = List.find (fun (f, _, _) -> f = name) flags in
       if not (List.mem command commands) then
-        usage_error "%s does not apply to %s" name
-          (if command = "figures" then "figure regeneration" else command))
+        usage_error "%s does not apply to %s" name command)
     opts;
   let value name = List.assoc_opt name opts in
   let number name ~valid ~what of_string =
@@ -1058,97 +1035,31 @@ let () =
       (value name)
   in
   let quick = value "--quick" <> None in
-  let scale =
-    number "--scale" float_of_string_opt ~what:"a positive number"
-      ~valid:(fun f -> f > 0. && Float.is_finite f)
-    |> Option.value ~default:(if quick then 0.15 else 0.5)
-  in
-  let jobs =
-    number "--jobs" int_of_string_opt ~what:"a positive integer"
-      ~valid:(fun n -> n >= 1)
-    |> Option.value ~default:(Otfgc_support.Pool.default_jobs ())
-  in
-  let cache_dir = if value "--no-cache" <> None then None else Some "_cache" in
-  if command = "trajectory" then begin
-    (* the default output is never a BENCH_*.json: a committed baseline
-       is rewritten only when --out names it *)
-    let out = Option.value (value "--out") ~default:"trajectory.json" in
-    let threshold =
-      number "--threshold" float_of_string_opt ~what:"a non-negative percentage"
-        ~valid:(fun f -> f >= 0. && Float.is_finite f)
-      |> Option.value ~default:5.
-    in
-    exit
-      (Traj.run ~quick ~jobs ~out ~threshold ~against:(value "--against")
-         ~report:(value "--report"))
-  end
-  else if command = "speedup" then begin
-    let out = Option.value (value "--out") ~default:"speedup.json" in
-    let gc_workers =
-      number "--gc-workers" int_of_string_opt ~what:"a positive integer"
-        ~valid:(fun n -> n >= 1)
-      |> Option.value ~default:1
-    in
-    exit (Speedup.run ~quick ~gc_workers ~slo:(value "--slo" <> None) ~out)
-  end
-  else if command = "micro" then Micro.run ~quick ()
-  else begin
-    let lab_main = Lab.create ~scale ~jobs ~cache_dir () in
-    let lab_sweep = Lab.create ~scale:(scale /. 2.) ~jobs ~cache_dir () in
-    let entries =
-      if fig_ids = [] then Registry.all
-      else List.filter_map Registry.find fig_ids
-    in
-    Printf.printf
-      "Reproducing %d figure(s) at scale %.2f (sweeps %.2f) on %d domain(s); \
-       workloads and heaps are 1/8 of the paper's, so compare shapes, not \
-       absolutes.\n\n%!"
-      (List.length entries) scale (scale /. 2.) jobs;
-    (* One batch per lab: every selected figure's grid, deduplicated and
-       fanned out across the domain pool before any table rendering. *)
-    let batch lab heavy =
-      let cfgs =
-        List.concat_map
-          (fun e -> if e.Registry.heavy = heavy then e.Registry.configs else [])
-          entries
+  match command with
+  | "trajectory" ->
+      (* the default output is never a BENCH_*.json: a committed baseline
+         is rewritten only when --out names it *)
+      let out = Option.value (value "--out") ~default:"trajectory.json" in
+      let threshold =
+        number "--threshold" float_of_string_opt
+          ~what:"a non-negative percentage"
+          ~valid:(fun f -> f >= 0. && Float.is_finite f)
+        |> Option.value ~default:5.
       in
-      if cfgs <> [] then begin
-        let t0 = Unix.gettimeofday () in
-        Lab.prefetch lab cfgs;
-        let c = Lab.counters lab in
-        Printf.printf
-          "[%s grids: %d configs -> %d simulated, %d from disk cache in %.1fs]\n%!"
-          (if heavy then "sweep" else "headline")
-          (List.length cfgs) c.Lab.computed c.Lab.disk_hits
-          (Unix.gettimeofday () -. t0)
-      end
-    in
-    batch lab_main false;
-    batch lab_sweep true;
-    print_newline ();
-    List.iter
-      (fun e ->
-        let t0 = Unix.gettimeofday () in
-        let lab = if e.Registry.heavy then lab_sweep else lab_main in
-        let table = e.Registry.run lab in
-        Textable.print table;
-        Printf.printf "[%s done in %.1fs]\n\n%!" e.Registry.id
-          (Unix.gettimeofday () -. t0))
-      entries;
-    let totals =
-      let a = Lab.counters lab_main and b = Lab.counters lab_sweep in
-      Lab.
-        {
-          computed = a.computed + b.computed;
-          mem_hits = a.mem_hits + b.mem_hits;
-          disk_hits = a.disk_hits + b.disk_hits;
-        }
-    in
-    Printf.printf
-      "cache: %d runs simulated, %d memo hits, %d disk hits%s\n%!"
-      totals.Lab.computed totals.Lab.mem_hits totals.Lab.disk_hits
-      (match cache_dir with
-      | Some d -> Printf.sprintf " (persisted under %s/)" d
-      | None -> "");
-    if fig_ids = [] && not quick then Micro.run ()
-  end
+      let jobs =
+        number "--jobs" int_of_string_opt ~what:"a positive integer"
+          ~valid:(fun n -> n >= 1)
+        |> Option.value ~default:(Otfgc_support.Pool.default_jobs ())
+      in
+      exit
+        (Traj.run ~quick ~jobs ~out ~threshold ~against:(value "--against")
+           ~report:(value "--report"))
+  | "speedup" ->
+      let out = Option.value (value "--out") ~default:"speedup.json" in
+      let gc_workers =
+        number "--gc-workers" int_of_string_opt ~what:"a positive integer"
+          ~valid:(fun n -> n >= 1)
+        |> Option.value ~default:1
+      in
+      exit (Speedup.run ~quick ~gc_workers ~slo:(value "--slo" <> None) ~out)
+  | _ -> Micro.run ~quick ()

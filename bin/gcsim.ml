@@ -677,8 +677,15 @@ let validate_cmd =
 
 let fig_cmd =
   let ids_arg =
-    let doc = "Figure ids (fig7..fig23); none = all." in
+    let doc = "Figure ids (fig7..fig23, ablationA, ablationB); none = all." in
     Arg.(value & pos_all string [] & info [] ~docv:"FIG" ~doc)
+  in
+  let scale_arg =
+    let doc =
+      "Allocation-volume scale of the headline figures; the parameter \
+       sweeps (fig16..fig23 and the ablations) run at half of it."
+    in
+    Arg.(value & opt float 0.5 & info [ "scale" ] ~doc)
   in
   let jobs_arg =
     let doc =
@@ -686,7 +693,7 @@ let fig_cmd =
        (default: $(b,OTFGC_JOBS) or the recommended domain count; 1 = \
        sequential).  Results are identical for every N."
     in
-    Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~doc)
+    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
   in
   let no_cache_arg =
     let doc = "Do not read or write the persistent _cache/ directory." in
@@ -706,39 +713,29 @@ let fig_cmd =
     exit_code
     @@ fun () ->
     let* () = check_scale scale in
-    let entries =
-      if ids = [] then Registry.all
-      else
-        List.filter_map
-          (fun id ->
-            match Registry.find id with
-            | Some e -> Some e
-            | None ->
-                Printf.eprintf "unknown figure id %s\n" id;
-                None)
-          ids
+    let* () =
+      Option.fold jobs ~none:(Ok ()) ~some:(fun n ->
+          require (n >= 1)
+            (Printf.sprintf "--jobs must be a positive integer, not %d" n))
     in
-    let jobs = if jobs >= 1 then Some jobs else None in
+    let* entries =
+      match List.find_opt (fun id -> Option.is_none (Registry.find id)) ids with
+      | Some id ->
+          Error
+            (`Msg
+              (Printf.sprintf
+                 "unknown figure id %s (fig7..fig23, ablationA, ablationB)" id))
+      | None ->
+          Ok (if ids = [] then Registry.all else List.filter_map Registry.find ids)
+    in
     let cache_dir = if no_cache then None else Some "_cache" in
-    let lab = Lab.create ~scale ~seed ?jobs ~cache_dir () in
-    (* Submit every selected figure's grid as one batch, then render. *)
-    Lab.prefetch lab (List.concat_map (fun e -> e.Registry.configs) entries);
-    let tables = List.map (fun e -> (e, e.Registry.run lab)) entries in
+    let tables, c = Registry.regenerate ~scale ~seed ?jobs ~cache_dir entries in
+    let json () = Json.to_string (Json.List (List.map Textable.to_json tables)) in
     (match json_out with
-    | Some "-" ->
-        print_endline
-          (Json.to_string
-             (Json.List (List.map (fun (_, t) -> Textable.to_json t) tables)))
+    | Some "-" -> print_endline (json ())
     | out ->
-        List.iter (fun (_, t) -> Textable.print t) tables;
-        Option.iter
-          (fun path ->
-            write_file path
-              (Json.to_string
-                 (Json.List
-                    (List.map (fun (_, t) -> Textable.to_json t) tables))))
-          out);
-    let c = Lab.counters lab in
+        List.iter Textable.print tables;
+        Option.iter (fun path -> write_file path (json ())) out);
     Printf.eprintf "cache: %d runs simulated, %d disk hits\n" c.Lab.computed
       c.Lab.disk_hits;
     Ok 0
@@ -749,22 +746,36 @@ let fig_cmd =
       const run $ ids_arg $ scale_arg $ seed_arg $ jobs_arg $ no_cache_arg
       $ json_arg)
 
+(* A command line cmdliner cannot parse ends the same way as a bad
+   value: its message on one line, without the usage lines, and exit 1. *)
 let () =
   let doc =
     "Simulator for 'A Generational On-the-fly Garbage Collector for Java' \
      (Domani, Kolodner, Petrank; PLDI 2000)."
   in
   let info = Cmd.info "gcsim" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval'
-       (Cmd.group info
-          [
-            list_cmd;
-            run_cmd;
-            compare_cmd;
-            stats_cmd;
-            census_cmd;
-            report_cmd;
-            fig_cmd;
-            validate_cmd;
-          ]))
+  let buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer buf in
+  Format.pp_set_margin err 10_000;
+  let code =
+    Cmd.eval' ~err
+      (Cmd.group info
+         [
+           list_cmd;
+           run_cmd;
+           compare_cmd;
+           stats_cmd;
+           census_cmd;
+           report_cmd;
+           fig_cmd;
+           validate_cmd;
+         ])
+  in
+  Format.pp_print_flush err ();
+  let msg = Buffer.contents buf in
+  if code = Cmd.Exit.cli_error then begin
+    prerr_endline (List.hd (String.split_on_char '\n' msg));
+    exit 1
+  end;
+  prerr_string msg;
+  exit code

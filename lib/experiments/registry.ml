@@ -74,3 +74,23 @@ let all =
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
+
+let regenerate ~scale ?seed ?jobs ?cache_dir entries =
+  let headline = Lab.create ~scale ?seed ?jobs ?cache_dir ()
+  and sweep = Lab.create ~scale:(scale /. 2.) ?seed ?jobs ?cache_dir () in
+  let grids heavy =
+    List.concat_map (fun e -> if e.heavy = heavy then e.configs else []) entries
+  in
+  Lab.prefetch headline (grids false);
+  Lab.prefetch sweep (grids true);
+  let tables =
+    List.map (fun e -> e.run (if e.heavy then sweep else headline)) entries
+  in
+  let a = Lab.counters headline and b = Lab.counters sweep in
+  ( tables,
+    Lab.
+      {
+        computed = a.computed + b.computed;
+        mem_hits = a.mem_hits + b.mem_hits;
+        disk_hits = a.disk_hits + b.disk_hits;
+      } )

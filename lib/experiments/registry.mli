@@ -5,11 +5,12 @@ type entry = {
   id : string;  (** e.g. ["fig9"] *)
   title : string;
   heavy : bool;
-      (** parameter sweeps (Figures 16–23) that run dozens of
-          configurations; the bench harness runs them at reduced scale *)
+      (** parameter sweeps (Figures 16–23 and the ablations) that run
+          dozens of configurations; {!regenerate} runs them at half the
+          headline scale *)
   configs : Lab.cfg list;
       (** the figure's whole configuration grid, enumerated up front so
-          harnesses can batch several figures into one
+          {!regenerate} can batch several figures into one
           {!Lab.run_many} submission *)
   run : Lab.t -> Otfgc_support.Textable.t;
 }
@@ -20,3 +21,17 @@ val all : entry list
 
 val find : string -> entry option
 (** Look up by id ("fig7" .. "fig23", "ablationA", "ablationB"). *)
+
+val regenerate :
+  scale:float ->
+  ?seed:int ->
+  ?jobs:int ->
+  ?cache_dir:string option ->
+  entry list ->
+  Otfgc_support.Textable.t list * Lab.counters
+(** Render [entries], in order, at the one scale convention of
+    EXPERIMENTS.md: headline figures on a lab at [scale], {!heavy}
+    sweeps on a second lab at [scale /. 2].  Each lab's share of the
+    grids is prefetched as one batch before any table is rendered.
+    Returns the tables and the two labs' summed counters; the other
+    arguments are {!Lab.create}'s. *)

@@ -135,6 +135,30 @@ let test_registry_grids_cover_figures () =
   check "every registry entry has a grid" true
     (List.for_all (fun e -> e.Registry.configs <> []) Registry.all)
 
+let test_regenerate_scale_split () =
+  (* the one figure path renders a headline entry at the given scale
+     and a sweep entry at half of it, each equal to the entry's own
+     [run] on a lab at that scale *)
+  let scale = 4. *. tiny_scale in
+  let fig8 = Option.get (Registry.find "fig8")
+  and abl = Option.get (Registry.find "ablationA") in
+  check "fig8 is a headline entry, ablationA a sweep" true
+    ((not fig8.Registry.heavy) && abl.Registry.heavy);
+  let tables, c =
+    Registry.regenerate ~scale ~jobs:1 ~cache_dir:no_cache [ fig8; abl ]
+  in
+  let alone e scale =
+    let lab = Lab.create ~scale ~jobs:1 ~cache_dir:no_cache () in
+    Otfgc_support.Textable.render (e.Registry.run lab)
+  in
+  Alcotest.(check (list string))
+    "fig8 at the scale, ablationA at half"
+    [ alone fig8 scale; alone abl (scale /. 2.) ]
+    (List.map Otfgc_support.Textable.render tables);
+  let unique e = List.length (List.sort_uniq compare e.Registry.configs) in
+  check_int "the counters sum both labs" (unique fig8 + unique abl)
+    c.Lab.computed
+
 (* ------------------------------------------------------------------ *)
 (* Persistent cache                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -217,6 +241,8 @@ let suites =
           test_run_many_byte_identical_to_recorded;
         Alcotest.test_case "registry grids cover figures" `Quick
           test_registry_grids_cover_figures;
+        Alcotest.test_case "regenerate splits the scale" `Quick
+          test_regenerate_scale_split;
       ] );
     ( "harness.cache",
       [
